@@ -21,13 +21,15 @@ const (
 	OpRollback
 )
 
-// Pred is a simple WHERE predicate: column <cmp> literal, or a NULL
-// test. Small on purpose — the oracle's value comes from volume and
-// value-type mixing, not predicate complexity.
+// Pred is a simple WHERE predicate: column <cmp> literal, a NULL test,
+// or a two-sided range between Val and Hi. Small on purpose — the
+// oracle's value comes from volume and value-type mixing, not predicate
+// complexity.
 type Pred struct {
 	Col string
-	Cmp string // "=", "!=", "<", "<=", ">", ">=", "IS NULL", "IS NOT NULL"
+	Cmp string // "=", "!=", "<", "<=", ">", ">=", "IS NULL", "IS NOT NULL", "RANGE", "BETWEEN"
 	Val sqldb.Value
+	Hi  sqldb.Value // upper bound of RANGE (Val <= col < Hi) and BETWEEN (inclusive)
 }
 
 // Op is one structured workload operation. The generator emits the
@@ -100,6 +102,10 @@ func (op Op) whereSQL() string {
 	switch p.Cmp {
 	case "IS NULL", "IS NOT NULL":
 		return " WHERE " + p.Col + " " + p.Cmp
+	case "RANGE":
+		return " WHERE " + p.Col + " >= " + lit(p.Val) + " AND " + p.Col + " < " + lit(p.Hi)
+	case "BETWEEN":
+		return " WHERE " + p.Col + " BETWEEN " + lit(p.Val) + " AND " + lit(p.Hi)
 	}
 	return " WHERE " + p.Col + " " + p.Cmp + " " + lit(p.Val)
 }
@@ -141,6 +147,20 @@ func (g *Gen) value(textBias bool) sqldb.Value {
 
 var cmps = []string{"=", "!=", "<", "<=", ">", ">="}
 
+// bound draws a range bound near k: mostly the integer itself,
+// sometimes a non-integral float beside it, sometimes any value (NULL
+// and text included) so the probe's fallback to a scan is exercised.
+func (g *Gen) bound(k int64) sqldb.Value {
+	switch n := g.r.Intn(10); {
+	case n < 7:
+		return k
+	case n < 9:
+		return float64(k) + 0.5
+	default:
+		return g.value(false)
+	}
+}
+
 // pred draws a WHERE predicate (or nil for a full scan).
 func (g *Gen) pred() *Pred {
 	n := g.r.Intn(100)
@@ -153,9 +173,18 @@ func (g *Gen) pred() *Pred {
 			cmp = "IS NOT NULL"
 		}
 		return &Pred{Col: oracleCols[1+g.r.Intn(3)], Cmp: cmp}
-	case n < 50:
+	case n < 42:
 		// Primary-key equality, exercising sqldb's indexed fast paths.
 		return &Pred{Col: "_id", Cmp: "=", Val: int64(1 + g.r.Intn(60))}
+	case n < 50:
+		// Two-sided primary-key range, sqldb's range probe: from empty
+		// and inverted up to wider than the table.
+		cmp := "RANGE"
+		if g.r.Intn(2) == 0 {
+			cmp = "BETWEEN"
+		}
+		lo := int64(g.r.Intn(64)) - 2
+		return &Pred{Col: "_id", Cmp: cmp, Val: g.bound(lo), Hi: g.bound(lo + int64(g.r.Intn(40)) - 4)}
 	default:
 		return &Pred{Col: oracleCols[1+g.r.Intn(3)], Cmp: cmps[g.r.Intn(len(cmps))], Val: g.value(false)}
 	}

@@ -240,6 +240,12 @@ func predMatch(t *refTable, row []sqldb.Value, p *Pred) bool {
 	}
 	c := compareVals(v, p.Val)
 	switch p.Cmp {
+	case "RANGE", "BETWEEN":
+		if p.Hi == nil {
+			return false
+		}
+		h := compareVals(v, p.Hi)
+		return c >= 0 && (h < 0 || p.Cmp == "BETWEEN" && h == 0)
 	case "=":
 		return c == 0
 	case "!=":

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"maxoid/internal/intent"
 	"maxoid/internal/kernel"
 	"maxoid/internal/netstack"
+	"maxoid/internal/vfs"
 )
 
 // TestTrustedCloudExtension covers the πBox-style extension sketched in
@@ -61,7 +63,9 @@ func TestTrustedCloudExtension(t *testing.T) {
 // TestConcurrentConfinementDomains runs several initiators and their
 // delegates in parallel, each writing into its own domain, and checks
 // complete isolation afterwards — a race-detector workout for the whole
-// stack (Zygote, AMS, unions, providers).
+// stack (Zygote, AMS, unions, providers). Each domain has its own worker
+// package: one package delegated to by several initiators at once would
+// be killed on conflict (§6.2, TestSecondInitiatorKillsWorker).
 func TestConcurrentConfinementDomains(t *testing.T) {
 	s := boot(t)
 	const domains = 4
@@ -69,43 +73,17 @@ func TestConcurrentConfinementDomains(t *testing.T) {
 	for i := range names {
 		names[i] = string(rune('a'+i)) + ".initiator"
 		installScript(t, s, names[i], ams.Manifest{})
+		installScript(t, s, names[i]+".worker", ams.Manifest{Filters: viewFilter()})
 	}
-	installScript(t, s, "worker", ams.Manifest{Filters: viewFilter()})
 
 	var wg sync.WaitGroup
 	errs := make(chan error, domains)
-	for i, name := range names {
+	for _, name := range names {
 		wg.Add(1)
-		go func(i int, name string) {
+		go func(name string) {
 			defer wg.Done()
-			actx, err := s.Launch(name, intent.Intent{})
-			if err != nil {
-				errs <- err
-				return
-			}
-			// Each domain's delegate writes domain-tagged data.
-			dctx, err := s.LaunchAsDelegate("worker", name, intent.Intent{})
-			if err != nil {
-				errs <- err
-				return
-			}
-			payload := "domain-" + name
-			for j := 0; j < 10; j++ {
-				writeAs(t, dctx, dctx.ExtDir()+"/tag.txt", payload)
-				got, err := readAs(dctx, dctx.ExtDir()+"/tag.txt")
-				if err != nil || got != payload {
-					errs <- err
-					return
-				}
-			}
-			// The initiator sees its own domain's file in Vol.
-			got, err := readAs(actx, actx.VolDir()+"/tag.txt")
-			if err != nil || got != payload {
-				errs <- err
-				return
-			}
-			errs <- nil
-		}(i, name)
+			errs <- runDomain(s, name)
+		}(name)
 	}
 	wg.Wait()
 	close(errs)
@@ -121,6 +99,67 @@ func TestConcurrentConfinementDomains(t *testing.T) {
 		if err != nil || got != "domain-"+name {
 			t.Errorf("domain %s sees %q, %v", name, got, err)
 		}
+	}
+}
+
+// runDomain launches initiator name and its worker as a delegate; the
+// delegate writes a domain-tagged file that must read back for the
+// delegate and land in the initiator's Vol.
+func runDomain(s *System, name string) error {
+	actx, err := s.Launch(name, intent.Intent{})
+	if err != nil {
+		return err
+	}
+	dctx, err := s.LaunchAsDelegate(name+".worker", name, intent.Intent{})
+	if err != nil {
+		return err
+	}
+	payload := "domain-" + name
+	for j := 0; j < 10; j++ {
+		path := dctx.ExtDir() + "/tag.txt"
+		if err := vfs.WriteFile(dctx.FS(), dctx.Cred(), path, []byte(payload), 0o666); err != nil {
+			return fmt.Errorf("%s: delegate write: %w", name, err)
+		}
+		if got, err := readAs(dctx, path); err != nil || got != payload {
+			return fmt.Errorf("%s: delegate reads %q, %v", name, got, err)
+		}
+	}
+	if got, err := readAs(actx, actx.VolDir()+"/tag.txt"); err != nil || got != payload {
+		return fmt.Errorf("%s: initiator's Vol holds %q, %v", name, got, err)
+	}
+	return nil
+}
+
+// TestSecondInitiatorKillsWorker: an app runs as one instance at a
+// time, so launching it as a delegate for a second initiator kills the
+// instance serving the first (§6.2 kill-on-conflict).
+func TestSecondInitiatorKillsWorker(t *testing.T) {
+	s := boot(t)
+	installScript(t, s, "a.initiator", ams.Manifest{})
+	installScript(t, s, "b.initiator", ams.Manifest{})
+	installScript(t, s, "worker", ams.Manifest{Filters: viewFilter()})
+	for _, name := range []string{"a.initiator", "b.initiator"} {
+		if _, err := s.Launch(name, intent.Intent{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first, err := s.LaunchAsDelegate("worker", "a.initiator", intent.Intent{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	killed := s.AM.KilledForConflict()
+	second, err := s.LaunchAsDelegate("worker", "b.initiator", intent.Intent{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Alive() || !second.Alive() {
+		t.Errorf("alive after second launch: first %v, second %v", first.Alive(), second.Alive())
+	}
+	if n := s.AM.KilledForConflict() - killed; n != 1 {
+		t.Errorf("conflict kills = %d, want 1", n)
+	}
+	if second.Initiator() != "b.initiator" {
+		t.Errorf("second instance serves %q", second.Initiator())
 	}
 }
 

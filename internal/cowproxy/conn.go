@@ -30,9 +30,15 @@ type Conn struct {
 	targets map[string]string       // lowercase table -> query/update target
 	inserts map[string]insertTarget // lowercase table -> insert routing
 	sqls    map[string]string       // rendered INSERT statements
-	queries map[string]queryPlan    // rendered SELECT statements
-	updates map[string]updatePlan   // rendered UPDATE statements
+	queries map[string]queryPlan    // rendered SELECT statements, at most maxStmtMemo
+	updates map[string]updatePlan   // rendered UPDATE statements, at most maxStmtMemo
 }
+
+// maxStmtMemo bounds the queries and updates memos, which are keyed by
+// the caller's where text: callers that inline literals would otherwise
+// grow them without limit. A full memo is reset rather than evicted
+// from, as sqldb's synthesized-scan memo is; steady traffic refills it.
+const maxStmtMemo = 256
 
 // insertTarget is the memoized routing decision for Conn.Insert.
 type insertTarget struct {
@@ -110,7 +116,7 @@ func (c *Conn) cachedQuery(key []byte) (queryPlan, bool) {
 func (c *Conn) storeQuery(key string, qp queryPlan) {
 	c.mu.Lock()
 	c.resetIfStale()
-	if c.queries == nil {
+	if c.queries == nil || len(c.queries) >= maxStmtMemo {
 		c.queries = make(map[string]queryPlan)
 	}
 	c.queries[key] = qp
@@ -133,7 +139,7 @@ func (c *Conn) cachedUpdate(key []byte) (updatePlan, bool) {
 func (c *Conn) storeUpdate(key string, up updatePlan) {
 	c.mu.Lock()
 	c.resetIfStale()
-	if c.updates == nil {
+	if c.updates == nil || len(c.updates) >= maxStmtMemo {
 		c.updates = make(map[string]updatePlan)
 	}
 	c.updates[key] = up

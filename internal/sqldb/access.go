@@ -2,18 +2,20 @@ package sqldb
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 )
 
 // This file is the access-path half of the planner split. For one base
 // table under a WHERE clause it chooses between a sequential scan, the
-// primary-key probe, an index point probe, and an index range scan —
-// by exact candidate counts, not heuristics: every probe's candidate
-// set size is O(log n) (ordered) or O(1) (hash) to measure, so the
-// "cost model" compares real row counts. The chosen path only narrows
-// the candidate set; callers re-apply the full WHERE to candidates, so
-// a probe can never change results, only skip rows that cannot match.
+// primary-key point or range probe, an index point probe, and an index
+// range scan — by exact candidate counts, not heuristics: every probe's
+// candidate set size is O(log n) (ordered), O(1) (hash) or O(width)
+// (primary-key range) to measure, so the "cost model" compares real
+// row counts. The chosen path only narrows the candidate set; callers
+// re-apply the full WHERE to candidates, so a probe can never change
+// results, only skip rows that cannot match.
 //
 // Probes never under-select because expression evaluation and index
 // keys share one total order: =, <, <=, >, >= and BETWEEN all evaluate
@@ -22,6 +24,17 @@ import (
 // first), so probes touching NULL — a stored NULL inside an unbounded
 // range, or a literal NULL constraint — may over-select rows the WHERE
 // then rejects, but can never miss one it would accept.
+//
+// Primary-key probes go through byPK, which maps AsInt(key) to a row
+// position. They are used only while byPK holds every row
+// (len(byPK) == len(rows)); an UPDATE that stored a NULL, non-numeric
+// text or duplicate key breaks that and sends the table back to scans
+// until the keys are unique integers again. A range probe looks up
+// every integer in [floor(lo), ceil(hi)]: any numeric key x with
+// lo <= x <= hi has AsInt(x) — x truncated — inside that interval, so
+// the probe can only over-select. compare() orders numerics as
+// float64, which is exact for integers only below 2^53 in magnitude,
+// so bounds outside ±2^53 scan instead.
 
 type accessKind int
 
@@ -45,7 +58,8 @@ type accessPlan struct {
 
 	eqCols   []string // display: equality columns consumed
 	rangeCol string   // display: range column, "" if none
-	rangeOps string   // display: e.g. ">= lo, < hi"
+	loOp     string   // display: ">?" or ">=?", "" if unbounded below
+	hiOp     string   // display: "<?" or "<=?", "" if unbounded above
 
 	// Inline buffers for the single-position / single-column shapes the
 	// pk-probe path produces, so a point lookup allocates no side slices.
@@ -81,10 +95,12 @@ func (ex *executor) chooseAccess(t *table, alias string, where Expr) *accessPlan
 		return scan
 	}
 	best := scan
-	// Primary-key probe: at most one row, always wins when available.
-	// The scan plan is repurposed in place: nothing else references it.
-	if t.pk >= 0 {
-		if c, ok := cons[t.pk]; ok && c.hasEq {
+	// Primary-key probes, only while byPK reaches every row (see the
+	// exactness argument at the top of this file).
+	if c, ok := cons[t.pk]; ok && t.pk >= 0 && len(t.byPK) == len(t.rows) {
+		// Point probe: at most one row, always wins when available. The
+		// scan plan is repurposed in place: nothing else references it.
+		if c.hasEq {
 			if id, isInt := AsInt(c.eq); isInt {
 				plan := scan
 				plan.kind, plan.est = accessPKProbe, 0
@@ -98,6 +114,9 @@ func (ex *executor) chooseAccess(t *table, alias string, where Expr) *accessPlan
 				return plan
 			}
 		}
+		if plan := ex.pkRangePlan(t, c); plan != nil {
+			best = plan
+		}
 	}
 	for _, ix := range t.indexes {
 		plan := planForIndex(ix, t, cons)
@@ -106,6 +125,79 @@ func (ex *executor) chooseAccess(t *table, alias string, where Expr) *accessPlan
 		}
 	}
 	return best
+}
+
+// pkRangePlan probes byPK once for every integer key in
+// [floor(lo), ceil(hi)] of a two-sided range on the primary key. It
+// returns nil (scan instead) unless both bounds are numeric and inside
+// ±2^53, and the range is at most as wide as the table. Candidates are
+// returned in storage order, the order a scan would produce them.
+func (ex *executor) pkRangePlan(t *table, c *colConstraint) *accessPlan {
+	if !c.hasLo || !c.hasHi {
+		return nil
+	}
+	first, okLo := pkBound(c.lo, math.Floor)
+	last, okHi := pkBound(c.hi, math.Ceil)
+	if !okLo || !okHi || last-first >= int64(len(t.rows)) {
+		return nil
+	}
+	width := 0 // an inverted range holds no key
+	if last >= first {
+		width = int(last-first) + 1
+	}
+	positions := ex.intsBuf(width)[:0]
+	for id := first; id <= last; id++ {
+		if pos, ok := t.byPK[id]; ok {
+			positions = append(positions, pos)
+		}
+	}
+	sort.Ints(positions)
+	plan := ex.newPlan()
+	plan.kind, plan.tbl = accessPKProbe, t
+	plan.positions, plan.est = positions, len(positions)
+	plan.setRange(t.cols[t.pk].Name, c)
+	return plan
+}
+
+// maxExactKey bounds the keys a range probe may enumerate: below 2^53
+// in magnitude every int64 converts to float64 exactly, so compare()
+// orders keys and bounds as integers do.
+const maxExactKey = 1 << 53
+
+// pkBound turns a range bound into an integer key, rounding a float
+// with round (math.Floor for the lower bound, math.Ceil for the upper).
+func pkBound(v Value, round func(float64) float64) (int64, bool) {
+	var f float64
+	switch x := v.(type) {
+	case int64:
+		f = float64(x)
+	case float64:
+		f = round(x)
+	default: // NULL, text and blob bounds are not numeric ranges
+		return 0, false
+	}
+	if !(f > -maxExactKey && f < maxExactKey) { // also rejects NaN
+		return 0, false
+	}
+	return int64(f), true
+}
+
+// setRange records the range constraint on col for describe; only
+// constant strings are stored, so executing a plan renders nothing.
+func (ap *accessPlan) setRange(col string, c *colConstraint) {
+	ap.rangeCol, ap.loOp, ap.hiOp = col, "", ""
+	if c.hasLo {
+		ap.loOp = ">?"
+		if c.loIncl {
+			ap.loOp = ">=?"
+		}
+	}
+	if c.hasHi {
+		ap.hiOp = "<?"
+		if c.hiIncl {
+			ap.hiOp = "<=?"
+		}
+	}
 }
 
 // planForIndex builds the best plan this one index supports for the
@@ -155,25 +247,9 @@ func planForIndex(ix *index, t *table, cons map[int]*colConstraint) *accessPlan 
 			plan.kind = accessIndexEq // pure prefix probe
 		} else {
 			plan.kind = accessIndexRange
-			plan.rangeCol = t.cols[next].Name
-			var ops []string
-			if cc.hasLo {
-				lo, loIncl = cc.lo, cc.loIncl
-				if loIncl {
-					ops = append(ops, ">=?")
-				} else {
-					ops = append(ops, ">?")
-				}
-			}
-			if cc.hasHi {
-				hi, hiIncl = cc.hi, cc.hiIncl
-				if hiIncl {
-					ops = append(ops, "<=?")
-				} else {
-					ops = append(ops, "<?")
-				}
-			}
-			plan.rangeOps = strings.Join(ops, ",")
+			plan.setRange(t.cols[next].Name, cc)
+			lo, loIncl = cc.lo, cc.loIncl
+			hi, hiIncl = cc.hi, cc.hiIncl
 		}
 	}
 	var start, end int
@@ -357,19 +433,31 @@ func (ap *accessPlan) sortedPositions() []int {
 func (ap *accessPlan) describe() string {
 	switch ap.kind {
 	case accessPKProbe:
+		if ap.rangeCol != "" {
+			return fmt.Sprintf("SEARCH %s USING PRIMARY KEY (%s) (~%d rows)",
+				ap.tbl.name, strings.Join(ap.rangeTerms(nil), " AND "), ap.est)
+		}
 		return fmt.Sprintf("SEARCH %s USING PRIMARY KEY (%s=?)", ap.tbl.name, ap.eqCols[0])
 	case accessIndexEq, accessIndexRange:
 		var terms []string
 		for _, c := range ap.eqCols {
 			terms = append(terms, c+"=?")
 		}
-		if ap.rangeCol != "" {
-			terms = append(terms, ap.rangeCol+ap.rangeOps)
-		}
+		terms = ap.rangeTerms(terms)
 		return fmt.Sprintf("SEARCH %s USING %s INDEX %s (%s) (~%d rows)",
 			ap.tbl.name, ap.ix.kind, ap.ix.name, strings.Join(terms, " AND "), ap.est)
 	}
 	return fmt.Sprintf("SCAN %s (~%d rows)", ap.tbl.name, ap.est)
+}
+
+// rangeTerms appends the plan's range terms, e.g. "_id>=?", to terms.
+func (ap *accessPlan) rangeTerms(terms []string) []string {
+	for _, op := range [2]string{ap.loOp, ap.hiOp} {
+		if op != "" {
+			terms = append(terms, ap.rangeCol+op)
+		}
+	}
+	return terms
 }
 
 // countAccess records the executed access path in the DB statistics.

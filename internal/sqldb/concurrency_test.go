@@ -116,3 +116,48 @@ func TestStmtCacheLRUEviction(t *testing.T) {
 		t.Errorf("normalized AST cache has %d entries, want 2 (all queries share one shape)", norm)
 	}
 }
+
+// TestDumpUnitsConcurrentWithViewQueries: DumpUnits walks every view
+// definition to emit views in dependency order while queries plan and
+// execute the same view ASTs (merged plans share the views' FROM
+// references). The dependency walk must only read them; run under
+// -race, any write to a shared TableRef is reported.
+func TestDumpUnitsConcurrentWithViewQueries(t *testing.T) {
+	db := Open()
+	mustExec(t, db, "CREATE TABLE a (_id INTEGER PRIMARY KEY, v INTEGER)")
+	mustExec(t, db, "CREATE TABLE b (_id INTEGER PRIMARY KEY, v INTEGER)")
+	mustExec(t, db, "INSERT INTO a (v) VALUES (1), (2), (3)")
+	mustExec(t, db, "INSERT INTO b (v) VALUES (4), (5)")
+	mustExec(t, db, "CREATE VIEW u AS SELECT _id, v FROM a UNION ALL SELECT _id, v FROM b")
+	mustExec(t, db, "CREATE VIEW w AS SELECT _id, v FROM u WHERE v > 1")
+
+	const rounds = 200
+	var wg sync.WaitGroup
+	errs := make(chan error, 3)
+	wg.Add(3)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			if err := db.DumpUnits(func(JournalUnit) error { return nil }); err != nil {
+				errs <- err
+				return
+			}
+		}
+	}()
+	for _, q := range []string{"SELECT v FROM u WHERE _id >= ? AND _id < ?", "SELECT v FROM w WHERE _id >= ? AND _id < ?"} {
+		go func(q string) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				if _, err := db.Query(q, int64(1), int64(3)); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(q)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+}

@@ -30,14 +30,14 @@ type Rows struct {
 	Data    [][]Value
 }
 
-// Stats counts planner decisions: the subquery-flattening behavior the
-// paper's footnote 5 describes, plus access-path and statement-cache
-// outcomes from the planner/access-path split.
+// Stats counts planner decisions: the view merging (subquery
+// flattening) the paper's footnote 5 describes, plus access-path and
+// statement-cache outcomes from the planner/access-path split.
 type Stats struct {
-	FlattenedQueries  int64 // UNION ALL view queries flattened
+	FlattenedQueries  int64 // queries whose views were merged (single-core or UNION ALL)
 	MaterializedViews int64 // view scans that had to materialize
 	SeqScans          int64 // base-table sequential scans
-	PKProbes          int64 // primary-key point probes
+	PKProbes          int64 // primary-key point and range probes
 	IndexProbes       int64 // secondary-index point/range probes
 	PlanCacheHits     int64 // plans served from the normalized cache
 	PlanCacheMisses   int64 // plans computed fresh

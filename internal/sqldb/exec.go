@@ -682,12 +682,13 @@ func (ex *executor) updateTable(t *table, st *UpdateStmt, sc *scope) (Result, er
 	// covers the WHERE; the full WHERE still runs on every candidate.
 	ap := ex.chooseAccess(t, t.name, st.Where)
 	ex.db.countAccess(ap.kind)
-	var positions []int // nil = scan all rows
-	if ap.kind != accessSeqScan {
-		positions = ap.sortedPositions()
-	}
+	// The plan kind, not the slice, decides probe vs scan: a probe that
+	// found nothing visits no rows.
+	probe := ap.kind != accessSeqScan
+	var positions []int
 	n := len(t.rows)
-	if positions != nil {
+	if probe {
+		positions = ap.sortedPositions()
 		n = len(positions)
 	}
 	// One scope and one assignment buffer for the whole row loop: the
@@ -697,7 +698,7 @@ func (ex *executor) updateTable(t *table, st *UpdateStmt, sc *scope) (Result, er
 	newVals := ex.values(len(st.Set))
 	for ci := 0; ci < n; ci++ {
 		pos := ci
-		if positions != nil {
+		if probe {
 			pos = positions[ci]
 		}
 		row := t.rows[pos]
@@ -901,8 +902,8 @@ func (ex *executor) deleteView(v *view, st *DeleteStmt, sc *scope) (Result, erro
 }
 
 // viewRowsMatching returns the view rows satisfying where, going through
-// the planner so UNION ALL COW views get the WHERE pushed into their
-// arms (and the pk fast path) instead of full materialization.
+// the planner so the view is merged — the WHERE pushed into its cores or
+// UNION ALL arms, reaching the pk fast path — instead of materialized.
 func (ex *executor) viewRowsMatching(v *view, where Expr, sc *scope) (relation, error) {
 	key := synthKey{view: v, where: where}
 	ex.db.planMu.Lock()
@@ -1216,49 +1217,9 @@ func dedupeRows(rows [][]Value) [][]Value {
 	return out
 }
 
-// pkEquality extracts a "pk = constant" restriction from a WHERE tree
-// (searching top-level AND conjuncts) for a base table reference. It
-// returns the constant value and true on success.
-func (ex *executor) pkEquality(t *table, alias string, where Expr) (int64, bool) {
-	if t.pk < 0 || where == nil {
-		return 0, false
-	}
-	switch x := where.(type) {
-	case *Binary:
-		if x.Op == "AND" {
-			if id, ok := ex.pkEquality(t, alias, x.L); ok {
-				return id, true
-			}
-			return ex.pkEquality(t, alias, x.R)
-		}
-		if x.Op != "=" {
-			return 0, false
-		}
-		for _, pair := range [][2]Expr{{x.L, x.R}, {x.R, x.L}} {
-			ref, ok := pair[0].(*ColRef)
-			if !ok || !strings.EqualFold(ref.Col, t.cols[t.pk].Name) {
-				continue
-			}
-			if ref.Table != "" && !strings.EqualFold(ref.Table, alias) && !strings.EqualFold(ref.Table, t.name) {
-				continue
-			}
-			switch pair[1].(type) {
-			case *Lit, *Param:
-				v, err := ex.eval(pair[1], nil, nil)
-				if err != nil {
-					return 0, false
-				}
-				id, ok := AsInt(v)
-				return id, ok
-			}
-		}
-	}
-	return 0, false
-}
-
 // buildFrom materializes the FROM clause (including joins). For a
-// single base table with a pk-equality WHERE it uses the primary key
-// index instead of a scan.
+// single base table it asks the access-path layer (access.go) for a
+// primary-key or index probe instead of a scan.
 func (ex *executor) buildFrom(core *SelectCore, sc *scope) (relation, error) {
 	if core.From == nil {
 		return relation{rows: [][]Value{{}}}, nil

@@ -6,7 +6,7 @@ import (
 )
 
 // EXPLAIN runs the planner only: the target statement is planned (view
-// flattening included), each table reference's access path is chosen,
+// merging included), each table reference's access path is chosen,
 // and the choices are reported without executing the statement. Output
 // mirrors SQLite's EXPLAIN QUERY PLAN: one row per table touched, with
 // a human-readable detail string.
@@ -67,13 +67,17 @@ func (ex *executor) explainWrite(target, verb string, where Expr, out *Rows) err
 	return fmt.Errorf("sqldb: no such table: %s", target)
 }
 
-// explainSelect plans a select (applying the same view flattening the
-// executor uses) and reports each core's access path.
+// explainSelect plans a select (applying the same view merging the
+// executor uses), names each merged view, and reports each core's
+// access path.
 func (ex *executor) explainSelect(sel *SelectStmt, out *Rows) error {
-	planned := ex.plan(sel)
-	if planned != sel {
-		out.Data = append(out.Data, []Value{"", fmt.Sprintf("FLATTEN UNION ALL VIEW INTO %d ARMS", len(planned.Cores))})
-	}
+	planned := ex.mergeViews(sel, func(v *view, cores int) {
+		detail := "MERGE VIEW " + v.name
+		if cores > 1 {
+			detail = fmt.Sprintf("FLATTEN UNION ALL VIEW %s INTO %d ARMS", v.name, cores)
+		}
+		out.Data = append(out.Data, []Value{v.name, detail})
+	})
 	for _, core := range planned.Cores {
 		if err := ex.explainCore(core, out); err != nil {
 			return err

@@ -51,89 +51,101 @@ func SelectTables(sql string) ([]string, error) {
 	}
 	var names []string
 	seen := map[string]bool{}
-	rewriteSelectTables(sel, func(name string) string {
-		key := strings.ToLower(name)
+	walkSelectRefs(sel, func(ref *TableRef) {
+		key := strings.ToLower(ref.Name)
 		if !seen[key] {
 			seen[key] = true
-			names = append(names, name)
+			names = append(names, ref.Name)
 		}
-		return name
 	})
 	return names, nil
 }
 
+// rewriteSelectTables renames every table/view reference of sel in
+// place. Only freshly parsed statements may be rewritten: catalog ASTs
+// are shared with concurrent planning and execution, so walks over
+// them (DumpUnits) must use walkSelectRefs read-only.
 func rewriteSelectTables(sel *SelectStmt, rename func(string) string) {
+	walkSelectRefs(sel, func(ref *TableRef) {
+		orig := ref.Name
+		ref.Name = rename(orig)
+		// Keep qualified column references (orig.col) resolving by
+		// aliasing the renamed table back to the original name.
+		if ref.Alias == "" && !strings.EqualFold(ref.Name, orig) {
+			ref.Alias = orig
+		}
+	})
+}
+
+// walkSelectRefs calls visit on every named table/view reference of
+// sel — FROM clauses, joins and subqueries at any depth — in
+// first-appearance order. It never writes to the AST itself.
+func walkSelectRefs(sel *SelectStmt, visit func(ref *TableRef)) {
 	for _, core := range sel.Cores {
 		if core.From != nil {
-			rewriteRefTables(core.From, rename)
+			walkRef(core.From, visit)
 			for i := range core.Joins {
-				rewriteRefTables(&core.Joins[i].Ref, rename)
-				rewriteExprTables(core.Joins[i].On, rename)
+				walkRef(&core.Joins[i].Ref, visit)
+				walkExprRefs(core.Joins[i].On, visit)
 			}
 		}
 		for _, rc := range core.Cols {
-			rewriteExprTables(rc.Expr, rename)
+			walkExprRefs(rc.Expr, visit)
 		}
-		rewriteExprTables(core.Where, rename)
+		walkExprRefs(core.Where, visit)
 		for _, g := range core.GroupBy {
-			rewriteExprTables(g, rename)
+			walkExprRefs(g, visit)
 		}
 	}
 	for _, o := range sel.OrderBy {
-		rewriteExprTables(o.Expr, rename)
+		walkExprRefs(o.Expr, visit)
 	}
 }
 
-func rewriteRefTables(ref *TableRef, rename func(string) string) {
+func walkRef(ref *TableRef, visit func(ref *TableRef)) {
 	if ref.Sub != nil {
-		rewriteSelectTables(ref.Sub, rename)
+		walkSelectRefs(ref.Sub, visit)
 		return
 	}
-	orig := ref.Name
-	ref.Name = rename(ref.Name)
-	// Keep qualified column references (orig.col) resolving by aliasing
-	// the renamed table back to the original name.
-	if ref.Alias == "" && !strings.EqualFold(ref.Name, orig) {
-		ref.Alias = orig
-	}
+	visit(ref)
 }
 
-func rewriteExprTables(e Expr, rename func(string) string) {
+func walkExprRefs(e Expr, visit func(ref *TableRef)) {
 	switch x := e.(type) {
 	case *Unary:
-		rewriteExprTables(x.X, rename)
+		walkExprRefs(x.X, visit)
 	case *Binary:
-		rewriteExprTables(x.L, rename)
-		rewriteExprTables(x.R, rename)
+		walkExprRefs(x.L, visit)
+		walkExprRefs(x.R, visit)
 	case *InExpr:
-		rewriteExprTables(x.X, rename)
+		walkExprRefs(x.X, visit)
 		for _, le := range x.List {
-			rewriteExprTables(le, rename)
+			walkExprRefs(le, visit)
 		}
 		if x.Sub != nil {
-			rewriteSelectTables(x.Sub, rename)
+			walkSelectRefs(x.Sub, visit)
 		}
 	case *IsNull:
-		rewriteExprTables(x.X, rename)
+		walkExprRefs(x.X, visit)
 	case *Between:
-		rewriteExprTables(x.X, rename)
-		rewriteExprTables(x.Lo, rename)
-		rewriteExprTables(x.Hi, rename)
+		walkExprRefs(x.X, visit)
+		walkExprRefs(x.Lo, visit)
+		walkExprRefs(x.Hi, visit)
 	case *Call:
 		for _, a := range x.Args {
-			rewriteExprTables(a, rename)
+			walkExprRefs(a, visit)
 		}
 	case *SubqueryExpr:
-		rewriteSelectTables(x.Select, rename)
+		walkSelectRefs(x.Select, visit)
 	case *ExistsExpr:
-		rewriteSelectTables(x.Select, rename)
+		walkSelectRefs(x.Select, visit)
 	case *CaseExpr:
-		rewriteExprTables(x.Operand, rename)
+		walkExprRefs(x.Operand, visit)
 		for _, w := range x.Whens {
-			rewriteExprTables(w.Cond, rename)
-			rewriteExprTables(w.Result, rename)
+			walkExprRefs(w.Cond, visit)
+			walkExprRefs(w.Result, visit)
 		}
-		rewriteExprTables(x.Else, rename)
+		walkExprRefs(x.Else, visit)
 	}
 }
 

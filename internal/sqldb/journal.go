@@ -348,14 +348,14 @@ func (db *DB) dumpViews(emitSQL func(string) error) error {
 		}
 		emitted[k] = true
 		v := db.views[k]
-		// Dependencies first.
+		// Dependencies first. The walk is read-only: v.def is shared
+		// with queries planning and executing concurrently.
 		var depErr error
-		rewriteSelectTables(v.def, func(name string) string {
-			lk := strings.ToLower(name)
+		walkSelectRefs(v.def, func(ref *TableRef) {
+			lk := strings.ToLower(ref.Name)
 			if _, ok := db.views[lk]; ok && lk != k && depErr == nil {
 				depErr = emitView(lk)
 			}
-			return name
 		})
 		if depErr != nil {
 			return depErr

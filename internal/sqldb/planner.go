@@ -4,18 +4,25 @@ import (
 	"strings"
 )
 
-// plan applies the subquery-flattening optimization for queries over
-// UNION ALL compound views, mirroring the SQLite query planner behavior
-// the paper's COW proxy depends on (§5.2 and footnote 5):
+// plan merges views into the queries that read them, mirroring the
+// SQLite query planner behavior the paper's COW proxy depends on (§5.2
+// and footnote 5):
 //
-//   - A simple SELECT over a UNION ALL view is rewritten into a compound
-//     SELECT with the outer WHERE pushed into each arm, so the query
-//     never materializes the whole view.
+//   - A simple SELECT over a view is rewritten to read the view's
+//     sources: the outer WHERE is pushed into the view's core, or into
+//     each arm of a UNION ALL view, so the query never materializes the
+//     view. Merging repeats until no view is left to merge, so a user
+//     view over a COW view (images_view_A over files_view_A) becomes
+//     the COW view's two arms over base tables.
 //   - As in SQLite 3.8.6, if the outer query has an ORDER BY clause,
-//     flattening is only performed when the query selects "*" or the
+//     merging is only performed when the query selects "*" or the
 //     ORDER BY columns are a subset of the selected columns. Otherwise
 //     the view is materialized (the slow path the proxy works around by
 //     adding ORDER BY columns to the query columns).
+//   - Every column the outer query names must be an output column of
+//     the view. A merged query would resolve any other name against the
+//     view's sources, exposing columns the view hides; materializing
+//     reports "no such column" instead.
 func (ex *executor) plan(sel *SelectStmt) *SelectStmt {
 	db := ex.db
 	db.planMu.Lock()
@@ -29,56 +36,83 @@ func (ex *executor) plan(sel *SelectStmt) *SelectStmt {
 		return cached
 	}
 	db.statPlanMiss.Add(1)
-	planned := ex.planUncached(sel)
+	planned := ex.mergeViews(sel, nil)
+	if planned != sel {
+		db.statFlattened.Add(1)
+	}
 	db.planMu.Lock()
 	db.planCache.put(sel, planned)
 	db.planMu.Unlock()
 	return planned
 }
 
-func (ex *executor) planUncached(sel *SelectStmt) *SelectStmt {
+// mergeViews merges views into sel until none is left to merge,
+// calling step (when non-nil) with each merged view and the number of
+// cores the merge produced. A chain of merges names each view at most
+// once, so the bound only matters for a catalog with a view cycle.
+func (ex *executor) mergeViews(sel *SelectStmt, step func(v *view, cores int)) *SelectStmt {
+	for range len(ex.db.views) {
+		next, v := ex.mergeView(sel)
+		if next == nil {
+			break
+		}
+		if step != nil {
+			step(v, len(next.Cores))
+		}
+		sel = next
+	}
+	return sel
+}
+
+// mergeView merges the view a single-core select reads from, returning
+// the rewritten select and the merged view, or nil when the select
+// must run as written.
+func (ex *executor) mergeView(sel *SelectStmt) (*SelectStmt, *view) {
 	if len(sel.Cores) != 1 {
-		return sel
+		return nil, nil
 	}
 	core := sel.Cores[0]
 	if core.From == nil || core.From.Name == "" || core.From.Sub != nil {
-		return sel
+		return nil, nil
 	}
 	if len(core.Joins) > 0 || core.GroupBy != nil || core.Distinct || ex.hasAggregate(core.Cols) {
-		return sel
+		return nil, nil
 	}
 	v, ok := ex.db.views[strings.ToLower(core.From.Name)]
-	if !ok || len(v.def.Cores) < 2 {
-		return sel
-	}
-	if len(v.def.OrderBy) > 0 || v.def.Limit != nil {
-		return sel
-	}
-	// All view arms must have explicit (non-star) projections matching
-	// the view's column list; the COW proxy always generates these.
-	for _, arm := range v.def.Cores {
-		if len(arm.Cols) != len(v.cols) {
-			return sel
-		}
-		for _, rc := range arm.Cols {
-			if rc.Star || rc.TableStar != "" {
-				return sel
-			}
-		}
-		if arm.Distinct || arm.GroupBy != nil || ex.hasAggregate(arm.Cols) {
-			return sel
-		}
+	if !ok || !ex.mergeable(v) {
+		return nil, nil
 	}
 
 	quals := viewQualifiers(core, v)
 
 	// The 3.8.6 ORDER BY restriction.
 	if len(sel.OrderBy) > 0 && !orderByFlattenable(sel, core, v, quals) {
-		return sel
+		return nil, nil
 	}
 
-	// Build output projection column names for the rewritten arms.
+	// Output projection column names for the rewritten arms.
 	outNames := outputNames(core, v)
+
+	// The column guard: the outer query may name only view columns. A
+	// star beside other columns is left to the materialized path too.
+	// Without a star, orderByFlattenable has already held ORDER BY to
+	// the query's own output columns.
+	if !viewColsOnly(core.Where, quals, v.cols) {
+		return nil, nil
+	}
+	if isStarOnly(core.Cols) {
+		for _, term := range sel.OrderBy {
+			if !viewColsOnly(term.Expr, quals, v.cols) {
+				return nil, nil
+			}
+		}
+	} else {
+		for _, rc := range core.Cols {
+			if rc.Star || rc.TableStar != "" || !viewColsOnly(rc.Expr, quals, v.cols) {
+				return nil, nil
+			}
+		}
+	}
 
 	newSel := &SelectStmt{
 		OrderBy: stripOrderQualifiers(sel.OrderBy, quals),
@@ -120,8 +154,86 @@ func (ex *executor) planUncached(sel *SelectStmt) *SelectStmt {
 		}
 		newSel.Cores = append(newSel.Cores, newCore)
 	}
-	ex.db.statFlattened.Add(1)
-	return newSel
+	return newSel, v
+}
+
+// mergeable reports whether a view's definition can be merged into a
+// query over it: distinct column names, no ORDER BY or LIMIT, and every
+// core an explicit (non-star) projection matching the view's column
+// list, without DISTINCT, grouping or aggregates. The COW proxy's views
+// and the providers' user views all have this shape.
+func (ex *executor) mergeable(v *view) bool {
+	if len(v.def.OrderBy) > 0 || v.def.Limit != nil {
+		return false
+	}
+	for i, name := range v.cols {
+		if indexOfFold(v.cols[:i], name) >= 0 {
+			return false // a reference to it names the first; subst would take the last
+		}
+	}
+	for _, arm := range v.def.Cores {
+		if len(arm.Cols) != len(v.cols) {
+			return false
+		}
+		for _, rc := range arm.Cols {
+			if rc.Star || rc.TableStar != "" {
+				return false
+			}
+		}
+		if arm.Distinct || arm.GroupBy != nil || ex.hasAggregate(arm.Cols) {
+			return false
+		}
+	}
+	return true
+}
+
+// viewColsOnly reports whether every column reference in e is one of
+// names, unqualified or qualified by one of quals. Subqueries fail the
+// check: a reference inside one may bind to the view's row from a scope
+// the merge does not rewrite.
+func viewColsOnly(e Expr, quals, names []string) bool {
+	switch x := e.(type) {
+	case nil, *Lit, *Param:
+		return true
+	case *ColRef:
+		return (x.Table == "" || containsFold(quals, x.Table)) && containsFold(names, x.Col)
+	case *Unary:
+		return viewColsOnly(x.X, quals, names)
+	case *Binary:
+		return viewColsOnly(x.L, quals, names) && viewColsOnly(x.R, quals, names)
+	case *InExpr:
+		if x.Sub != nil || !viewColsOnly(x.X, quals, names) {
+			return false
+		}
+		for _, le := range x.List {
+			if !viewColsOnly(le, quals, names) {
+				return false
+			}
+		}
+		return true
+	case *IsNull:
+		return viewColsOnly(x.X, quals, names)
+	case *Between:
+		return viewColsOnly(x.X, quals, names) && viewColsOnly(x.Lo, quals, names) && viewColsOnly(x.Hi, quals, names)
+	case *Call:
+		for _, a := range x.Args {
+			if !viewColsOnly(a, quals, names) {
+				return false
+			}
+		}
+		return true
+	case *CaseExpr:
+		if !viewColsOnly(x.Operand, quals, names) || !viewColsOnly(x.Else, quals, names) {
+			return false
+		}
+		for _, w := range x.Whens {
+			if !viewColsOnly(w.Cond, quals, names) || !viewColsOnly(w.Result, quals, names) {
+				return false
+			}
+		}
+		return true
+	}
+	return false // subqueries
 }
 
 // viewQualifiers returns the qualifiers that refer to the view in the

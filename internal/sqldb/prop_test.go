@@ -121,14 +121,18 @@ func TestPropCOWViewInvariant(t *testing.T) {
 	}
 }
 
-// TestPropFlatteningEquivalence: flattened and materialized plans return
-// the same multiset of rows for random WHERE thresholds.
+// TestPropFlatteningEquivalence: merged and materialized plans return
+// the same multiset of rows for random WHERE thresholds, over a UNION
+// ALL view (u), a single-core view (s) and a single-core view over the
+// UNION ALL view (su).
 func TestPropFlatteningEquivalence(t *testing.T) {
 	db := Open()
 	setup := []string{
 		"CREATE TABLE a (_id INTEGER PRIMARY KEY, v INTEGER, w INTEGER)",
 		"CREATE TABLE b (_id INTEGER PRIMARY KEY, v INTEGER, w INTEGER)",
 		"CREATE VIEW u AS SELECT _id, v, w FROM a UNION ALL SELECT _id, v, w FROM b",
+		"CREATE VIEW s AS SELECT _id, v, w + 1 AS w FROM a WHERE w % 3 <> 0",
+		"CREATE VIEW su AS SELECT _id, v, w FROM u WHERE w < 15",
 	}
 	for _, s := range setup {
 		if _, err := db.Exec(s); err != nil {
@@ -144,16 +148,18 @@ func TestPropFlatteningEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	prop := func(threshold uint8) bool {
+	prop := func(threshold uint8, view uint8) bool {
 		th := int64(threshold % 20)
-		// Flattened: plain column select.
-		flat, err := db.Query("SELECT v, w FROM u WHERE v >= ? ORDER BY v, w", th)
-		if err != nil {
+		v := []string{"u", "s", "su"}[view%3]
+		// Merged: plain column select.
+		before := db.Stats()
+		flat, err := db.Query("SELECT v, w FROM "+v+" WHERE v >= ? ORDER BY v, w", th)
+		if err != nil || db.Stats().MaterializedViews != before.MaterializedViews {
 			return false
 		}
 		// Materialized: ORDER BY column (w+0 is not a plain colref) defeats
-		// flattening per the 3.8.6 rule.
-		mat, err := db.Query("SELECT v, w FROM u WHERE v >= ? ORDER BY v+0, w+0", th)
+		// merging per the 3.8.6 rule.
+		mat, err := db.Query("SELECT v, w FROM "+v+" WHERE v >= ? ORDER BY v+0, w+0", th)
 		if err != nil {
 			return false
 		}
@@ -167,7 +173,7 @@ func TestPropFlatteningEquivalence(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 30}); err != nil {
+	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
 	}
 }

@@ -1,8 +1,8 @@
 // Package sqldb implements a small in-memory SQL database engine with
 // SQLite-flavored semantics: dynamically typed values, integer primary
 // keys, SQL views (including compound UNION ALL views), INSTEAD OF
-// triggers on views, and a query planner that performs subquery
-// flattening for UNION ALL views.
+// triggers on views, and a query planner that merges views (single-core
+// and UNION ALL) into the queries that read them.
 //
 // It exists to host Maxoid's copy-on-write proxy layer (paper §5.2):
 // the proxy is expressed entirely in terms of these SQL constructs, so
