@@ -2,7 +2,7 @@
 // (internal/chaos) from the command line:
 //
 //	maxoid-chaos -engine all -seed 42 -ops 1000
-//	maxoid-chaos -mode kill -seed 7 -ops 1200 # process-kill chaos
+//	maxoid-chaos -engine kill -seed 7 -ops 1200 # process-kill chaos
 //	maxoid-chaos -points                  # list registered fault points
 //	maxoid-chaos -engine sql -seed 7 -dump   # print the fault schedule
 //	maxoid-chaos -engine sql -seed 7 -shrink # minimize a failing schedule
@@ -87,7 +87,6 @@ func main() {
 		shrink     = flag.Bool("shrink", false, "on failure, shrink the fault schedule to a minimal reproducer")
 		points     = flag.Bool("points", false, "list registered fault points and exit")
 	)
-	flag.Var(aliasValue{engineFlag}, "mode", "alias for -engine")
 	flag.Parse()
 
 	if *points {
@@ -119,18 +118,6 @@ func main() {
 		os.Exit(1)
 	}
 }
-
-// aliasValue lets a second flag name (-mode) write through to an
-// existing flag's destination (-engine).
-type aliasValue struct{ dst *string }
-
-func (a aliasValue) String() string {
-	if a.dst == nil {
-		return ""
-	}
-	return *a.dst
-}
-func (a aliasValue) Set(s string) error { *a.dst = s; return nil }
 
 func printReport(rep *chaos.Report, dump bool) {
 	verdict := "PASS"

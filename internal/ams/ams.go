@@ -297,6 +297,9 @@ func decideInitiator(sender *Context, target string, in intent.Intent) (string, 
 func (m *Manager) StartActivity(sender *Context, in intent.Intent) (*Context, error) {
 	senderPkg := ""
 	if sender != nil {
+		if err := sender.checkAlive("start activity"); err != nil {
+			return nil, err
+		}
 		senderPkg = sender.proc.Task.App
 	}
 	target, err := m.resolveTarget(senderPkg, in)
@@ -568,6 +571,9 @@ func (m *Manager) KilledForConflict() int {
 // delegates of A (§3.4); matching apps not yet running in that context
 // are started as delegates of A.
 func (m *Manager) SendBroadcast(sender *Context, in intent.Intent) error {
+	if err := sender.checkAlive("send broadcast"); err != nil {
+		return err
+	}
 	senderTask := sender.proc.Task
 	m.mu.Lock()
 	var targets []*installedApp

@@ -129,3 +129,12 @@ func (c *Context) invokerPolicy() intent.InvokerPolicy {
 
 // Alive reports whether the instance's process is still running.
 func (c *Context) Alive() bool { return c.proc.Alive() }
+
+// checkAlive fails an operation sent from a dead instance: it must not
+// start instances or record grants the reaper has already swept.
+func (c *Context) checkAlive(op string) error {
+	if !c.proc.Alive() {
+		return fmt.Errorf("ams: %s from pid %d: %w", op, c.proc.PID, kernel.ErrDeadProcess)
+	}
+	return nil
+}

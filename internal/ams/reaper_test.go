@@ -8,6 +8,7 @@ import (
 	"maxoid/internal/intent"
 	"maxoid/internal/kernel"
 	"maxoid/internal/mount"
+	"maxoid/internal/vfs"
 	"maxoid/internal/zygote"
 )
 
@@ -149,13 +150,70 @@ func TestLifecycleSentinels(t *testing.T) {
 	if err := m.kern.Kill(pid); err != nil {
 		t.Fatalf("kill: %v", err)
 	}
-	// Second kill: idempotent, typed ErrDeadProcess (and the deprecated
-	// alias still matches).
-	err := m.kern.Kill(pid)
-	if !errors.Is(err, kernel.ErrDeadProcess) {
+	// Second kill: idempotent, typed ErrDeadProcess.
+	if err := m.kern.Kill(pid); !errors.Is(err, kernel.ErrDeadProcess) {
 		t.Fatalf("double kill: %v", err)
 	}
-	if !errors.Is(err, kernel.ErrNoProcess) {
-		t.Fatalf("ErrNoProcess alias broken: %v", err)
+}
+
+// TestDeadContextFailsTyped: every operation through a Context whose
+// process was killed fails with kernel.ErrDeadProcess, and none of them
+// starts an instance or records a URI grant on the dead sender's behalf.
+func TestDeadContextFailsTyped(t *testing.T) {
+	m := newManager(t)
+	install(t, m, &testApp{pkg: "email"}, Manifest{Package: "email"})
+	install(t, m, &testApp{pkg: "viewer"}, viewerManifest("viewer"))
+	install(t, m, &testApp{pkg: "listener"}, Manifest{
+		Package: "listener",
+		Filters: []intent.Filter{{Actions: []string{"custom.EVENT"}}},
+	})
+	ctx, err := m.StartActivity(nil, intent.Intent{Component: "email"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	file := ctx.DataDir() + "/att.pdf"
+	if err := vfs.WriteFile(ctx.FS(), ctx.Cred(), file, []byte("attachment"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.kern.Kill(ctx.PID()); err != nil {
+		t.Fatal(err)
+	}
+	grants, running := m.OutstandingGrants(), m.NumRunning()
+
+	fsys, cred := ctx.FS(), ctx.Cred()
+	for _, op := range []struct {
+		name string
+		run  func() error
+	}{
+		{"Stat", func() error { _, err := fsys.Stat(cred, file); return err }},
+		{"Open", func() error { _, err := fsys.Open(cred, file, vfs.O_RDONLY, 0); return err }},
+		{"ReadDir", func() error { _, err := fsys.ReadDir(cred, ctx.DataDir()); return err }},
+		{"Mkdir", func() error { return fsys.Mkdir(cred, ctx.DataDir()+"/new", 0o700) }},
+		{"Remove", func() error { return fsys.Remove(cred, file) }},
+		{"Rename", func() error { return fsys.Rename(cred, file, file+".moved") }},
+		{"Connect", func() error { _, err := ctx.Connect("example.com"); return err }},
+		{"CallApp", func() error { _, err := ctx.CallApp(kernel.Task{App: "viewer"}, "ping", nil); return err }},
+		{"CallProvider", func() error { _, err := ctx.CallProvider("user_dictionary", "scan", nil); return err }},
+		{"Resolver query", func() error {
+			_, err := ctx.Resolver().Query("content://user_dictionary/words", nil, "", "")
+			return err
+		}},
+		{"StartActivity", func() error {
+			_, err := ctx.StartActivity(intent.Intent{
+				Action: intent.ActionView, Data: file, Flags: intent.FlagGrantReadURIPermission,
+			})
+			return err
+		}},
+		{"SendBroadcast", func() error { return ctx.SendBroadcast(intent.Intent{Action: "custom.EVENT"}) }},
+	} {
+		if err := op.run(); !errors.Is(err, kernel.ErrDeadProcess) {
+			t.Errorf("%s through a dead context: %v, want ErrDeadProcess", op.name, err)
+		}
+		if got := m.OutstandingGrants(); got != grants {
+			t.Errorf("%s: outstanding grants %d, want %d", op.name, got, grants)
+		}
+		if got := m.NumRunning(); got != running {
+			t.Errorf("%s: running instances %d, want %d", op.name, got, running)
+		}
 	}
 }

@@ -101,7 +101,6 @@ func allowedLifecycleError(err error) bool {
 		ams.ErrNotInstalled,
 		ams.ErrNestedDelegation,
 		ams.ErrNoGrant,
-		mount.ErrNoMount,
 		fs.ErrNotExist,
 		fs.ErrPermission,
 		fs.ErrExist,

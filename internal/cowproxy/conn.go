@@ -37,7 +37,7 @@ type Conn struct {
 // maxStmtMemo bounds the queries and updates memos, which are keyed by
 // the caller's where text: callers that inline literals would otherwise
 // grow them without limit. A full memo is reset rather than evicted
-// from, as sqldb's synthesized-scan memo is; steady traffic refills it.
+// from; steady traffic refills it.
 const maxStmtMemo = 256
 
 // insertTarget is the memoized routing decision for Conn.Insert.

@@ -125,9 +125,9 @@ func (k *Kernel) KillReason(pid int, reason DeathReason) error {
 	k.procs.Delete(pid)
 	// Release kernel-owned resources before anyone learns of the death:
 	// watchers observe a process whose namespace is already gone, and
-	// in-flight file operations fail fast with mount.ErrNoMount.
+	// in-flight file operations fail fast with ErrDeadProcess.
 	if p.NS != nil {
-		_ = p.NS.Close()
+		_ = p.NS.CloseWith(ErrDeadProcess)
 	}
 	ev := DeathEvent{PID: pid, UID: p.UID, Task: p.Task, Reason: reason}
 	k.deaths.watchMu.RLock()

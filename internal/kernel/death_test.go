@@ -47,8 +47,8 @@ func TestDeathEventAndWatcherOrder(t *testing.T) {
 	if k.LiveProcesses() != 0 {
 		t.Fatalf("live = %d", k.LiveProcesses())
 	}
-	// The namespace was closed: resolution fails typed.
-	if _, _, err := ns.Resolve("/anything"); !errors.Is(err, mount.ErrNoMount) {
+	// The namespace was closed: resolution fails with the death cause.
+	if _, _, err := ns.Resolve("/anything"); !errors.Is(err, ErrDeadProcess) {
 		t.Fatalf("dead namespace still resolves: %v", err)
 	}
 }

@@ -33,12 +33,6 @@ var ErrNetUnreachable = errors.New("connect: network is unreachable (ENETUNREACH
 // ErrPermissionDenied is the EPERM for disallowed Binder transactions.
 var ErrPermissionDenied = errors.New("binder: permission denied (EPERM)")
 
-// ErrNoProcess is the historical name for operations on dead PIDs.
-//
-// Deprecated: it is now an alias for ErrDeadProcess (death.go); new
-// code should branch on ErrDeadProcess / ErrNoSuchPID directly.
-var ErrNoProcess = ErrDeadProcess
-
 // FirstAppUID is the base of the per-app UID range, matching Android's
 // convention of app UIDs starting at 10000.
 const FirstAppUID = 10000
@@ -88,7 +82,7 @@ func (p *Process) Connect(host string) (*Conn, error) {
 	trusted := p.kern.trustedHosts[host]
 	p.kern.trustMu.RUnlock()
 	if !p.alive.Load() {
-		return nil, ErrNoProcess
+		return nil, ErrDeadProcess
 	}
 	if p.Task.IsDelegate() && !trusted {
 		return nil, ErrNetUnreachable

@@ -58,7 +58,7 @@ func TestSpawnAndKill(t *testing.T) {
 	if _, ok := k.Process(p.PID); ok {
 		t.Error("killed process still in table")
 	}
-	if err := k.Kill(p.PID); !errors.Is(err, ErrNoProcess) {
+	if err := k.Kill(p.PID); !errors.Is(err, ErrDeadProcess) {
 		t.Errorf("double kill: %v", err)
 	}
 }
@@ -89,8 +89,8 @@ func TestNetworkGate(t *testing.T) {
 
 	// Dead processes cannot connect.
 	k.Kill(initiator.PID)
-	if _, err := initiator.Connect("example.com"); !errors.Is(err, ErrNoProcess) {
-		t.Errorf("dead connect: %v, want ErrNoProcess", err)
+	if _, err := initiator.Connect("example.com"); !errors.Is(err, ErrDeadProcess) {
+		t.Errorf("dead connect: %v, want ErrDeadProcess", err)
 	}
 }
 

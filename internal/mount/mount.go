@@ -24,8 +24,8 @@ import (
 )
 
 // ErrNoMount is returned when a path resolves to no mounted filesystem.
-// A closed namespace (process death) resolves nothing, so file
-// operations racing a kill fail fast with this error.
+// A closed namespace resolves nothing, so its file operations fail fast
+// with this error, or with the death cause CloseWith handed over.
 var ErrNoMount = errors.New("mount: no filesystem mounted for path")
 
 // liveNamespaces counts namespaces created and not yet closed — the
@@ -55,6 +55,7 @@ type Namespace struct {
 	writeMu sync.Mutex              // serializes mutators only
 	closed  bool                    // guarded by writeMu
 	mounts  atomic.Pointer[[]Entry] // sorted by descending point length
+	cause   atomic.Pointer[error]   // set by CloseWith; nil reads as ErrNoMount
 }
 
 // New returns an empty namespace.
@@ -132,18 +133,27 @@ func (ns *Namespace) Clone() *Namespace {
 	return out
 }
 
-// Close releases the namespace when its process dies: the mount table
-// is emptied (subsequent resolutions fail with ErrNoMount) and every
-// mounted filesystem that itself has a lifecycle — union mounts with
-// their branches — is closed. Close is idempotent; it returns the
-// first error from a mounted filesystem's Close.
-func (ns *Namespace) Close() error {
+// Close releases the namespace: the mount table is emptied
+// (subsequent resolutions fail with ErrNoMount) and every mounted
+// filesystem that itself has a lifecycle — union mounts with their
+// branches — is closed. Close is idempotent; it returns the first
+// error from a mounted filesystem's Close.
+func (ns *Namespace) Close() error { return ns.CloseWith(nil) }
+
+// CloseWith is Close for a namespace whose process died: resolutions
+// after it fail with cause rather than ErrNoMount, so file operations
+// through a dead process report why. The kernel passes its typed death
+// error; package mount cannot name it.
+func (ns *Namespace) CloseWith(cause error) error {
 	ns.writeMu.Lock()
 	defer ns.writeMu.Unlock()
 	if ns.closed {
 		return nil
 	}
 	ns.closed = true
+	if cause != nil {
+		ns.cause.Store(&cause) // before the empty table is published
+	}
 	liveNamespaces.Add(-1)
 	snap := ns.snapshot()
 	ns.publish(nil)
@@ -186,7 +196,11 @@ func (ns *Namespace) Resolve(name string) (vfs.FileSystem, string, error) {
 			return e.FS, cleaned[len(e.Point):], nil
 		}
 	}
-	return nil, "", &fs.PathError{Op: "resolve", Path: cleaned, Err: ErrNoMount}
+	err := ErrNoMount
+	if cause := ns.cause.Load(); cause != nil {
+		err = *cause
+	}
+	return nil, "", &fs.PathError{Op: "resolve", Path: cleaned, Err: err}
 }
 
 // --- vfs.FileSystem implementation, dispatching through Resolve ---

@@ -216,3 +216,27 @@ func TestTableSorted(t *testing.T) {
 		t.Errorf("Table = %+v", tbl)
 	}
 }
+
+// TestClosedNamespaceResolveError: a closed namespace resolves nothing.
+// Close (a failed fork's clean-up) fails resolutions with ErrNoMount;
+// CloseWith (process death) fails them with the cause it was handed,
+// and a second close does not replace that cause.
+func TestClosedNamespaceResolveError(t *testing.T) {
+	errDied := errors.New("process died")
+	for _, tc := range []struct {
+		name  string
+		close func(ns *Namespace)
+		want  error
+	}{
+		{"Close", func(ns *Namespace) { _ = ns.Close() }, ErrNoMount},
+		{"CloseWith", func(ns *Namespace) { _ = ns.CloseWith(errDied) }, errDied},
+		{"CloseWith then Close", func(ns *Namespace) { _ = ns.CloseWith(errDied); _ = ns.Close() }, errDied},
+	} {
+		ns := New()
+		ns.Mount("/", vfs.Sub(newDisk(t, "/a"), "/a"))
+		tc.close(ns)
+		if _, _, err := ns.Resolve("/x"); !errors.Is(err, tc.want) {
+			t.Errorf("%s: Resolve = %v, want %v", tc.name, err, tc.want)
+		}
+	}
+}

@@ -110,10 +110,10 @@ func TestStmtCacheLRUEviction(t *testing.T) {
 	if raw > maxCachedStmts {
 		t.Errorf("raw cache size %d exceeds bound %d", raw, maxCachedStmts)
 	}
-	// Two shapes total: the CREATE TABLE and the one SELECT shape every
-	// literal variant collapses into.
-	if norm != 2 {
-		t.Errorf("normalized AST cache has %d entries, want 2 (all queries share one shape)", norm)
+	// One shape total: the SELECT every literal variant collapses into.
+	// The CREATE TABLE is DDL, which prepare never caches.
+	if norm != 1 {
+		t.Errorf("normalized AST cache has %d entries, want 1 (all queries share one shape)", norm)
 	}
 }
 

@@ -39,7 +39,7 @@ type Stats struct {
 	SeqScans          int64 // base-table sequential scans
 	PKProbes          int64 // primary-key point and range probes
 	IndexProbes       int64 // secondary-index point/range probes
-	PlanCacheHits     int64 // plans served from the normalized cache
+	PlanCacheHits     int64 // plans served from a plan memo of the current catalog generation
 	PlanCacheMisses   int64 // plans computed fresh
 }
 
@@ -156,30 +156,22 @@ type DB struct {
 	txn *txnSnapshot
 
 	// Statement caches — the prepared-statement layer (prepare.go).
-	// rawStmts maps exact SQL text to its prepared entry (AST pointer
+	// rawStmts maps exact SQL text to its prepared entry (compiled batch
 	// plus that text's extracted literals); normStmts maps canonical
-	// normalized text to the shared AST, so distinct literals converge
-	// on one AST and one set of downstream memos. Both are LRU-bounded
-	// (lru.go). Guarded by stmtMu. Lock order: stmtMu before planMu
-	// and lockPlanMu (the normStmts eviction callback takes both).
+	// normalized text to the shared compiled batch, so distinct literals
+	// converge on one AST and one set of memos. Both are LRU-bounded
+	// (lru.go) and guarded by stmtMu, a leaf lock.
 	stmtMu    sync.Mutex
 	rawStmts  *lruCache[string, *prepared]
-	normStmts *lruCache[string, []Stmt]
+	normStmts *lruCache[string, *compiled]
 
-	// planCache memoizes planner output per statement AST (ASTs are
-	// stable thanks to the statement caches, which key them by
-	// normalized text). LRU-bounded; guarded by planMu; cleared on DDL
-	// and rollback. planMu is a leaf below the catalog and table locks.
-	planMu    sync.Mutex
-	planCache *lruCache[*SelectStmt, *SelectStmt]
-
-	// lockPlans memoizes batch lock analysis keyed by the batch's first
-	// statement (ASTs are stable thanks to the statement caches).
-	// LRU-bounded; guarded by lockPlanMu, a leaf lock; invalidated by
-	// DDL, trigger creation, and rollback, which all run on the
-	// exclusive path.
-	lockPlanMu sync.Mutex
-	lockPlans  *lruCache[Stmt, lockPlanEntry]
+	// gen is the catalog generation. Every memo derived from an AST and
+	// the catalog (plans, lock plans, view scans, select-list
+	// expansions) records the generation it was computed at and is
+	// recomputed once gen has moved. DDL, ROLLBACK and a failed COMMIT
+	// bump it. Guarded by mu: it moves only under mu held exclusively,
+	// so it is stable for the whole of any batch.
+	gen uint64
 
 	// Workload recording for the index advisor (prepare.go): while
 	// recOn, every executed batch is counted under its canonical text.
@@ -187,86 +179,52 @@ type DB struct {
 	recMu   sync.Mutex
 	recWork map[string]*workloadStat
 
-	// synthCache memoizes the SELECT synthesized for UPDATE/DELETE view
-	// scans per (view, WHERE-expr) so it has a stable pointer and the
-	// plan cache can do its job. Guarded by planMu; reset with planCache.
-	synthCache map[synthKey]*SelectStmt
-
-	// expandCache memoizes select-list expansion (* and t.*) per core;
-	// validated records cores whose name resolution already checked out.
-	// Both guarded by planMu and reset with planCache.
-	expandCache map[*SelectCore]expandEntry
-	validated   map[*SelectCore]struct{}
-
 	// jrn holds the attached statement journal (journal.go); zero when
 	// durability is off.
 	jrn atomic.Value // journalBox
 }
 
-// expandEntry is a memoized select-list expansion. exprs are shared
-// (ASTs are read-only during evaluation); cols are copied out on every
-// use because FROM-subquery aliasing rewrites quals in place.
-type expandEntry struct {
-	cols  []colBinding
-	exprs []Expr
+// memo is a value derived from an AST node and the catalog, hung off
+// the node it derives from. It is current while the DB's catalog
+// generation equals the one it was computed at. Every get and put
+// happens while the batch holds db.mu, so the generation cannot move
+// underneath it; batches racing to fill a memo under the shared lock
+// store equivalent values, and the last store wins.
+type memo[T any] struct{ p atomic.Pointer[memoEntry[T]] }
+
+type memoEntry[T any] struct {
+	gen uint64
+	val T
 }
 
-// resetPlanCaches drops every planner memo (planned statements,
-// synthesized view scans, select-list expansions, validation marks).
-// Called on DDL and rollback, which run on the exclusive path.
-func (db *DB) resetPlanCaches() {
-	db.planMu.Lock()
-	db.planCache.clear()
-	db.synthCache = make(map[synthKey]*SelectStmt)
-	db.expandCache = make(map[*SelectCore]expandEntry)
-	db.validated = make(map[*SelectCore]struct{})
-	db.planMu.Unlock()
+// get returns the memoized value if it was computed at generation gen.
+func (m *memo[T]) get(gen uint64) (T, bool) {
+	if e := m.p.Load(); e != nil && e.gen == gen {
+		return e.val, true
+	}
+	var zero T
+	return zero, false
 }
 
-// synthKey identifies a synthesized view-scan statement.
-type synthKey struct {
-	view  *view
-	where Expr
+// put records val as computed at generation gen.
+func (m *memo[T]) put(gen uint64, val T) {
+	m.p.Store(&memoEntry[T]{gen: gen, val: val})
 }
 
 // Open creates an empty database.
 func Open() *DB {
-	db := &DB{
-		tables:      make(map[string]*table),
-		views:       make(map[string]*view),
-		triggers:    make(map[string][]*trigger),
-		byName:      make(map[string]*trigger),
-		synthCache:  make(map[synthKey]*SelectStmt),
-		expandCache: make(map[*SelectCore]expandEntry),
-		validated:   make(map[*SelectCore]struct{}),
+	return &DB{
+		tables:    make(map[string]*table),
+		views:     make(map[string]*view),
+		triggers:  make(map[string][]*trigger),
+		byName:    make(map[string]*trigger),
+		rawStmts:  newLRU[string, *prepared](maxCachedStmts),
+		normStmts: newLRU[string, *compiled](maxCachedStmts),
 	}
-	db.rawStmts = newLRU[string, *prepared](maxCachedStmts, nil)
-	db.normStmts = newLRU[string, []Stmt](maxCachedStmts, func(_ string, stmts []Stmt) {
-		// Drop the evicted AST's downstream memos with it so the
-		// pointer-keyed caches cannot accumulate entries for
-		// unreachable statements. Runs with stmtMu held; stmtMu
-		// precedes planMu and lockPlanMu in the lock order.
-		db.planMu.Lock()
-		for _, s := range stmts {
-			if sel, ok := s.(*SelectStmt); ok {
-				db.planCache.delete(sel)
-			}
-		}
-		db.planMu.Unlock()
-		if len(stmts) > 0 {
-			db.lockPlanMu.Lock()
-			db.lockPlans.delete(stmts[0])
-			db.lockPlanMu.Unlock()
-		}
-	})
-	db.planCache = newLRU[*SelectStmt, *SelectStmt](maxCachedStmts, nil)
-	db.lockPlans = newLRU[Stmt, lockPlanEntry](maxCachedStmts, nil)
-	return db
 }
 
-// maxCachedStmts bounds each statement-layer cache (raw texts,
-// normalized ASTs, plans, lock plans); beyond it the least recently
-// used entries are evicted.
+// maxCachedStmts bounds each statement cache (raw texts, normalized
+// batches); beyond it the least recently used entries are evicted.
 const maxCachedStmts = 4096
 
 // Stats returns a snapshot of planner statistics.

@@ -54,8 +54,8 @@ type executor struct {
 	// inCache memoizes the value sets of non-correlated IN subqueries
 	// so WHERE clauses like "_id NOT IN (SELECT _id FROM delta)" — the
 	// COW view's shape — evaluate the subquery once per statement, as
-	// SQLite does, instead of once per candidate row. The cache is
-	// invalidated by any table mutation (triggers can write mid-query).
+	// SQLite does, instead of once per candidate row. Any table
+	// mutation drops the cache (triggers can write mid-query).
 	inCache    map[*InExpr]map[string]bool
 	correlated map[*InExpr]bool
 
@@ -202,8 +202,7 @@ func (ex *executor) restoreSnapshot() {
 	db.triggers = snap.triggers
 	db.byName = snap.byName
 	db.lastID.Store(snap.lastID)
-	db.resetPlanCaches()
-	db.invalidateLockPlans()
+	db.gen++
 	ex.invalidateInCache()
 }
 
@@ -234,8 +233,7 @@ func (ex *executor) createTable(st *CreateTableStmt) error {
 		byPK:   make(map[int64]int),
 		nextID: 1,
 	}
-	ex.db.resetPlanCaches()
-	ex.db.invalidateLockPlans()
+	ex.db.gen++
 	return nil
 }
 
@@ -255,8 +253,7 @@ func (ex *executor) createView(st *CreateViewStmt) error {
 		return err
 	}
 	ex.db.views[key] = &view{name: st.Name, def: st.Select, cols: cols}
-	ex.db.resetPlanCaches()
-	ex.db.invalidateLockPlans()
+	ex.db.gen++
 	return nil
 }
 
@@ -374,16 +371,13 @@ func (ex *executor) createTrigger(st *CreateTriggerStmt) error {
 	tr := &trigger{name: st.Name, event: st.Event, view: st.View, body: st.Body}
 	ex.db.byName[key] = tr
 	ex.db.triggers[viewKey] = append(ex.db.triggers[viewKey], tr)
-	// A new INSTEAD OF trigger changes which tables writes to the view
-	// reach, so memoized lock plans are stale.
-	ex.db.invalidateLockPlans()
+	ex.db.gen++
 	return nil
 }
 
 func (ex *executor) drop(st *DropStmt) error {
 	key := strings.ToLower(st.Name)
-	ex.db.resetPlanCaches()
-	ex.db.invalidateLockPlans()
+	ex.db.gen++
 	switch st.Kind {
 	case "TABLE":
 		if _, ok := ex.db.tables[key]; !ok {
@@ -752,7 +746,7 @@ func (ex *executor) updateView(v *view, st *UpdateStmt, sc *scope) (Result, erro
 	if len(trs) == 0 {
 		return Result{}, fmt.Errorf("sqldb: cannot modify view %s: no INSTEAD OF UPDATE trigger", v.name)
 	}
-	rel, err := ex.viewRowsMatching(v, st.Where, sc)
+	rel, err := ex.viewRowsMatching(v, &st.scan, st.Where, sc)
 	if err != nil {
 		return Result{}, err
 	}
@@ -887,7 +881,7 @@ func (ex *executor) deleteView(v *view, st *DeleteStmt, sc *scope) (Result, erro
 	if len(trs) == 0 {
 		return Result{}, fmt.Errorf("sqldb: cannot modify view %s: no INSTEAD OF DELETE trigger", v.name)
 	}
-	rel, err := ex.viewRowsMatching(v, st.Where, sc)
+	rel, err := ex.viewRowsMatching(v, &st.scan, st.Where, sc)
 	if err != nil {
 		return Result{}, err
 	}
@@ -901,26 +895,29 @@ func (ex *executor) deleteView(v *view, st *DeleteStmt, sc *scope) (Result, erro
 	return Result{RowsAffected: affected}, nil
 }
 
-// viewRowsMatching returns the view rows satisfying where, going through
-// the planner so the view is merged — the WHERE pushed into its cores or
-// UNION ALL arms, reaching the pk fast path — instead of materialized.
-func (ex *executor) viewRowsMatching(v *view, where Expr, sc *scope) (relation, error) {
-	key := synthKey{view: v, where: where}
-	ex.db.planMu.Lock()
-	sel, ok := ex.db.synthCache[key]
-	if !ok {
-		sel = &SelectStmt{Cores: []*SelectCore{{
-			Cols:  []ResultCol{{Star: true}},
-			From:  &TableRef{Name: v.name},
-			Where: where,
-		}}}
-		if len(ex.db.synthCache) >= maxCachedStmts {
-			ex.db.synthCache = make(map[synthKey]*SelectStmt)
-		}
-		ex.db.synthCache[key] = sel
+// viewScan returns the SELECT * FROM <view> WHERE … that finds an
+// UPDATE's or DELETE's target rows on view v. It is built once per
+// statement and catalog generation and memoized in m, so the plan memo
+// on it hits; the executor and EXPLAIN share it.
+func (ex *executor) viewScan(m *memo[*SelectStmt], v *view, where Expr) *SelectStmt {
+	if sel, ok := m.get(ex.db.gen); ok {
+		return sel
 	}
-	ex.db.planMu.Unlock()
-	rows, err := ex.execSelect(sel, sc)
+	sel := &SelectStmt{Cores: []*SelectCore{{
+		Cols:  []ResultCol{{Star: true}},
+		From:  &TableRef{Name: v.name},
+		Where: where,
+	}}}
+	m.put(ex.db.gen, sel)
+	return sel
+}
+
+// viewRowsMatching returns the view rows satisfying where, running the
+// statement's view scan through the planner so the view is merged — the
+// WHERE pushed into its cores or UNION ALL arms, reaching the pk fast
+// path — instead of materialized.
+func (ex *executor) viewRowsMatching(v *view, scan *memo[*SelectStmt], where Expr, sc *scope) (relation, error) {
+	rows, err := ex.execSelect(ex.viewScan(scan, v, where), sc)
 	if err != nil {
 		return relation{}, err
 	}
@@ -1166,12 +1163,9 @@ func (ex *executor) execCore(core *SelectCore, sc *scope) (coreResult, error) {
 // all-NULL row so that queries over empty tables still report unknown
 // column errors.
 func (ex *executor) validateCore(core *SelectCore, src relation, sc *scope) error {
-	// Cached ASTs re-validate identically until DDL changes the catalog
-	// (which resets the memo), so a successful check runs only once.
-	ex.db.planMu.Lock()
-	_, done := ex.db.validated[core]
-	ex.db.planMu.Unlock()
-	if done {
+	// A cached AST re-validates identically until the catalog changes,
+	// so a successful check runs once per generation.
+	if m, ok := core.expand.get(ex.db.gen); ok && m.checked {
 		return nil
 	}
 	nullRow := ex.values(len(src.cols))
@@ -1184,19 +1178,17 @@ func (ex *executor) validateCore(core *SelectCore, src relation, sc *scope) erro
 	if core.GroupBy != nil || ex.hasAggregate(core.Cols) {
 		return nil // aggregate path evaluates against a null row anyway
 	}
-	exprsChecked, exprs, err := ex.expandCols(core, src)
+	m, err := ex.expansion(core, src)
 	if err != nil {
 		return err
 	}
-	_ = exprsChecked
-	for _, e := range exprs {
+	for _, e := range m.exprs {
 		if _, err := ex.eval(e, rowScope, nil); err != nil {
 			return err
 		}
 	}
-	ex.db.planMu.Lock()
-	ex.db.validated[core] = struct{}{}
-	ex.db.planMu.Unlock()
+	m.checked = true
+	core.expand.put(ex.db.gen, m)
 	return nil
 }
 
@@ -1399,35 +1391,43 @@ func columnIndexes(exprs []Expr, cols []colBinding, idxs []int) ([]int, bool) {
 	return idxs, true
 }
 
-// expandCols expands * and t.* into concrete expressions. Results are
-// memoized per core: the expression list is shared (evaluation never
-// mutates ASTs) while the column bindings are copied out, since FROM
-// aliasing rewrites quals in place.
-func (ex *executor) expandCols(core *SelectCore, src relation) ([]colBinding, []Expr, error) {
-	ex.db.planMu.Lock()
-	if e, ok := ex.db.expandCache[core]; ok {
-		ex.db.planMu.Unlock()
-		// The handed-out copy is statement-scoped (FROM aliasing rewrites
-		// quals in place), so it comes from the arena; the cached pristine
-		// entry stays heap-allocated.
-		cols := ex.colBindings(len(e.cols))
-		copy(cols, e.cols)
-		return cols, e.exprs, nil
+// coreMemo is a core's select-list expansion (* and t.* resolved
+// against its FROM clause) and whether validateCore has checked the
+// core's names. exprs are shared (evaluation never mutates ASTs); cols
+// are copied out on every use because FROM-subquery aliasing rewrites
+// quals in place.
+type coreMemo struct {
+	cols    []colBinding
+	exprs   []Expr
+	checked bool
+}
+
+// expansion returns the core's memoized select-list expansion,
+// computing it on a miss.
+func (ex *executor) expansion(core *SelectCore, src relation) (coreMemo, error) {
+	if m, ok := core.expand.get(ex.db.gen); ok {
+		return m, nil
 	}
-	ex.db.planMu.Unlock()
-	outCols, exprs, err := ex.expandColsUncached(core, src)
+	cols, exprs, err := ex.expandColsUncached(core, src)
+	if err != nil {
+		return coreMemo{}, err
+	}
+	m := coreMemo{cols: cols, exprs: exprs}
+	core.expand.put(ex.db.gen, m)
+	return m, nil
+}
+
+// expandCols expands * and t.* into concrete expressions. The column
+// bindings come from the arena: they are statement-scoped, and the
+// memoized pristine copy must survive FROM aliasing.
+func (ex *executor) expandCols(core *SelectCore, src relation) ([]colBinding, []Expr, error) {
+	m, err := ex.expansion(core, src)
 	if err != nil {
 		return nil, nil, err
 	}
-	pristine := make([]colBinding, len(outCols))
-	copy(pristine, outCols)
-	ex.db.planMu.Lock()
-	if len(ex.db.expandCache) >= maxCachedStmts {
-		ex.db.expandCache = make(map[*SelectCore]expandEntry)
-	}
-	ex.db.expandCache[core] = expandEntry{cols: pristine, exprs: exprs}
-	ex.db.planMu.Unlock()
-	return outCols, exprs, nil
+	cols := ex.colBindings(len(m.cols))
+	copy(cols, m.cols)
+	return cols, m.exprs, nil
 }
 
 func (ex *executor) expandColsUncached(core *SelectCore, src relation) ([]colBinding, []Expr, error) {

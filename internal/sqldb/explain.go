@@ -33,9 +33,9 @@ func (ex *executor) explainStmt(s Stmt, out *Rows) error {
 		}
 		return nil
 	case *UpdateStmt:
-		return ex.explainWrite(st.Table, "UPDATE", st.Where, out)
+		return ex.explainWrite(st.Table, "UPDATE", st.Where, &st.scan, out)
 	case *DeleteStmt:
-		return ex.explainWrite(st.Table, "DELETE", st.Where, out)
+		return ex.explainWrite(st.Table, "DELETE", st.Where, &st.scan, out)
 	case *ExplainStmt:
 		return ex.explainStmt(st.Target, out)
 	default:
@@ -46,7 +46,7 @@ func (ex *executor) explainStmt(s Stmt, out *Rows) error {
 
 // explainWrite reports the access path an UPDATE or DELETE would use to
 // find its target rows; on a view it reports the trigger redirection.
-func (ex *executor) explainWrite(target, verb string, where Expr, out *Rows) error {
+func (ex *executor) explainWrite(target, verb string, where Expr, scan *memo[*SelectStmt], out *Rows) error {
 	key := strings.ToLower(target)
 	if t, ok := ex.db.tables[key]; ok {
 		ap := ex.chooseAccess(t, t.name, where)
@@ -55,14 +55,8 @@ func (ex *executor) explainWrite(target, verb string, where Expr, out *Rows) err
 	}
 	if v, ok := ex.db.views[key]; ok {
 		out.Data = append(out.Data, []Value{v.name, fmt.Sprintf("%s VIEW %s VIA INSTEAD OF TRIGGERS", verb, v.name)})
-		// The row lookup on the view goes through the planner exactly as
-		// viewRowsMatching does.
-		sel := &SelectStmt{Cores: []*SelectCore{{
-			Cols:  []ResultCol{{Star: true}},
-			From:  &TableRef{Name: v.name},
-			Where: where,
-		}}}
-		return ex.explainSelect(sel, out)
+		// The row lookup on the view is the executor's own view scan.
+		return ex.explainSelect(ex.viewScan(scan, v, where), out)
 	}
 	return fmt.Errorf("sqldb: no such table: %s", target)
 }

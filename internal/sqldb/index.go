@@ -476,7 +476,7 @@ func (ex *executor) createIndex(st *CreateIndexStmt) error {
 		return fmt.Errorf("sqldb: CREATE INDEX %s failed: %w", st.Name, err)
 	}
 	t.indexes = append(t.indexes, ix) // publish
-	ex.db.resetPlanCaches()
+	ex.db.gen++
 	return nil
 }
 
@@ -504,7 +504,6 @@ func (ex *executor) dropIndex(st *DropStmt) error {
 			break
 		}
 	}
-	ex.db.resetPlanCaches()
 	return nil
 }
 

@@ -184,7 +184,7 @@ func (db *DB) ReplayUnit(sql string, args []Value, n int, errored bool) error {
 	if n > len(p.stmts) {
 		return fmt.Errorf("sqldb: replay unit wants %d statements, batch has %d", n, len(p.stmts))
 	}
-	lock := db.lockForBatch(p.stmts)
+	lock := db.lockForBatch(p.compiled)
 	defer db.unlockBatch(lock)
 	ex := getExecutor(db)
 	defer putExecutor(ex)

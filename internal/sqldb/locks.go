@@ -53,10 +53,10 @@ type batchLock struct {
 	plan *lockPlan
 }
 
-// lockForBatch acquires the locks needed to execute stmts; release with
-// unlockBatch. Fast path: catalog lock shared + per-table locks in name
-// order. Slow path: the DB-wide writer lock.
-func (db *DB) lockForBatch(stmts []Stmt) batchLock {
+// lockForBatch acquires the locks needed to execute a batch; release
+// with unlockBatch. Fast path: catalog lock shared + per-table locks in
+// name order. Slow path: the DB-wide writer lock.
+func (db *DB) lockForBatch(c *compiled) batchLock {
 	db.mu.RLock()
 	// An open transaction forces every batch onto the exclusive path:
 	// its ROLLBACK swaps the whole catalog back to a snapshot, which no
@@ -64,7 +64,7 @@ func (db *DB) lockForBatch(stmts []Stmt) batchLock {
 	// for the duration of the batch because BEGIN itself needs the
 	// exclusive lock we are blocking by holding mu shared.
 	if db.txn == nil {
-		if plan, ok := db.analyze(stmts); ok {
+		if plan := db.analyze(c); plan != nil {
 			db.lockTables(plan)
 			return batchLock{plan: plan}
 		}
@@ -118,50 +118,20 @@ func (db *DB) unlockTables(p *lockPlan) {
 	}
 }
 
-// lockPlanEntry is a memoized analyze result; plan is nil when the
-// batch is unanalyzable (ok=false).
-type lockPlanEntry struct {
-	plan *lockPlan
-	ok   bool
+// analyze returns the batch's read/write base-table lock plan, or nil
+// when the batch cannot be fully resolved and must take the exclusive
+// path. Caller holds db.mu (shared suffices). The result is memoized
+// on the compiled batch for the current catalog generation.
+func (db *DB) analyze(c *compiled) *lockPlan {
+	if plan, ok := c.lock.get(db.gen); ok {
+		return plan
+	}
+	plan := db.analyzeStmts(c.stmts)
+	c.lock.put(db.gen, plan)
+	return plan
 }
 
-// invalidateLockPlans drops all memoized lock plans. Called by DDL,
-// trigger creation, and rollback — anything that changes which base
-// tables a statement reaches. All callers hold db.mu exclusively.
-func (db *DB) invalidateLockPlans() {
-	db.lockPlanMu.Lock()
-	db.lockPlans.clear()
-	db.lockPlanMu.Unlock()
-}
-
-// analyze computes the read/write base-table sets of a batch. The
-// second return is false when the batch cannot be fully resolved and
-// must take the exclusive path. Caller holds db.mu (shared suffices).
-// Results are memoized per batch: the statement caches hand out stable
-// ASTs, so the first statement identifies the batch.
-func (db *DB) analyze(stmts []Stmt) (*lockPlan, bool) {
-	var key Stmt
-	if len(stmts) > 0 {
-		key = stmts[0]
-	}
-	if key != nil {
-		db.lockPlanMu.Lock()
-		e, hit := db.lockPlans.get(key)
-		db.lockPlanMu.Unlock()
-		if hit {
-			return e.plan, e.ok
-		}
-	}
-	plan, ok := db.analyzeUncached(stmts)
-	if key != nil {
-		db.lockPlanMu.Lock()
-		db.lockPlans.put(key, lockPlanEntry{plan: plan, ok: ok})
-		db.lockPlanMu.Unlock()
-	}
-	return plan, ok
-}
-
-func (db *DB) analyzeUncached(stmts []Stmt) (*lockPlan, bool) {
+func (db *DB) analyzeStmts(stmts []Stmt) *lockPlan {
 	c := &tableSetCollector{
 		db:    db,
 		read:  map[string]bool{},
@@ -172,7 +142,7 @@ func (db *DB) analyzeUncached(stmts []Stmt) (*lockPlan, bool) {
 		c.stmt(s)
 	}
 	if !c.ok {
-		return nil, false
+		return nil
 	}
 	plan := &lockPlan{write: c.write}
 	for name := range c.write {
@@ -184,7 +154,7 @@ func (db *DB) analyzeUncached(stmts []Stmt) (*lockPlan, bool) {
 		}
 	}
 	sort.Strings(plan.names)
-	return plan, true
+	return plan
 }
 
 // tableSetCollector walks statement ASTs accumulating base-table

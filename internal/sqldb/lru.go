@@ -2,19 +2,17 @@ package sqldb
 
 import "container/list"
 
-// lruCache is a fixed-capacity least-recently-used cache. It replaces
-// the old "delete a random quarter of the map" eviction, which could
-// evict the hottest statements in a workload (map iteration order is
-// random) and made cache behavior unreproducible run to run. The
-// zero value is not usable; construct with newLRU.
+// lruCache is a fixed-capacity least-recently-used cache. Eviction is
+// deterministic, so cache behavior reproduces run to run and the
+// hottest statements of a workload stay resident. The zero value is
+// not usable; construct with newLRU.
 //
-// lruCache is not safe for concurrent use; callers guard it with the
-// mutex that owns the enclosing cache (stmtMu or planMu).
+// lruCache is not safe for concurrent use; the statement caches guard
+// it with stmtMu.
 type lruCache[K comparable, V any] struct {
-	max     int
-	ll      *list.List
-	items   map[K]*list.Element
-	onEvict func(K, V) // optional; called after removal, same lock held
+	max   int
+	ll    *list.List
+	items map[K]*list.Element
 }
 
 type lruEntry[K comparable, V any] struct {
@@ -22,12 +20,11 @@ type lruEntry[K comparable, V any] struct {
 	val V
 }
 
-func newLRU[K comparable, V any](max int, onEvict func(K, V)) *lruCache[K, V] {
+func newLRU[K comparable, V any](max int) *lruCache[K, V] {
 	return &lruCache[K, V]{
-		max:     max,
-		ll:      list.New(),
-		items:   make(map[K]*list.Element),
-		onEvict: onEvict,
+		max:   max,
+		ll:    list.New(),
+		items: make(map[K]*list.Element),
 	}
 }
 
@@ -51,36 +48,10 @@ func (c *lruCache[K, V]) put(key K, val V) {
 	}
 	c.items[key] = c.ll.PushFront(&lruEntry[K, V]{key: key, val: val})
 	for c.ll.Len() > c.max {
-		c.evictOldest()
-	}
-}
-
-// delete removes key if present (without calling onEvict: deletion is
-// an invalidation the caller is already handling, not an eviction).
-func (c *lruCache[K, V]) delete(key K) {
-	if el, ok := c.items[key]; ok {
+		el := c.ll.Back()
 		c.ll.Remove(el)
-		delete(c.items, key)
-	}
-}
-
-func (c *lruCache[K, V]) evictOldest() {
-	el := c.ll.Back()
-	if el == nil {
-		return
-	}
-	ent := el.Value.(*lruEntry[K, V])
-	c.ll.Remove(el)
-	delete(c.items, ent.key)
-	if c.onEvict != nil {
-		c.onEvict(ent.key, ent.val)
+		delete(c.items, el.Value.(*lruEntry[K, V]).key)
 	}
 }
 
 func (c *lruCache[K, V]) len() int { return c.ll.Len() }
-
-// clear drops every entry without running eviction callbacks.
-func (c *lruCache[K, V]) clear() {
-	c.ll.Init()
-	c.items = make(map[K]*list.Element)
-}

@@ -25,24 +25,17 @@ import (
 //     reports "no such column" instead.
 func (ex *executor) plan(sel *SelectStmt) *SelectStmt {
 	db := ex.db
-	db.planMu.Lock()
-	cached, ok := db.planCache.get(sel)
-	db.planMu.Unlock()
+	planned, ok := sel.plan.get(db.gen)
 	if ok {
 		db.statPlanHit.Add(1)
-		if cached != sel {
-			db.statFlattened.Add(1)
-		}
-		return cached
+	} else {
+		db.statPlanMiss.Add(1)
+		planned = ex.mergeViews(sel, nil)
+		sel.plan.put(db.gen, planned)
 	}
-	db.statPlanMiss.Add(1)
-	planned := ex.mergeViews(sel, nil)
 	if planned != sel {
 		db.statFlattened.Add(1)
 	}
-	db.planMu.Lock()
-	db.planCache.put(sel, planned)
-	db.planMu.Unlock()
 	return planned
 }
 

@@ -8,15 +8,21 @@ import (
 	"maxoid/internal/fault"
 )
 
-// prepared is a parsed (and usually normalized) statement batch. The
-// AST is shared across every raw text that normalizes to the same
-// canonical form, so pointer-keyed memos (plan cache, lock plans,
-// expansion cache) hit regardless of the literals the caller wrote.
-type prepared struct {
+// compiled is a parsed (and usually normalized) statement batch and
+// the batch's lock-plan memo. It is shared by every raw text that
+// normalizes to the same canonical form, so the memos on it and on its
+// AST nodes hit regardless of the literals the caller wrote.
+type compiled struct {
 	stmts []Stmt
-	text  string  // canonical text: normalized form, or the raw SQL
-	norm  bool    // true if this entry went through normalization
-	lits  []Value // extracted literal values bound as parameters
+	text  string          // canonical text: normalized form, or the raw SQL
+	norm  bool            // true if this batch went through normalization
+	lock  memo[*lockPlan] // nil plan: the batch takes the exclusive path
+}
+
+// prepared is a compiled batch plus one text's extracted literals.
+type prepared struct {
+	*compiled
+	lits []Value // extracted literal values bound as parameters
 }
 
 // bindArgsInto produces the executor's positional argument slice. A
@@ -37,8 +43,10 @@ func (p *prepared) bindArgsInto(buf, args []Value) []Value {
 
 // prepare resolves SQL text to a prepared entry through two cache
 // levels: raw text -> prepared (per-literal-set), and normalized text
-// -> shared AST. Lock order: stmtMu, then planMu/lockPlanMu inside
-// eviction callbacks.
+// -> shared compiled batch. Batches that create or drop anything skip
+// both: their texts almost never repeat (cowproxy rebuilds its admin
+// view as a fresh UNION ALL text per delta), and the catalog already
+// holds what they define.
 func (db *DB) prepare(sql string) (*prepared, error) {
 	db.stmtMu.Lock()
 	p, ok := db.rawStmts.get(sql)
@@ -57,17 +65,14 @@ func (db *DB) prepare(sql string) (*prepared, error) {
 		shared, hit := db.normStmts.get(n.text)
 		db.stmtMu.Unlock()
 		if hit {
-			p = &prepared{stmts: shared, text: n.text, norm: true, lits: n.lits}
+			p = &prepared{compiled: shared, lits: n.lits}
+		} else if stmts, perr := parseTokens(n.toks); perr == nil {
+			p = &prepared{compiled: &compiled{stmts: stmts, text: n.text, norm: true}, lits: n.lits}
 		} else {
-			stmts, perr := parseTokens(n.toks)
-			if perr != nil {
-				// The normalized stream should parse exactly when the
-				// raw one does; if it somehow doesn't, the raw parse
-				// below owns the outcome (and the error text).
-				normOK = false
-			} else {
-				p = &prepared{stmts: stmts, text: n.text, norm: true, lits: n.lits}
-			}
+			// The normalized stream should parse exactly when the raw
+			// one does; if it somehow doesn't, the raw parse below owns
+			// the outcome (and the error text).
+			normOK = false
 		}
 	}
 	if !normOK {
@@ -75,22 +80,36 @@ func (db *DB) prepare(sql string) (*prepared, error) {
 		if perr != nil {
 			return nil, perr
 		}
-		p = &prepared{stmts: stmts, text: sql}
+		p = &prepared{compiled: &compiled{stmts: stmts, text: sql}}
+	}
+	if changesCatalog(p.stmts) {
+		return p, nil
 	}
 
 	db.stmtMu.Lock()
 	if p.norm {
 		if shared, hit := db.normStmts.get(p.text); hit {
 			// Another goroutine published this shape first; adopt its
-			// AST so the pointer-keyed memos converge on one entry.
-			p.stmts = shared
+			// batch so the memos converge on one entry.
+			p.compiled = shared
 		} else {
-			db.normStmts.put(p.text, p.stmts)
+			db.normStmts.put(p.text, p.compiled)
 		}
 	}
 	db.rawStmts.put(sql, p)
 	db.stmtMu.Unlock()
 	return p, nil
+}
+
+// changesCatalog reports whether a batch creates or drops anything.
+func changesCatalog(stmts []Stmt) bool {
+	for _, s := range stmts {
+		switch s.(type) {
+		case *CreateTableStmt, *CreateViewStmt, *CreateTriggerStmt, *CreateIndexStmt, *DropStmt:
+			return true
+		}
+	}
+	return false
 }
 
 // execPrepared runs a prepared batch, returning the last statement's
@@ -116,7 +135,7 @@ func (db *DB) execPrepared(p *prepared, args []Value) (Result, error) {
 // the pending durability wait rather than invoking it.
 func (db *DB) execPreparedLocked(p *prepared, args []Value) (Result, func() error, error) {
 	db.recordWorkload(p)
-	lock := db.lockForBatch(p.stmts)
+	lock := db.lockForBatch(p.compiled)
 	defer db.unlockBatch(lock)
 	// Durable-store health gate: rejects mutating batches on a degraded
 	// store before any statement executes, so in-memory tables never
@@ -169,9 +188,9 @@ func (db *DB) queryPrepared(p *prepared, args []Value) (*Rows, error) {
 	switch st := p.stmts[0].(type) {
 	case *SelectStmt:
 		// Reads take shared table locks, so queries over disjoint (or
-		// even the same) tables run concurrently; planner state is
-		// guarded by planMu and atomics rather than the batch lock.
-		lock := db.lockForBatch(p.stmts)
+		// even the same) tables run concurrently; memos are atomic
+		// pointers, so readers filling them need no lock of their own.
+		lock := db.lockForBatch(p.compiled)
 		defer db.unlockBatch(lock)
 		if err := fault.Hit(faultExec); err != nil {
 			return nil, err
@@ -182,7 +201,7 @@ func (db *DB) queryPrepared(p *prepared, args []Value) (*Rows, error) {
 		ex.args = ex.argsBuf
 		return ex.execSelect(st, nil)
 	case *ExplainStmt:
-		lock := db.lockForBatch(p.stmts)
+		lock := db.lockForBatch(p.compiled)
 		defer db.unlockBatch(lock)
 		ex := getExecutor(db)
 		defer putExecutor(ex)
