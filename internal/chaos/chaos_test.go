@@ -8,7 +8,7 @@ import (
 )
 
 func TestSQLOracleNoFaults(t *testing.T) {
-	rep := RunSQLOracle(1, OracleOptions{Ops: 1200})
+	rep := Lookup("sql").Run(1, Options{Ops: 1200, Script: []fault.Fire{}})
 	if !rep.OK() {
 		t.Fatalf("oracle diverged without faults:\n%v", rep.Failures)
 	}
@@ -19,7 +19,7 @@ func TestSQLOracleNoFaults(t *testing.T) {
 
 func TestSQLOracleWithFaults(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
-		rep := RunSQLOracle(seed, OracleOptions{Ops: 1000, Faults: true})
+		rep := Lookup("sql").Run(seed, Options{Ops: 1000})
 		if !rep.OK() {
 			t.Fatalf("seed %d: oracle diverged under faults:\n%v", seed, rep.Failures)
 		}
@@ -31,7 +31,7 @@ func TestSQLOracleWithFaults(t *testing.T) {
 
 func TestCopyUpChecker(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
-		rep := RunCopyUpChecker(seed, CheckerOptions{Ops: 400})
+		rep := Lookup("copyup").Run(seed, Options{Ops: 400})
 		if !rep.OK() {
 			t.Fatalf("seed %d: union view broke crash consistency:\n%v", seed, rep.Failures)
 		}
@@ -43,7 +43,7 @@ func TestCopyUpChecker(t *testing.T) {
 
 func TestSynthChecker(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
-		rep := RunSynthChecker(seed, CheckerOptions{Ops: 300})
+		rep := Lookup("synth").Run(seed, Options{Ops: 300})
 		if !rep.OK() {
 			t.Fatalf("seed %d: COW synthesis broke all-or-nothing:\n%v", seed, rep.Failures)
 		}
@@ -57,13 +57,9 @@ func TestSynthChecker(t *testing.T) {
 // same seed yields the identical fault schedule and verdict for every
 // engine.
 func TestSeedReproducesRun(t *testing.T) {
-	type runner func(int64) *Report
-	engines := map[string]runner{
-		"sql-oracle": func(s int64) *Report { return RunSQLOracle(s, OracleOptions{Ops: 400, Faults: true}) },
-		"copyup":     func(s int64) *Report { return RunCopyUpChecker(s, CheckerOptions{Ops: 200}) },
-		"synth":      func(s int64) *Report { return RunSynthChecker(s, CheckerOptions{Ops: 150}) },
-	}
-	for name, run := range engines {
+	engines := map[string]int{"sql": 400, "copyup": 200, "synth": 150}
+	for name, ops := range engines {
+		run := func(seed int64) *Report { return Lookup(name).Run(seed, Options{Ops: ops}) }
 		a, b := run(7), run(7)
 		if !reflect.DeepEqual(a.Trace, b.Trace) {
 			t.Errorf("%s: same seed produced different fault schedules (%d vs %d events)",
@@ -82,17 +78,12 @@ func TestSeedReproducesRun(t *testing.T) {
 // infrastructure: replaying only the fired events of a probabilistic
 // run as an exact script reproduces the same verdict.
 func TestScriptReplayMatchesProbabilisticRun(t *testing.T) {
-	orig := RunSQLOracle(3, OracleOptions{Ops: 500, Faults: true})
-	var fires []fault.Fire
-	for _, e := range orig.Trace {
-		if e.Fired {
-			fires = append(fires, fault.Fire{Point: e.Point, Hit: e.Hit, Op: e.Op, Frac: e.Frac})
-		}
-	}
+	orig := Lookup("sql").Run(3, Options{Ops: 500})
+	fires := orig.Fires()
 	if len(fires) == 0 {
 		t.Skip("no faults fired at this seed")
 	}
-	replay := RunSQLOracle(3, OracleOptions{Ops: 500, Script: fires})
+	replay := Lookup("sql").Run(3, Options{Ops: 500, Script: fires})
 	if !reflect.DeepEqual(orig.Failures, replay.Failures) {
 		t.Fatalf("script replay verdict differs: %v vs %v", orig.Failures, replay.Failures)
 	}

@@ -11,12 +11,6 @@ import (
 	"maxoid/internal/vfs"
 )
 
-// CheckerOptions configure the crash-consistency checkers.
-type CheckerOptions struct {
-	Ops    int // workload operations (default 400)
-	Script []fault.Fire
-}
-
 const copyUpFiles = 8
 
 // copyUpContent builds a ~1KB payload so injected short writes leave a
@@ -26,7 +20,7 @@ func copyUpContent(tag string, i, gen int) []byte {
 	return []byte(strings.Repeat(line, 1024/len(line)+1))
 }
 
-// RunCopyUpChecker drives a union filesystem through copy-up, remove
+// runCopyUp drives a union filesystem through copy-up, remove
 // (whiteout) and re-create cycles while killing the multi-step
 // transitions at injected points, asserting after every operation that
 // the merged view is fully-old or fully-new — never truncated content,
@@ -35,17 +29,14 @@ func copyUpContent(tag string, i, gen int) []byte {
 // Copy-up is triggered through metadata-only operations (Chmod/Chown),
 // so the file's content must never change: any observed difference is
 // a torn copy-up leaking into the merged view.
-func RunCopyUpChecker(seed int64, opts CheckerOptions) *Report {
-	if opts.Ops <= 0 {
-		opts.Ops = 400
-	}
-	rep := &Report{Engine: "copyup", Seed: seed, Ops: opts.Ops}
+func runCopyUp(seed int64, ops int, rep *Report) {
+	rep.Ops = ops
 
 	disk := vfs.New()
 	for _, d := range []string{"/lower", "/upper"} {
 		if err := disk.MkdirAll(vfs.Root, d, 0o755); err != nil {
 			rep.failf("setup: %v", err)
-			return rep
+			return
 		}
 	}
 	// expected holds the merged-view content each file must show, nil
@@ -56,7 +47,7 @@ func RunCopyUpChecker(seed int64, opts CheckerOptions) *Report {
 		data := copyUpContent("lower", i, 0)
 		if err := vfs.WriteFile(disk, vfs.Root, "/lower"+name, data, 0o644); err != nil {
 			rep.failf("setup: %v", err)
-			return rep
+			return
 		}
 		expected[name] = data
 	}
@@ -66,20 +57,15 @@ func RunCopyUpChecker(seed int64, opts CheckerOptions) *Report {
 	)
 	if err != nil {
 		rep.failf("setup: %v", err)
-		return rep
+		return
 	}
 
-	if opts.Script != nil {
-		fault.EnableScript(opts.Script)
-	} else {
-		fault.Enable(seed+1,
-			fault.Spec{Point: "unionfs.copyup", Prob: 0.10, Op: fault.OpError},
-			fault.Spec{Point: "unionfs.whiteout", Prob: 0.15, Op: fault.OpError},
-			fault.Spec{Point: "vfs.write", Prob: 0.08, Op: fault.OpPartial},
-			fault.Spec{Point: "vfs.rename", Prob: 0.08, Op: fault.OpError},
-		)
-	}
-	defer fault.Disable()
+	fault.Arm(seed+1,
+		fault.Spec{Point: "unionfs.copyup", Prob: 0.10, Op: fault.OpError},
+		fault.Spec{Point: "unionfs.whiteout", Prob: 0.15, Op: fault.OpError},
+		fault.Spec{Point: "vfs.write", Prob: 0.08, Op: fault.OpPartial},
+		fault.Spec{Point: "vfs.rename", Prob: 0.08, Op: fault.OpError},
+	)
 
 	r := rand.New(rand.NewSource(seed))
 	verify := func(i int, op, name string) {
@@ -105,7 +91,7 @@ func RunCopyUpChecker(seed int64, opts CheckerOptions) *Report {
 	}
 
 	gen := 1
-	for i := 0; i < opts.Ops && len(rep.Failures) < 10; i++ {
+	for i := 0; i < ops && len(rep.Failures) < 10; i++ {
 		name := fmt.Sprintf("/f%d", r.Intn(copyUpFiles))
 		switch n := r.Intn(100); {
 		case n < 45: // metadata op: copy-up trigger, content must not change
@@ -156,9 +142,6 @@ func RunCopyUpChecker(seed int64, opts CheckerOptions) *Report {
 			verify(i, "revive", name)
 		}
 	}
-
-	rep.finish()
-	return rep
 }
 
 func truncFor(b []byte) string {

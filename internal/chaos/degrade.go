@@ -27,7 +27,7 @@
 // state, reads keep serving, admission control sheds write-class
 // transactions, and the store provably heals.
 //
-// The five invariants (ISSUE 9):
+// The five invariants:
 //
 //  1. No write acked without durability: every acknowledged op is at
 //     or below the recovered LSN after any crash, and the recovered
@@ -46,13 +46,11 @@ package chaos
 import (
 	"errors"
 	"fmt"
-	"io/fs"
 	"math/rand"
 	"sort"
 	"time"
 
 	"maxoid/internal/ams"
-	"maxoid/internal/binder"
 	"maxoid/internal/core"
 	"maxoid/internal/fault"
 	"maxoid/internal/health"
@@ -63,60 +61,19 @@ import (
 	"maxoid/internal/wal"
 )
 
-// DegradeOptions tune a degrade-chaos run.
-type DegradeOptions struct {
-	Ops     int           // phase-1 workload operations; 0 = 4000
-	Timeout time.Duration // whole-run hang watchdog; 0 = 120s
+// runDegrade performs one seeded degrade-chaos run: phase 1 over ops
+// workload operations, then phase 2 if phase 1 passed.
+func runDegrade(seed int64, ops int, r *Report) {
+	degradeStore(seed, ops, r)
+	if r.OK() {
+		degradeConfinement(seed, r)
+	}
 }
 
-// RunDegradeChecker performs one seeded degrade-chaos run.
-func RunDegradeChecker(seed int64, opts DegradeOptions) *Report {
-	if opts.Ops <= 0 {
-		opts.Ops = 4000
-	}
-	if opts.Timeout <= 0 {
-		opts.Timeout = 120 * time.Second
-	}
-	r := &Report{Engine: "degrade", Seed: seed}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		runDegrade(seed, opts, r)
-		if len(r.Failures) == 0 {
-			runDegradeConfinement(seed, r)
-		}
-		// The engine re-arms fault.Enable per window (which resets the
-		// registry trace), so Fired is accumulated by the run itself;
-		// assert the default run drove a meaningful fault volume.
-		if opts.Ops >= 4000 && len(r.Failures) == 0 && r.Fired < 300 {
-			r.failf("only %d injected faults fired; the default run must drive >= 300", r.Fired)
-		}
-	}()
-	select {
-	case <-done:
-	case <-time.After(opts.Timeout):
-		r.failf("HANG: run did not complete within %v", opts.Timeout)
-	}
-	return r
-}
-
-// allowedDegradeError reports whether a workload error is a typed,
-// expected outcome of a degraded store (invariant 4).
-func allowedDegradeError(err error) bool {
-	for _, target := range []error{
-		fault.ErrInjected, // covers ErrTransient, which wraps it
-		wal.ErrBroken,
-		wal.ErrBusy,
-		health.ErrReadOnly,
-		fs.ErrNotExist,
-		fs.ErrExist,
-	} {
-		if errors.Is(err, target) {
-			return true
-		}
-	}
-	return false
-}
+// degradeErrors are the typed, expected outcomes of a degraded store
+// (invariant 4): the recover engine's list (fault.ErrInjected covers
+// ErrTransient, which wraps it) plus the write gate's ErrReadOnly.
+var degradeErrors = append([]error{health.ErrReadOnly}, recoverErrors...)
 
 // dmodel is the plain-Go reference state for phase 1: a flat file
 // namespace plus the notes table (id -> body|rank) and its allocator.
@@ -155,12 +112,13 @@ type degradeTapeOp struct {
 
 // faultWindow is one armed burst of injected faults.
 type faultWindow struct {
-	name string
-	ops  int // workload ops the window stays armed for
-	arm  func(seed int64)
+	name  string
+	ops   int // workload ops the window stays armed for
+	specs []fault.Spec
 }
 
-func runDegrade(seed int64, opts DegradeOptions, r *Report) {
+// degradeStore is phase 1.
+func degradeStore(seed int64, ops int, r *Report) {
 	st := wal.NewMemStorage()
 	env, err := testutil.OpenDurableWith(st, "main", degradeTuning)
 	if err != nil {
@@ -168,7 +126,7 @@ func runDegrade(seed int64, opts DegradeOptions, r *Report) {
 		return
 	}
 	defer func() {
-		fault.Disable()
+		fault.Arm(seed) // disarm
 		_ = env.Close()
 	}()
 
@@ -186,43 +144,20 @@ func runDegrade(seed int64, opts DegradeOptions, r *Report) {
 	rngCrash := rand.New(rand.NewSource(seed*0x9e3779b9 + 1))
 	rngWin := rand.New(rand.NewSource(seed*0x85ebca6b + 2))
 
-	// accumulate folds the current armed window's trace into the
-	// report before Enable resets it.
-	accumulate := func() {
-		tr := fault.Trace()
-		r.Trace = append(r.Trace, tr...)
-		for _, e := range tr {
-			if e.Fired {
-				r.Fired++
-			}
-		}
-	}
-	disarm := func() {
-		accumulate()
-		fault.Disable()
-	}
-
 	windows := []faultWindow{
-		{name: "append-transient", ops: 40, arm: func(s int64) {
-			fault.Enable(s, fault.Spec{Point: "wal.append.transient", Prob: 0.45, Op: fault.OpTransient})
-		}},
-		{name: "fsync-transient", ops: 40, arm: func(s int64) {
-			fault.Enable(s, fault.Spec{Point: "wal.fsync.transient", Prob: 0.45, Op: fault.OpTransient})
-		}},
-		{name: "mixed-transient", ops: 50, arm: func(s int64) {
-			fault.Enable(s,
-				fault.Spec{Point: "wal.append.transient", Prob: 0.25, Op: fault.OpTransient},
-				fault.Spec{Point: "wal.fsync.transient", Prob: 0.25, Op: fault.OpTransient},
-				fault.Spec{Point: "wal.scrub", Prob: 0.5, Op: fault.OpTransient})
-		}},
-		{name: "poison", ops: 30, arm: func(s int64) {
-			fault.Enable(s,
-				fault.Spec{Point: "wal.append", Prob: 0.08, Op: fault.OpPartial},
-				fault.Spec{Point: "wal.fsync", Prob: 0.08})
-		}},
-		{name: "scrub-corrupt", ops: 20, arm: func(s int64) {
-			fault.Enable(s, fault.Spec{Point: "wal.scrub", Prob: 0.3, Times: 1})
-		}},
+		{"append-transient", 40, []fault.Spec{
+			{Point: "wal.append.transient", Prob: 0.45, Op: fault.OpTransient}}},
+		{"fsync-transient", 40, []fault.Spec{
+			{Point: "wal.fsync.transient", Prob: 0.45, Op: fault.OpTransient}}},
+		{"mixed-transient", 50, []fault.Spec{
+			{Point: "wal.append.transient", Prob: 0.25, Op: fault.OpTransient},
+			{Point: "wal.fsync.transient", Prob: 0.25, Op: fault.OpTransient},
+			{Point: "wal.scrub", Prob: 0.5, Op: fault.OpTransient}}},
+		{"poison", 30, []fault.Spec{
+			{Point: "wal.append", Prob: 0.08, Op: fault.OpPartial},
+			{Point: "wal.fsync", Prob: 0.08}}},
+		{"scrub-corrupt", 20, []fault.Spec{
+			{Point: "wal.scrub", Prob: 0.3, Times: 1}}},
 	}
 	windowLeft := 0 // ops until the current window disarms
 
@@ -266,7 +201,7 @@ func runDegrade(seed int64, opts DegradeOptions, r *Report) {
 			if lsn1 != lsn0 {
 				r.failf("op %d (%c): ErrReadOnly but a record was appended", r.Ops, kind)
 			}
-		case allowedDegradeError(err):
+		case isOneOf(err, degradeErrors):
 			// Post-gate failure: memory mutated (residue), never acked.
 			// The record may or may not have reached the log.
 			applied(live)
@@ -346,7 +281,7 @@ func runDegrade(seed int64, opts DegradeOptions, r *Report) {
 
 	crash := func(why string) bool {
 		r.Kills++
-		disarm()
+		fault.Arm(seed) // disarm
 		windowLeft = 0
 		st.Crash(func(name string, unsynced int) int {
 			return rngCrash.Intn(unsynced + 1)
@@ -418,7 +353,7 @@ func runDegrade(seed int64, opts DegradeOptions, r *Report) {
 	// heal drives Store.Heal and requires it to restore Healthy
 	// (invariant 5): the window is disarmed, so nothing may stop it.
 	heal := func() bool {
-		disarm()
+		fault.Arm(seed) // disarm
 		windowLeft = 0
 		if env.Store.Broken() != nil {
 			return crash("poisoned")
@@ -454,7 +389,6 @@ func runDegrade(seed int64, opts DegradeOptions, r *Report) {
 		return len(r.Failures) == 0
 	}
 	if !ensure() {
-		r.finish()
 		return
 	}
 
@@ -471,7 +405,7 @@ func runDegrade(seed int64, opts DegradeOptions, r *Report) {
 		})
 	}
 
-	for i := 0; i < opts.Ops && len(r.Failures) == 0; i++ {
+	for i := 0; i < ops && len(r.Failures) == 0; i++ {
 		// Window lifecycle: open a fault window now and then; when one
 		// expires, clear the degradation it caused and prove recovery.
 		if windowLeft > 0 {
@@ -483,9 +417,9 @@ func runDegrade(seed int64, opts DegradeOptions, r *Report) {
 				proveWritable()
 				continue
 			}
-		} else if rngWin.Float64() < 0.04 {
+		} else if rngWin.Float64() < 0.05 {
 			w := windows[rngWin.Intn(len(windows))]
-			w.arm(seed + int64(r.Ops))
+			fault.Arm(seed+int64(r.Ops), w.specs...)
 			windowLeft = w.ops
 		}
 
@@ -519,11 +453,11 @@ func runDegrade(seed int64, opts DegradeOptions, r *Report) {
 				break
 			}
 		case p < 0.04: // checkpoint
-			if err := env.Store.Snapshot(); err != nil && !allowedDegradeError(err) {
+			if err := env.Store.Snapshot(); err != nil && !isOneOf(err, degradeErrors) {
 				r.failf("op %d: snapshot: %v", r.Ops, err)
 			}
 		case p < 0.07: // scrub inline (faultable via the armed window)
-			if err := env.Store.ScrubOnce(); err != nil && !allowedDegradeError(err) {
+			if err := env.Store.ScrubOnce(); err != nil && !isOneOf(err, degradeErrors) {
 				r.failf("op %d: scrub: %v", r.Ops, err)
 			}
 		case p < 0.08 && windowLeft == 0 && env.Store.LastSynced() > env.Store.RecoveredLSN():
@@ -627,8 +561,7 @@ func runDegrade(seed int64, opts DegradeOptions, r *Report) {
 
 	// Close out: land the run healthy and verified.
 	if len(r.Failures) == 0 {
-		accumulate()
-		fault.Disable()
+		fault.Arm(seed) // disarm
 		windowLeft = 0
 		if env.Store.Broken() != nil {
 			crash("final")
@@ -640,8 +573,6 @@ func runDegrade(seed int64, opts DegradeOptions, r *Report) {
 		verify("final")
 		crash("final-verify")
 	}
-	// r.finish() would overwrite the accumulated trace with the last
-	// window's; the report's Trace/Fired were maintained incrementally.
 }
 
 // rewrite2 durably replaces a storage file's contents (corruption
@@ -665,19 +596,10 @@ func degradeTuning(cfg *wal.Config) {
 	cfg.RetrySleep = func(time.Duration) {}
 }
 
-// degradeApp is the minimal workload app for the confinement phase.
-type degradeApp struct{ pkg string }
-
-func (a *degradeApp) Package() string                                 { return a.pkg }
-func (a *degradeApp) OnStart(ctx *ams.Context, in intent.Intent) error { return nil }
-func (a *degradeApp) OnTransact(ctx *ams.Context, from binder.Caller, code string, data binder.Parcel) (binder.Parcel, error) {
-	return binder.Parcel{"ok": true}, nil
-}
-
-// runDegradeConfinement is phase 2: confinement and admission shedding
+// degradeConfinement is phase 2: confinement and admission shedding
 // while the durable store degrades beneath a full system (invariant 3,
 // plus 2/4/5 at the system boundary).
-func runDegradeConfinement(seed int64, r *Report) {
+func degradeConfinement(seed int64, r *Report) {
 	s, err := core.Boot(core.Options{
 		Storage:     wal.NewMemStorage(),
 		StoreTuning: degradeTuning,
@@ -687,10 +609,9 @@ func runDegradeConfinement(seed int64, r *Report) {
 		return
 	}
 	defer s.Shutdown()
-	defer fault.Disable()
 
 	for _, pkg := range []string{"owner", "editor"} {
-		if err := s.Install(&degradeApp{pkg: pkg}, ams.Manifest{
+		if err := s.Install(&idleApp{pkg: pkg}, ams.Manifest{
 			Package: pkg,
 			Filters: []intent.Filter{{Actions: []string{intent.ActionView}}},
 		}); err != nil {
@@ -752,23 +673,16 @@ func runDegradeConfinement(seed int64, r *Report) {
 
 	// Degrade: exhaust the retry budget under a burst of transient
 	// append faults driven by seeded delegate writes.
-	fault.Enable(seed^0x0ddfa17, fault.Spec{Point: "wal.append.transient", Prob: 0.9, Op: fault.OpTransient})
+	fault.Arm(seed^0x0ddfa17, fault.Spec{Point: "wal.append.transient", Prob: 0.9, Op: fault.OpTransient})
 	rng := rand.New(rand.NewSource(seed ^ 0x0ddfa17))
 	for i := 0; i < 64 && s.Health() == health.Healthy; i++ {
 		_, err := deleg.Resolver().Insert("content://user_dictionary/words",
 			provider.Values{"word": fmt.Sprintf("burst-%d-%d", i, rng.Intn(1000))})
-		if err != nil && !allowedDegradeError(err) {
+		if err != nil && !isOneOf(err, degradeErrors) {
 			r.failf("confinement: burst insert error not typed: %v", err)
 		}
 	}
-	tr := fault.Trace()
-	for _, e := range tr {
-		if e.Fired {
-			r.Fired++
-		}
-	}
-	r.Trace = append(r.Trace, tr...)
-	fault.Disable()
+	fault.Arm(seed) // disarm
 	if s.Health() != health.ReadOnly {
 		r.failf("confinement: store did not degrade under fault burst (health %v)", s.Health())
 		return

@@ -16,7 +16,7 @@ func TestDegradeChecker(t *testing.T) {
 	for _, seed := range []int64{1, 2, 7, 42, 1337} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			rep := RunDegradeChecker(seed, DegradeOptions{Ops: ops})
+			rep := Lookup("degrade").Run(seed, Options{Ops: ops})
 			if !rep.OK() {
 				for _, f := range rep.Failures {
 					t.Errorf("seed %d: %s", seed, f)
@@ -39,7 +39,7 @@ func TestDegradeCheckerFullVolume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-volume run skipped in -short mode")
 	}
-	rep := RunDegradeChecker(99, DegradeOptions{})
+	rep := Lookup("degrade").Run(99, Options{})
 	if !rep.OK() {
 		for _, f := range rep.Failures {
 			t.Errorf("seed 99: %s", f)

@@ -12,7 +12,7 @@ import (
 func TestGatewayChecker(t *testing.T) {
 	defer testutil.LeakCheck(t)()
 	for _, seed := range []int64{1, 7, 42} {
-		rep := RunGatewayChecker(seed, GatewayChaosOptions{Ops: 300})
+		rep := Lookup("gateway").Run(seed, Options{Ops: 300})
 		if !rep.OK() {
 			t.Fatalf("seed %d:\n%s", seed, joinFailures(rep.Failures))
 		}
@@ -26,7 +26,7 @@ func TestGatewayChecker(t *testing.T) {
 // meaningful injected-fault volume through the remote path.
 func TestGatewayCheckerDefaultFires(t *testing.T) {
 	defer testutil.LeakCheck(t)()
-	rep := RunGatewayChecker(11, GatewayChaosOptions{})
+	rep := Lookup("gateway").Run(11, Options{})
 	if !rep.OK() {
 		t.Fatalf("seed 11:\n%s", joinFailures(rep.Failures))
 	}

@@ -12,14 +12,14 @@ import (
 
 // Index chaos: two engines for the secondary-index layer.
 //
-// RunIndexOracle is a differential oracle for access-path choice: the
+// The index engine is a differential oracle for access-path choice: the
 // same seeded workload runs against two sqldb instances, one bare and
 // one carrying randomly chosen secondary indexes (with random index
 // DDL mixed into the run). Indexes must never change results — only
 // how rows are found — so any divergence in rows, affected counts,
 // errors, or final state is a planner or index-maintenance bug.
 //
-// RunIndexFaultChecker arms the sqldb.indexbuild and sqldb.indexmaint
+// The indexfault engine arms the sqldb.indexbuild and sqldb.indexmaint
 // fault points and asserts the all-or-nothing discipline: a failed
 // CREATE INDEX leaves no trace of the index, and a statement that
 // faults mid-maintenance leaves every published index exactly
@@ -49,15 +49,12 @@ func randomIndexSQL(r *rand.Rand, table string, n int) string {
 		table, n, table, strings.Join(cols, ", "), using)
 }
 
-// RunIndexOracle replays one seeded workload against a bare engine and
-// an indexed engine and diffs every outcome. Faults are not armed:
-// this oracle isolates access-path equivalence (RunIndexFaultChecker
-// owns the fault discipline).
-func RunIndexOracle(seed int64, opts OracleOptions) *Report {
-	if opts.Ops <= 0 {
-		opts.Ops = 1000
-	}
-	rep := &Report{Engine: "index-oracle", Seed: seed, Ops: opts.Ops}
+// runIndex replays one seeded workload against a bare engine and an
+// indexed engine and diffs every outcome. Faults are not armed: this
+// oracle isolates access-path equivalence (runIndexFault owns the
+// fault discipline).
+func runIndex(seed int64, ops int, rep *Report) {
+	rep.Ops = ops
 
 	bare := sqldb.Open()
 	indexed := sqldb.Open()
@@ -65,7 +62,7 @@ func RunIndexOracle(seed int64, opts OracleOptions) *Report {
 		for _, db := range []*sqldb.DB{bare, indexed} {
 			if _, err := db.Exec(createSQL(t)); err != nil {
 				rep.failf("setup: %v", err)
-				return rep
+				return
 			}
 		}
 	}
@@ -78,14 +75,14 @@ func RunIndexOracle(seed int64, opts OracleOptions) *Report {
 		for k := 1 + ixRand.Intn(2); k > 0; k-- {
 			if _, err := indexed.Exec(randomIndexSQL(ixRand, t, nIndexes)); err != nil {
 				rep.failf("setup index: %v", err)
-				return rep
+				return
 			}
 			nIndexes++
 		}
 	}
 
 	g := NewGen(seed)
-	for i := 0; i < opts.Ops && len(rep.Failures) < 10; i++ {
+	for i := 0; i < ops && len(rep.Failures) < 10; i++ {
 		// Sprinkle index DDL through the run (indexed engine only):
 		// creation over live data exercises the sorted rebuild, drops
 		// exercise plan-cache invalidation back to scans.
@@ -158,27 +155,21 @@ func RunIndexOracle(seed int64, opts OracleOptions) *Report {
 	if err := indexed.CheckIndexes(); err != nil {
 		rep.failf("final index consistency: %v", err)
 	}
-
-	rep.finish()
-	return rep
 }
 
-// RunIndexFaultChecker injects faults into index builds and index
-// maintenance while a workload runs, asserting after every injected
-// failure that no partially-populated index is visible: failed CREATE
-// INDEX statements publish nothing, and failed mutations leave tables
-// and indexes mutually consistent.
-func RunIndexFaultChecker(seed int64, opts CheckerOptions) *Report {
-	if opts.Ops <= 0 {
-		opts.Ops = 1000
-	}
-	rep := &Report{Engine: "indexfault", Seed: seed, Ops: opts.Ops}
+// runIndexFault injects faults into index builds and index maintenance
+// while a workload runs, asserting after every injected failure that
+// no partially-populated index is visible: failed CREATE INDEX
+// statements publish nothing, and failed mutations leave tables and
+// indexes mutually consistent.
+func runIndexFault(seed int64, ops int, rep *Report) {
+	rep.Ops = ops
 
 	db := sqldb.Open()
 	for _, t := range oracleTables {
 		if _, err := db.Exec(createSQL(t)); err != nil {
 			rep.failf("setup: %v", err)
-			return rep
+			return
 		}
 	}
 	ixRand := rand.New(rand.NewSource(seed + 3))
@@ -187,20 +178,15 @@ func RunIndexFaultChecker(seed int64, opts CheckerOptions) *Report {
 	for _, t := range oracleTables {
 		if _, err := db.Exec(randomIndexSQL(ixRand, t, nIndexes)); err != nil {
 			rep.failf("setup index: %v", err)
-			return rep
+			return
 		}
 		nIndexes++
 	}
 
-	if opts.Script != nil {
-		fault.EnableScript(opts.Script)
-	} else {
-		fault.Enable(seed+1,
-			fault.Spec{Point: "sqldb.indexbuild", Prob: 0.3, Op: fault.OpError},
-			fault.Spec{Point: "sqldb.indexmaint", Prob: 0.01, Op: fault.OpError},
-		)
-	}
-	defer fault.Disable()
+	fault.Arm(seed+1,
+		fault.Spec{Point: "sqldb.indexbuild", Prob: 0.3, Op: fault.OpError},
+		fault.Spec{Point: "sqldb.indexmaint", Prob: 0.01, Op: fault.OpError},
+	)
 
 	// checkConsistent verifies table/index agreement with faults
 	// suspended (the shadow rebuild would otherwise trip its own
@@ -221,7 +207,7 @@ func RunIndexFaultChecker(seed int64, opts CheckerOptions) *Report {
 	}
 
 	g := NewGen(seed)
-	for i := 0; i < opts.Ops && len(rep.Failures) < 10; i++ {
+	for i := 0; i < ops && len(rep.Failures) < 10; i++ {
 		if i > 0 && i%61 == 0 {
 			// CREATE INDEX under fault injection: all-or-nothing.
 			table := oracleTables[ixRand.Intn(len(oracleTables))]
@@ -266,7 +252,5 @@ func RunIndexFaultChecker(seed int64, opts CheckerOptions) *Report {
 		}
 	}
 
-	checkConsistent(opts.Ops, "at end of run")
-	rep.finish()
-	return rep
+	checkConsistent(ops, "at end of run")
 }

@@ -10,7 +10,7 @@ import (
 // and must produce row-for-row identical results.
 func TestIndexOracle(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
-		rep := RunIndexOracle(seed, OracleOptions{Ops: 1200})
+		rep := Lookup("index").Run(seed, Options{Ops: 1200})
 		if !rep.OK() {
 			t.Fatalf("seed %d: indexed engine diverged:\n%v", seed, rep.Failures)
 		}
@@ -20,7 +20,7 @@ func TestIndexOracle(t *testing.T) {
 func TestIndexFaultChecker(t *testing.T) {
 	fired := 0
 	for seed := int64(1); seed <= 5; seed++ {
-		rep := RunIndexFaultChecker(seed, CheckerOptions{Ops: 1000})
+		rep := Lookup("indexfault").Run(seed, Options{Ops: 1000})
 		if !rep.OK() {
 			t.Fatalf("seed %d: index fault discipline broke:\n%v", seed, rep.Failures)
 		}
@@ -32,16 +32,16 @@ func TestIndexFaultChecker(t *testing.T) {
 }
 
 func TestIndexEnginesDeterministic(t *testing.T) {
-	a := RunIndexFaultChecker(7, CheckerOptions{Ops: 500})
-	b := RunIndexFaultChecker(7, CheckerOptions{Ops: 500})
+	a := Lookup("indexfault").Run(7, Options{Ops: 500})
+	b := Lookup("indexfault").Run(7, Options{Ops: 500})
 	if !reflect.DeepEqual(a.Trace, b.Trace) {
 		t.Errorf("same seed produced different fault schedules (%d vs %d events)", len(a.Trace), len(b.Trace))
 	}
 	if !reflect.DeepEqual(a.Failures, b.Failures) {
 		t.Errorf("same seed produced different verdicts: %v vs %v", a.Failures, b.Failures)
 	}
-	oa := RunIndexOracle(7, OracleOptions{Ops: 500})
-	ob := RunIndexOracle(7, OracleOptions{Ops: 500})
+	oa := Lookup("index").Run(7, Options{Ops: 500})
+	ob := Lookup("index").Run(7, Options{Ops: 500})
 	if !reflect.DeepEqual(oa.Failures, ob.Failures) {
 		t.Errorf("index oracle not deterministic: %v vs %v", oa.Failures, ob.Failures)
 	}

@@ -18,11 +18,10 @@
 //  2. No leaks: after the run drains, live processes, mount
 //     namespaces, union branches, Binder endpoints, COW delta tables
 //     and views, and URI grants are all back at their baselines.
-//  3. No hangs: the whole run completes under a watchdog deadline.
+//  3. No hangs: the whole run completes under the harness watchdog.
 package chaos
 
 import (
-	"errors"
 	"fmt"
 	"io/fs"
 	"math/rand"
@@ -42,12 +41,6 @@ import (
 	"maxoid/internal/vfs"
 	"maxoid/internal/zygote"
 )
-
-// KillOptions tune a kill-chaos run.
-type KillOptions struct {
-	Ops     int           // workload operations; 0 = 1200
-	Timeout time.Duration // whole-run hang watchdog; 0 = 60s
-}
 
 // chaosApp is the workload app: it accepts transactions that echo,
 // write through the instance's view, crash the instance, or stall past
@@ -84,57 +77,28 @@ func (a *chaosApp) OnTransact(ctx *ams.Context, from binder.Caller, code string,
 	return nil, fmt.Errorf("chaos: unknown code %s", code)
 }
 
-// allowedLifecycleError reports whether an initiator-facing error is
-// one of the typed sentinels the supervision layer is allowed to
-// surface. Anything else is an invariant violation.
-func allowedLifecycleError(err error) bool {
-	for _, target := range []error{
-		fault.ErrInjected,
-		kernel.ErrDeadProcess,
-		kernel.ErrNoSuchPID,
-		kernel.ErrNetUnreachable,
-		kernel.ErrPermissionDenied,
-		binder.ErrNoEndpoint,
-		binder.ErrCallTimeout,
-		zygote.ErrRestartBudgetExhausted,
-		ams.ErrNoActivity,
-		ams.ErrNotInstalled,
-		ams.ErrNestedDelegation,
-		ams.ErrNoGrant,
-		fs.ErrNotExist,
-		fs.ErrPermission,
-		fs.ErrExist,
-	} {
-		if errors.Is(err, target) {
-			return true
-		}
-	}
-	return false
+// lifecycleErrors are the typed sentinels the supervision layer may
+// surface to an initiator. Anything else is an invariant violation.
+var lifecycleErrors = []error{
+	fault.ErrInjected,
+	kernel.ErrDeadProcess,
+	kernel.ErrNoSuchPID,
+	kernel.ErrNetUnreachable,
+	kernel.ErrPermissionDenied,
+	binder.ErrNoEndpoint,
+	binder.ErrCallTimeout,
+	zygote.ErrRestartBudgetExhausted,
+	ams.ErrNoActivity,
+	ams.ErrNotInstalled,
+	ams.ErrNestedDelegation,
+	ams.ErrNoGrant,
+	fs.ErrNotExist,
+	fs.ErrPermission,
+	fs.ErrExist,
 }
 
-// RunKillChecker performs one seeded kill-chaos run.
-func RunKillChecker(seed int64, opts KillOptions) *Report {
-	if opts.Ops <= 0 {
-		opts.Ops = 1200
-	}
-	if opts.Timeout <= 0 {
-		opts.Timeout = 60 * time.Second
-	}
-	r := &Report{Engine: "kill", Seed: seed}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		runKill(seed, opts, r)
-	}()
-	select {
-	case <-done:
-	case <-time.After(opts.Timeout):
-		r.failf("HANG: run did not complete within %v", opts.Timeout)
-	}
-	return r
-}
-
-func runKill(seed int64, opts KillOptions, r *Report) {
+// runKill performs one seeded kill-chaos run.
+func runKill(seed int64, ops int, r *Report) {
 	// Leak baselines are deltas over package-global counters, so the
 	// engine composes with whatever else ran in this process.
 	baseNS := mount.Live()
@@ -215,13 +179,12 @@ func runKill(seed int64, opts KillOptions, r *Report) {
 		}
 	}
 
-	fault.Enable(seed,
+	fault.Arm(seed,
 		fault.Spec{Point: "zygote.spawn", Prob: 0.02},
 		fault.Spec{Point: "zygote.assemble", Prob: 0.03},
 		fault.Spec{Point: "cowproxy.synth", Prob: 0.05},
 		fault.Spec{Point: "binder.call", Prob: 0.03, Hook: killRandom},
 	)
-	defer fault.Disable()
 
 	// ctxs are the instance handles the workload drives. Dead handles
 	// are deliberately kept for a while — operations through them must
@@ -246,12 +209,12 @@ func runKill(seed int64, opts KillOptions, r *Report) {
 		return ctxs[rngSel.Intn(len(ctxs))]
 	}
 	check := func(op string, err error) {
-		if err != nil && !allowedLifecycleError(err) {
+		if err != nil && !isOneOf(err, lifecycleErrors) {
 			r.failf("op %d (%s): raw internal error: %v", r.Ops, op, err)
 		}
 	}
 
-	for i := 0; i < opts.Ops && len(r.Failures) == 0; i++ {
+	for i := 0; i < ops && len(r.Failures) == 0; i++ {
 		r.Ops++
 		// Exactly two rngOp draws per step, before any state-dependent
 		// gate, so the op tape never desyncs between same-seed runs.
@@ -357,7 +320,7 @@ func runKill(seed int64, opts KillOptions, r *Report) {
 
 	// Drain: stop injecting, kill every remaining process, and give
 	// timed-out "hang" handlers time to unwind before counting leaks.
-	fault.Disable()
+	fault.Arm(seed)
 	for _, p := range sortedProcs() {
 		_ = s.Kernel.Kill(p.PID)
 	}
@@ -408,5 +371,4 @@ func runKill(seed int64, opts KillOptions, r *Report) {
 				pp.name, deltas, views)
 		}
 	}
-	r.finish()
 }

@@ -12,7 +12,7 @@ import (
 func TestKillCheckerSeeds(t *testing.T) {
 	defer testutil.LeakCheck(t)()
 	for _, seed := range []int64{1, 2, 7, 42} {
-		r := RunKillChecker(seed, KillOptions{Ops: 400})
+		r := Lookup("kill").Run(seed, Options{Ops: 400})
 		if !r.OK() {
 			t.Fatalf("seed %d: %v", seed, r.Failures)
 		}
@@ -28,8 +28,8 @@ func TestKillCheckerSeeds(t *testing.T) {
 // restart backoff, retry loops), so exact equality of those is not a
 // property the engine can promise; the op tape is.
 func TestKillCheckerDeterministic(t *testing.T) {
-	a := RunKillChecker(11, KillOptions{Ops: 200})
-	b := RunKillChecker(11, KillOptions{Ops: 200})
+	a := Lookup("kill").Run(11, Options{Ops: 200})
+	b := Lookup("kill").Run(11, Options{Ops: 200})
 	if !a.OK() || !b.OK() {
 		t.Fatalf("failures: %v / %v", a.Failures, b.Failures)
 	}

@@ -7,60 +7,42 @@ import (
 	"maxoid/internal/sqldb"
 )
 
-// OracleOptions configure a differential-oracle run.
-type OracleOptions struct {
-	Ops    int  // randomized statements to replay (default 1000)
-	Faults bool // arm sqldb.exec / sqldb.commit fault points
-	// Script, when non-nil, replaces the probabilistic schedule with an
-	// exact one (used by shrink-to-minimal).
-	Script []fault.Fire
-}
-
 // createSQL is the schema both engines start from.
 func createSQL(table string) string {
 	return "CREATE TABLE " + table + " (_id INTEGER PRIMARY KEY, a INTEGER, b TEXT, c INTEGER)"
 }
 
-// RunSQLOracle replays a seeded randomized statement workload against
-// internal/sqldb and the naive reference engine, diffing affected-row
-// counts, error outcomes, every SELECT result row for row, and the
-// full table contents at the end of the run.
+// runSQL is the differential SQL oracle: it replays a seeded
+// randomized statement workload against internal/sqldb and the naive
+// reference engine, diffing affected-row counts, error outcomes, every
+// SELECT result row for row, and the full table contents at the end of
+// the run.
 //
-// With faults armed, injected statement faults fire before the
-// statement mutates anything (both engines skip it) and injected
-// commit faults roll both engines back to the BEGIN snapshot, so the
-// two stay in lockstep unless the engine under test mishandles a
-// fault — which is exactly what the diff then catches.
-func RunSQLOracle(seed int64, opts OracleOptions) *Report {
-	if opts.Ops <= 0 {
-		opts.Ops = 1000
-	}
-	rep := &Report{Engine: "sql-oracle", Seed: seed, Ops: opts.Ops}
+// Injected statement faults fire before the statement mutates anything
+// (both engines skip it) and injected commit faults roll both engines
+// back to the BEGIN snapshot, so the two stay in lockstep unless the
+// engine under test mishandles a fault — which is exactly what the
+// diff then catches. An empty script runs the oracle fault-free.
+func runSQL(seed int64, ops int, rep *Report) {
+	rep.Ops = ops
 
 	db := sqldb.Open()
 	ref := NewRef()
 	for _, t := range oracleTables {
 		if _, err := db.Exec(createSQL(t)); err != nil {
 			rep.failf("setup: %v", err)
-			return rep
+			return
 		}
 		ref.CreateTable(t, oracleCols)
 	}
 
-	switch {
-	case opts.Script != nil:
-		fault.EnableScript(opts.Script)
-		defer fault.Disable()
-	case opts.Faults:
-		fault.Enable(seed+1,
-			fault.Spec{Point: "sqldb.exec", Prob: 0.01, Op: fault.OpError},
-			fault.Spec{Point: "sqldb.commit", Prob: 0.15, Op: fault.OpError},
-		)
-		defer fault.Disable()
-	}
+	fault.Arm(seed+1,
+		fault.Spec{Point: "sqldb.exec", Prob: 0.01, Op: fault.OpError},
+		fault.Spec{Point: "sqldb.commit", Prob: 0.15, Op: fault.OpError},
+	)
 
 	g := NewGen(seed)
-	for i := 0; i < opts.Ops && len(rep.Failures) < 10; i++ {
+	for i := 0; i < ops && len(rep.Failures) < 10; i++ {
 		op := g.Next()
 		sql := op.SQL()
 		pre := len(fault.Trace())
@@ -124,9 +106,6 @@ func RunSQLOracle(seed int64, opts OracleOptions) *Report {
 			rep.failf("final state of %s diverged: %s", t, d)
 		}
 	}
-
-	rep.finish()
-	return rep
 }
 
 // firedPoint returns the fault point that fired since trace index pre

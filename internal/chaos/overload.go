@@ -6,13 +6,7 @@ import (
 	"maxoid/internal/load"
 )
 
-// OverloadOptions shapes one overload-chaos run.
-type OverloadOptions struct {
-	Ops    int          // transactions to issue; 0 = 4000
-	Script []fault.Fire // exact replay schedule (shrinker)
-}
-
-// RunOverloadChecker drives the fleet load engine through AMS
+// runOverload drives the fleet load engine through AMS
 // admission control with injected admission faults (the "ams.admit"
 // point) and checks the overload invariants:
 //
@@ -24,25 +18,13 @@ type OverloadOptions struct {
 //   - the service processed exactly the admitted transactions;
 //   - the admission controller's in-flight gauge drains to zero (a
 //     leaked slot would eventually wedge admission entirely).
-func RunOverloadChecker(seed int64, opts OverloadOptions) *Report {
-	if opts.Ops <= 0 {
-		opts.Ops = 4000
-	}
-	r := &Report{Engine: "overload", Seed: seed}
-
-	if opts.Script != nil {
-		fault.EnableScript(opts.Script)
-	} else {
-		fault.Enable(seed, fault.Spec{Point: "ams.admit", Prob: 0.05})
-	}
-	defer fault.Disable()
-	defer r.finish()
-
+func runOverload(seed int64, ops int, r *Report) {
+	fault.Arm(seed, fault.Spec{Point: "ams.admit", Prob: 0.05})
 	eng := load.NewEngine(64)
 	res, err := eng.Run(load.Options{
 		Instances: 64,
 		Workers:   16,
-		Ops:       opts.Ops,
+		Ops:       ops,
 		Batch:     1,
 		Admission: &ams.AdmissionConfig{
 			PerAppRate:  200,
@@ -52,7 +34,7 @@ func RunOverloadChecker(seed int64, opts OverloadOptions) *Report {
 	})
 	if err != nil {
 		r.failf("run: %v", err)
-		return r
+		return
 	}
 	r.Ops = int(res.Issued)
 
@@ -73,5 +55,4 @@ func RunOverloadChecker(seed int64, opts OverloadOptions) *Report {
 	if res.Rejected == 0 {
 		r.failf("overload run rejected nothing: budget never bound")
 	}
-	return r
 }

@@ -12,7 +12,7 @@ import (
 func TestOverloadCheckerSeeds(t *testing.T) {
 	defer testutil.LeakCheck(t)()
 	for _, seed := range []int64{1, 7, 42} {
-		r := RunOverloadChecker(seed, OverloadOptions{Ops: 2000})
+		r := Lookup("overload").Run(seed, Options{Ops: 2000})
 		if !r.OK() {
 			t.Fatalf("seed %d: %v", seed, r.Failures)
 		}

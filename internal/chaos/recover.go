@@ -27,11 +27,9 @@
 package chaos
 
 import (
-	"errors"
 	"fmt"
 	"io/fs"
 	"math/rand"
-	"time"
 
 	"maxoid/internal/fault"
 	"maxoid/internal/sqldb"
@@ -40,51 +38,15 @@ import (
 	"maxoid/internal/wal"
 )
 
-// RecoverOptions tune a recover-chaos run.
-type RecoverOptions struct {
-	Ops     int           // workload operations; 0 = 6000
-	Timeout time.Duration // whole-run hang watchdog; 0 = 120s
-}
-
-// RunRecoverChecker performs one seeded recover-chaos run.
-func RunRecoverChecker(seed int64, opts RecoverOptions) *Report {
-	if opts.Ops <= 0 {
-		opts.Ops = 6000
-	}
-	if opts.Timeout <= 0 {
-		opts.Timeout = 120 * time.Second
-	}
-	r := &Report{Engine: "recover", Seed: seed}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		runRecover(seed, opts, r)
-	}()
-	select {
-	case <-done:
-	case <-time.After(opts.Timeout):
-		r.failf("HANG: run did not complete within %v", opts.Timeout)
-	}
-	return r
-}
-
-// allowedRecoverError reports whether a workload operation error is an
-// expected outcome rather than a bug: injected faults, the poisoned
-// log's fail-stop sentinel, a busy snapshot, and ordinary fs errors
-// from the randomized path workload.
-func allowedRecoverError(err error) bool {
-	for _, target := range []error{
-		fault.ErrInjected,
-		wal.ErrBroken,
-		wal.ErrBusy,
-		fs.ErrNotExist,
-		fs.ErrExist,
-	} {
-		if errors.Is(err, target) {
-			return true
-		}
-	}
-	return false
+// recoverErrors are the expected workload errors rather than bugs:
+// injected faults, the poisoned log's fail-stop sentinel, a busy
+// snapshot, and ordinary fs errors from the randomized path workload.
+var recoverErrors = []error{
+	fault.ErrInjected,
+	wal.ErrBroken,
+	wal.ErrBusy,
+	fs.ErrNotExist,
+	fs.ErrExist,
 }
 
 // tapeOp is one workload operation that appended a WAL record: its
@@ -96,7 +58,8 @@ type tapeOp struct {
 	apply func(fsys *vfs.FS, db *sqldb.DB)
 }
 
-func runRecover(seed int64, opts RecoverOptions, r *Report) {
+// runRecover performs one seeded recover-chaos run.
+func runRecover(seed int64, ops int, r *Report) {
 	st := wal.NewMemStorage()
 	env, err := testutil.OpenDurable(st, "main")
 	if err != nil {
@@ -117,12 +80,11 @@ func runRecover(seed int64, opts RecoverOptions, r *Report) {
 	rngOp := rand.New(rand.NewSource(seed ^ 0x5deece66d))
 	rngCrash := rand.New(rand.NewSource(seed*0x9e3779b9 + 1))
 
-	fault.Enable(seed,
+	fault.Arm(seed,
 		fault.Spec{Point: "wal.append", Prob: 0.004, Op: fault.OpPartial},
 		fault.Spec{Point: "wal.fsync", Prob: 0.006},
 		fault.Spec{Point: "wal.snapshot", Prob: 0.15},
 	)
-	defer fault.Disable()
 
 	var tape []tapeOp
 	var maxAcked uint64
@@ -155,7 +117,7 @@ func runRecover(seed int64, opts RecoverOptions, r *Report) {
 		if poisoned && err == nil && lsn1 > lsn0 {
 			r.failf("op %d (%c): acked on a poisoned log (fail-stop violated)", r.Ops, kind)
 		}
-		if err != nil && !allowedRecoverError(err) {
+		if err != nil && !isOneOf(err, recoverErrors) {
 			r.failf("op %d (%c): unexpected error: %v", r.Ops, kind, err)
 		}
 	}
@@ -223,7 +185,7 @@ func runRecover(seed int64, opts RecoverOptions, r *Report) {
 
 	path := func(n int) string { return fmt.Sprintf("/data/f%03d", n) }
 
-	for i := 0; i < opts.Ops && len(r.Failures) == 0; i++ {
+	for i := 0; i < ops && len(r.Failures) == 0; i++ {
 		if env.Store.Broken() != nil {
 			// Fail-stop: an injected append/fsync fault poisoned the log.
 			// Drive one more op through it — it must fail typed, never
@@ -245,7 +207,7 @@ func runRecover(seed int64, opts RecoverOptions, r *Report) {
 			}
 			ensure()
 		case p < 0.08: // compact: snapshot + WAL reset
-			if err := env.Store.Snapshot(); err != nil && !allowedRecoverError(err) {
+			if err := env.Store.Snapshot(); err != nil && !isOneOf(err, recoverErrors) {
 				r.failf("op %d: snapshot: %v", r.Ops, err)
 			}
 		case p < 0.24: // create an empty file (no-op if it exists)
@@ -348,7 +310,6 @@ func runRecover(seed int64, opts RecoverOptions, r *Report) {
 	if len(r.Failures) == 0 {
 		crash()
 	}
-	r.finish()
 }
 
 // diffRecovered compares the recovered environment against the

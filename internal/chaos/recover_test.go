@@ -16,7 +16,7 @@ func TestRecoverChecker(t *testing.T) {
 	for _, seed := range []int64{1, 2, 7, 42, 1337} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			rep := RunRecoverChecker(seed, RecoverOptions{Ops: ops})
+			rep := Lookup("recover").Run(seed, Options{Ops: ops})
 			if !rep.OK() {
 				for _, f := range rep.Failures {
 					t.Errorf("seed %d: %s", seed, f)

@@ -10,17 +10,14 @@ import (
 	"maxoid/internal/sqldb"
 )
 
-// RunSynthChecker kills cowproxy's COW view synthesis — the
+// runSynth kills cowproxy's COW view synthesis — the
 // multi-statement creation of a delta table, COW view, and INSTEAD OF
 // triggers — at injected points and asserts the machinery is
 // all-or-nothing: after any attempt, an initiator either has the
 // complete delta table + COW view pair or neither, and a successful
 // query through the proxy sees exactly the primary rows.
-func RunSynthChecker(seed int64, opts CheckerOptions) *Report {
-	if opts.Ops <= 0 {
-		opts.Ops = 300
-	}
-	rep := &Report{Engine: "synth", Seed: seed, Ops: opts.Ops}
+func runSynth(seed int64, ops int, rep *Report) {
+	rep.Ops = ops
 
 	db := sqldb.Open()
 	setup := []string{
@@ -32,28 +29,23 @@ func RunSynthChecker(seed int64, opts CheckerOptions) *Report {
 	for _, s := range setup {
 		if _, err := db.Exec(s); err != nil {
 			rep.failf("setup: %v", err)
-			return rep
+			return
 		}
 	}
 	p := cowproxy.New(db)
 	if err := p.RegisterTable("notes"); err != nil {
 		rep.failf("setup: %v", err)
-		return rep
+		return
 	}
 	if err := p.RegisterUserView("titles", "SELECT _id, title FROM notes"); err != nil {
 		rep.failf("setup: %v", err)
-		return rep
+		return
 	}
 
-	if opts.Script != nil {
-		fault.EnableScript(opts.Script)
-	} else {
-		fault.Enable(seed+1,
-			fault.Spec{Point: "cowproxy.synth", Prob: 0.25, Op: fault.OpError},
-			fault.Spec{Point: "sqldb.exec", Prob: 0.02, Op: fault.OpError},
-		)
-	}
-	defer fault.Disable()
+	fault.Arm(seed+1,
+		fault.Spec{Point: "cowproxy.synth", Prob: 0.25, Op: fault.OpError},
+		fault.Spec{Point: "sqldb.exec", Prob: 0.02, Op: fault.OpError},
+	)
 
 	r := rand.New(rand.NewSource(seed))
 	initiators := make([]string, 6)
@@ -82,7 +74,7 @@ func RunSynthChecker(seed int64, opts CheckerOptions) *Report {
 		}
 	}
 
-	for i := 0; i < opts.Ops && len(rep.Failures) < 10; i++ {
+	for i := 0; i < ops && len(rep.Failures) < 10; i++ {
 		init := initiators[r.Intn(len(initiators))]
 		conn := p.For(init)
 		switch n := r.Intn(100); {
@@ -113,7 +105,4 @@ func RunSynthChecker(seed int64, opts CheckerOptions) *Report {
 			check(i, init)
 		}
 	}
-
-	rep.finish()
-	return rep
 }

@@ -2,15 +2,23 @@
 // registry for the Maxoid substrate. Packages declare named fault
 // points at init time and consult them on hot state transitions
 // (unionfs copy-up, sqldb commit, cowproxy view synthesis, ...); test
-// harnesses enable a schedule of faults for a run and get back an
-// exact trace of what fired where.
+// harnesses start a run, arm a set of points, and get back an exact
+// trace of what fired where.
 //
-// Determinism: all randomness for a run flows from one PRNG seeded by
-// Enable's seed, and decisions are made under one lock in call order.
-// For single-goroutine harness runs (the chaos engines) the same seed
-// therefore reproduces the identical fault schedule. For debugging a
-// failure, EnableScript replays an exact schedule — fire precisely at
-// (point, hit#) pairs — which is what shrink-to-minimal uses.
+// A run starts with Enable (probabilistic) or EnableScript (exact
+// replay) and ends with Disable. Inside a run, every non-suspended hit
+// on any declared point is counted from the start of the run, armed or
+// not; Arm replaces the armed set without resetting those counters or
+// the trace. Only hits on armed points are traced and may fire, so a
+// harness can open and close fault windows mid-run and still name every
+// fault by a run-wide (point, hit#) pair.
+//
+// Determinism: probabilistic decisions come from one PRNG, reseeded by
+// each Arm and consulted under one lock in call order, so for
+// single-goroutine harness runs the same seeds reproduce the identical
+// schedule. EnableScript instead fires an armed point exactly at its
+// scripted hits — replaying the fired events of a trace, which is what
+// shrink-to-minimal uses. Hooks run under a script too.
 //
 // The disabled fast path is one atomic load, so instrumenting
 // production code paths costs effectively nothing when no harness is
@@ -24,7 +32,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // ErrInjected is the error surfaced by fired error/partial-write
@@ -44,11 +51,8 @@ var ErrTransient = fmt.Errorf("transient: %w", ErrInjected)
 type Op int
 
 const (
-	// OpError makes Hit return an injected error.
+	// OpError makes Hit return ErrInjected.
 	OpError Op = iota
-	// OpDelay sleeps for the spec's Delay, then succeeds. Used to
-	// widen race windows.
-	OpDelay
 	// OpPartial truncates the operation: PartialWrite returns a byte
 	// count strictly less than requested, plus an injected error.
 	OpPartial
@@ -61,8 +65,6 @@ func (o Op) String() string {
 	switch o {
 	case OpError:
 		return "error"
-	case OpDelay:
-		return "delay"
 	case OpPartial:
 		return "partial"
 	case OpTransient:
@@ -72,27 +74,23 @@ func (o Op) String() string {
 	}
 }
 
-// Spec arms one fault point for a probabilistic run.
+// Spec arms one fault point.
 type Spec struct {
 	Point string  // declared fault-point name
-	Prob  float64 // chance of firing per hit, in (0,1]
-	After int     // skip this many hits before the point can fire
-	Times int     // fire at most this many times; 0 = unlimited
+	Prob  float64 // chance of firing per hit, in (0,1]; ignored under a script
+	Times int     // fire at most this many times per Arm; 0 = unlimited
 	Op    Op
-	Err   error         // error to inject for OpError; nil = ErrInjected
-	Delay time.Duration // sleep for OpDelay
-	Frac  float64       // fraction written for OpPartial, in [0,1); 0 = random
+	Frac  float64 // fraction written for OpPartial, in [0,1); 0 = random
 
-	// Hook, if set, runs on the hitting goroutine each time this spec
+	// Hook, if set, runs on the hitting goroutine each time this point
 	// fires, after the registry lock is released (so it may re-enter
 	// fault or kill processes). The kill-chaos engine uses it to crash
-	// a process in the middle of an instrumented operation. Hooks make
-	// a schedule unreplayable by EnableScript; shrink does not apply.
+	// a process in the middle of an instrumented operation.
 	Hook func()
 }
 
 // Fire is one entry of a scripted schedule: fire at exactly the n-th
-// hit (1-based) of a point.
+// hit (1-based, counted from the start of the run) of a point.
 type Fire struct {
 	Point string
 	Hit   int
@@ -104,7 +102,7 @@ type Fire struct {
 // whether it fired.
 type Event struct {
 	Point string
-	Hit   int // 1-based hit index at this point
+	Hit   int // 1-based hit index at this point, counted from the start of the run
 	Fired bool
 	Op    Op
 	Frac  float64 // for fired OpPartial
@@ -165,90 +163,100 @@ var (
 
 	mu      sync.Mutex
 	rng     *rand.Rand
-	specs   map[string]*specState
-	script  map[string]map[int]Fire
+	armed   map[string]*specState
+	script  map[string]map[int]Fire // nil for a probabilistic run
 	hits    map[string]int
 	trace   []Event
 	suspend int
 )
 
-// Enable arms the registry for a probabilistic run driven by seed.
-// Specs for undeclared points panic (catches typos at harness-build
-// time). Any previous run state is discarded.
-func Enable(seed int64, ss ...Spec) {
+// mustBeDeclared panics on an undeclared point (catches typos at
+// harness-build time).
+func mustBeDeclared(fn, point string) {
 	regMu.Lock()
-	for _, s := range ss {
-		if _, ok := declared[s.Point]; !ok {
-			regMu.Unlock()
-			panic(fmt.Sprintf("fault: Enable of undeclared point %q", s.Point))
-		}
-	}
+	_, ok := declared[point]
 	regMu.Unlock()
-
-	mu.Lock()
-	defer mu.Unlock()
-	rng = rand.New(rand.NewSource(seed))
-	specs = make(map[string]*specState, len(ss))
-	for _, s := range ss {
-		s := s
-		specs[s.Point] = &specState{Spec: s}
+	if !ok {
+		panic(fmt.Sprintf("fault: %s of undeclared point %q", fn, point))
 	}
-	script = nil
+}
+
+// start discards any previous run and begins a new one with nothing
+// armed. Callers hold mu.
+func start(sc map[string]map[int]Fire) {
+	armed = map[string]*specState{}
+	script = sc
 	hits = make(map[string]int)
 	trace = nil
 	suspend = 0
 	active.Store(true)
 }
 
-// EnableScript arms the registry to fire at exactly the given
-// (point, hit#) pairs and nowhere else. Used to replay and shrink a
-// schedule captured by Trace.
-func EnableScript(fires []Fire) {
-	regMu.Lock()
-	for _, f := range fires {
-		if _, ok := declared[f.Point]; !ok {
-			regMu.Unlock()
-			panic(fmt.Sprintf("fault: EnableScript of undeclared point %q", f.Point))
-		}
-	}
-	regMu.Unlock()
-
+// Enable starts a probabilistic run and arms ss, drawing fire
+// decisions from seed. Any previous run state is discarded.
+func Enable(seed int64, ss ...Spec) {
 	mu.Lock()
-	defer mu.Unlock()
-	rng = nil
-	specs = nil
-	script = make(map[string]map[int]Fire)
+	start(nil)
+	mu.Unlock()
+	Arm(seed, ss...)
+}
+
+// EnableScript starts a run that fires armed points at exactly the
+// given (point, hit#) pairs and nowhere else. It arms nothing: the
+// harness's own Arm calls choose which points are live, as they did in
+// the run that produced the script.
+func EnableScript(fires []Fire) {
+	sc := make(map[string]map[int]Fire)
 	for _, f := range fires {
-		m := script[f.Point]
+		mustBeDeclared("EnableScript", f.Point)
+		m := sc[f.Point]
 		if m == nil {
 			m = make(map[int]Fire)
-			script[f.Point] = m
+			sc[f.Point] = m
 		}
 		m[f.Hit] = f
 	}
-	hits = make(map[string]int)
-	trace = nil
-	suspend = 0
-	active.Store(true)
+	mu.Lock()
+	start(sc)
+	mu.Unlock()
 }
 
-// Disable tears down the current run. Instrumented code returns to the
-// single-atomic-load fast path.
+// Arm replaces the armed set of the current run and reseeds its
+// probabilistic decisions. Hit counters and the trace carry over.
+// Under a script only the armed set changes: the script still decides
+// which hits fire. Arm with no specs disarms every point.
+func Arm(seed int64, ss ...Spec) {
+	for _, s := range ss {
+		mustBeDeclared("Arm", s.Point)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	rng = rand.New(rand.NewSource(seed))
+	armed = make(map[string]*specState, len(ss))
+	for _, s := range ss {
+		armed[s.Point] = &specState{Spec: s}
+	}
+}
+
+// Disable ends the current run and clears its state, trace included.
+// Instrumented code returns to the single-atomic-load fast path.
 func Disable() {
 	active.Store(false)
 	mu.Lock()
 	defer mu.Unlock()
 	rng = nil
-	specs = nil
+	armed = nil
 	script = nil
 	hits = nil
+	trace = nil
 	suspend = 0
 }
 
 // Suspend pauses injection process-wide (nestable). Recovery and
 // rollback paths run under Suspend so that cleanup from one injected
 // fault is not itself re-injected, which would make all-or-nothing
-// rollback impossible to guarantee or test.
+// rollback impossible to guarantee or test. Suspended hits are neither
+// counted nor traced.
 func Suspend() {
 	mu.Lock()
 	suspend++
@@ -275,85 +283,32 @@ func Trace() []Event {
 	return out
 }
 
-// Fires returns only the fired events of the trace, as a script that
-// EnableScript can replay.
-func Fires() []Fire {
-	mu.Lock()
-	defer mu.Unlock()
-	var out []Fire
-	for _, e := range trace {
-		if e.Fired {
-			out = append(out, Fire{Point: e.Point, Hit: e.Hit, Op: e.Op, Frac: e.Frac})
-		}
-	}
-	return out
-}
-
-// decide consults the schedule for one hit of point. It returns the
-// event (recorded in the trace) and, for OpError, the configured error.
+// decide counts one hit of point and, if the point is armed, consults
+// the schedule. It returns the traced event and the injected error.
 func decide(point string) (Event, error) {
 	mu.Lock()
-	if !active.Load() || (specs == nil && script == nil) {
-		mu.Unlock()
-		return Event{}, nil
-	}
-	if suspend > 0 {
-		mu.Unlock()
-		return Event{}, nil
-	}
-
-	var ev Event
-	var err error
-	if script != nil {
-		if m, ok := script[point]; ok {
-			hits[point]++
-			n := hits[point]
-			ev = Event{Point: point, Hit: n}
-			if f, ok := m[n]; ok {
-				ev.Fired = true
-				ev.Op = f.Op
-				ev.Frac = f.Frac
-				if f.Op == OpPartial && ev.Frac == 0 {
-					ev.Frac = 0.5
-				}
-				switch f.Op {
-				case OpError:
-					err = ErrInjected
-				case OpTransient:
-					err = ErrTransient
-				}
-			}
-			trace = append(trace, ev)
-		}
-		mu.Unlock()
-		return ev, err
-	}
-
-	st, ok := specs[point]
-	if !ok {
+	if !active.Load() || suspend > 0 {
 		mu.Unlock()
 		return Event{}, nil
 	}
 	hits[point]++
-	n := hits[point]
-	ev = Event{Point: point, Hit: n}
-	eligible := n > st.After && (st.Times == 0 || st.fired < st.Times)
-	if eligible && rng.Float64() < st.Prob {
+	st, ok := armed[point]
+	if !ok {
+		mu.Unlock()
+		return Event{}, nil
+	}
+	ev := Event{Point: point, Hit: hits[point]}
+	if script != nil {
+		if f, ok := script[point][ev.Hit]; ok {
+			ev.Fired, ev.Op, ev.Frac = true, f.Op, f.Frac
+			if f.Op == OpPartial && ev.Frac == 0 {
+				ev.Frac = 0.5
+			}
+		}
+	} else if (st.Times == 0 || st.fired < st.Times) && rng.Float64() < st.Prob {
 		st.fired++
-		ev.Fired = true
-		ev.Op = st.Op
-		switch st.Op {
-		case OpError:
-			err = st.Err
-			if err == nil {
-				err = ErrInjected
-			}
-		case OpTransient:
-			err = st.Err
-			if err == nil {
-				err = ErrTransient
-			}
-		case OpPartial:
+		ev.Fired, ev.Op = true, st.Op
+		if st.Op == OpPartial {
 			ev.Frac = st.Frac
 			if ev.Frac == 0 {
 				ev.Frac = rng.Float64()
@@ -361,18 +316,18 @@ func decide(point string) (Event, error) {
 		}
 	}
 	trace = append(trace, ev)
-	var delay time.Duration
 	var hook func()
+	var err error
 	if ev.Fired {
-		if ev.Op == OpDelay {
-			delay = st.Delay
-		}
 		hook = st.Hook
+		switch ev.Op {
+		case OpError:
+			err = ErrInjected
+		case OpTransient:
+			err = ErrTransient
+		}
 	}
 	mu.Unlock()
-	if delay > 0 {
-		time.Sleep(delay)
-	}
 	if hook != nil {
 		hook()
 	}
@@ -380,8 +335,8 @@ func decide(point string) (Event, error) {
 }
 
 // Hit consults the fault point and returns the injected error if an
-// OpError fault fired, nil otherwise. OpDelay faults sleep before
-// returning nil. The disabled fast path is one atomic load.
+// OpError or OpTransient fault fired, nil otherwise. The disabled fast
+// path is one atomic load.
 func Hit(point string) error {
 	if !active.Load() {
 		return nil
@@ -393,8 +348,8 @@ func Hit(point string) error {
 // PartialWrite consults the fault point for an n-byte write. When no
 // fault fires it returns (n, nil). A fired OpPartial returns a count
 // strictly less than n plus ErrInjected — the caller must persist only
-// that prefix and surface the error. A fired OpError returns (0,
-// injected error) before anything is written.
+// that prefix and surface the error. A fired OpError or OpTransient
+// returns (0, injected error) before anything is written.
 func PartialWrite(point string, n int) (int, error) {
 	if !active.Load() {
 		return n, nil
@@ -403,19 +358,15 @@ func PartialWrite(point string, n int) (int, error) {
 	if !ev.Fired {
 		return n, nil
 	}
-	switch ev.Op {
-	case OpError, OpTransient:
+	if ev.Op != OpPartial {
 		return 0, err
-	case OpPartial:
-		k := int(float64(n) * ev.Frac)
-		if k >= n {
-			k = n - 1
-		}
-		if k < 0 {
-			k = 0
-		}
-		return k, fmt.Errorf("%w: short write %d of %d bytes at %s", ErrInjected, k, n, point)
-	default:
-		return n, nil
 	}
+	k := int(float64(n) * ev.Frac)
+	if k >= n {
+		k = n - 1
+	}
+	if k < 0 {
+		k = 0
+	}
+	return k, fmt.Errorf("%w: short write %d of %d bytes at %s", ErrInjected, k, n, point)
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"reflect"
 	"testing"
-	"time"
 )
 
 func init() {
@@ -59,25 +58,16 @@ func TestSeedDeterminism(t *testing.T) {
 	}
 }
 
-func TestAfterAndTimes(t *testing.T) {
-	Enable(1, Spec{Point: "test.a", Prob: 1, After: 3, Times: 2, Op: OpError})
+func TestTimes(t *testing.T) {
+	Enable(1, Spec{Point: "test.a", Prob: 1, Times: 2, Op: OpError})
 	defer Disable()
 	var got []bool
-	for i := 0; i < 8; i++ {
+	for i := 0; i < 5; i++ {
 		got = append(got, Hit("test.a") != nil)
 	}
-	want := []bool{false, false, false, true, true, false, false, false}
+	want := []bool{true, true, false, false, false}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("After/Times schedule = %v, want %v", got, want)
-	}
-}
-
-func TestCustomError(t *testing.T) {
-	sentinel := errors.New("boom")
-	Enable(1, Spec{Point: "test.a", Prob: 1, Times: 1, Op: OpError, Err: sentinel})
-	defer Disable()
-	if err := Hit("test.a"); !errors.Is(err, sentinel) {
-		t.Fatalf("got %v, want sentinel", err)
+		t.Fatalf("Times schedule = %v, want %v", got, want)
 	}
 }
 
@@ -135,14 +125,20 @@ func TestScriptReplay(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		Hit("test.a")
 	}
-	fires := Fires()
 	origTrace := Trace()
 	Disable()
+	var fires []Fire
+	for _, e := range origTrace {
+		if e.Fired {
+			fires = append(fires, Fire{Point: e.Point, Hit: e.Hit, Op: e.Op})
+		}
+	}
 	if len(fires) == 0 {
 		t.Fatal("no fires to replay")
 	}
 
 	EnableScript(fires)
+	Arm(0, Spec{Point: "test.a"})
 	defer Disable()
 	var replayFired []int
 	for i := 0; i < 50; i++ {
@@ -158,18 +154,6 @@ func TestScriptReplay(t *testing.T) {
 	}
 	if !reflect.DeepEqual(replayFired, origFired) {
 		t.Fatalf("script replay fired at %v, original at %v", replayFired, origFired)
-	}
-}
-
-func TestDelay(t *testing.T) {
-	Enable(1, Spec{Point: "test.a", Prob: 1, Times: 1, Op: OpDelay, Delay: 20 * time.Millisecond})
-	defer Disable()
-	start := time.Now()
-	if err := Hit("test.a"); err != nil {
-		t.Fatalf("delay op returned error: %v", err)
-	}
-	if d := time.Since(start); d < 15*time.Millisecond {
-		t.Fatalf("delay too short: %v", d)
 	}
 }
 
@@ -216,11 +200,66 @@ func TestTransientPartialWrite(t *testing.T) {
 
 func TestTransientScriptReplay(t *testing.T) {
 	EnableScript([]Fire{{Point: "test.a", Hit: 2, Op: OpTransient}})
+	Arm(0, Spec{Point: "test.a"})
 	defer Disable()
 	if err := Hit("test.a"); err != nil {
 		t.Fatalf("hit 1 should pass: %v", err)
 	}
 	if err := Hit("test.a"); !errors.Is(err, ErrTransient) {
 		t.Fatalf("hit 2 = %v, want ErrTransient", err)
+	}
+}
+
+// TestArmKeepsHitsAndTrace pins the run-wide numbering: hits on every
+// point count from the start of the run, armed or not, Arm keeps the
+// counters and the trace, and under a script Arm only chooses which
+// points may fire (with their hooks).
+func TestArmKeepsHitsAndTrace(t *testing.T) {
+	Enable(1, Spec{Point: "test.a", Prob: 1})
+	defer Disable()
+	Hit("test.a")
+	Hit("test.a")
+	for i := 0; i < 3; i++ {
+		if err := Hit("test.b"); err != nil {
+			t.Fatalf("unarmed test.b fired: %v", err)
+		}
+	}
+	Arm(2, Spec{Point: "test.b", Prob: 1})
+	if err := Hit("test.a"); err != nil {
+		t.Fatalf("disarmed test.a fired: %v", err)
+	}
+	if err := Hit("test.b"); !errors.Is(err, ErrInjected) {
+		t.Fatalf("armed test.b = %v, want ErrInjected", err)
+	}
+	want := []Event{
+		{Point: "test.a", Hit: 1, Fired: true},
+		{Point: "test.a", Hit: 2, Fired: true},
+		{Point: "test.b", Hit: 4, Fired: true},
+	}
+	if tr := Trace(); !reflect.DeepEqual(tr, want) {
+		t.Fatalf("trace across Arm = %v, want %v", tr, want)
+	}
+
+	EnableScript([]Fire{{Point: "test.a", Hit: 2}, {Point: "test.b", Hit: 1}})
+	if tr := Trace(); len(tr) != 0 {
+		t.Fatalf("new run kept the old trace: %v", tr)
+	}
+	hooked := 0
+	Arm(0, Spec{Point: "test.a", Hook: func() { hooked++ }})
+	if err := Hit("test.b"); err != nil {
+		t.Fatalf("scripted hit on unarmed test.b fired: %v", err)
+	}
+	if err := Hit("test.a"); err != nil {
+		t.Fatalf("unscripted test.a#1 fired: %v", err)
+	}
+	if err := Hit("test.a"); !errors.Is(err, ErrInjected) {
+		t.Fatalf("scripted test.a#2 = %v, want ErrInjected", err)
+	}
+	if hooked != 1 {
+		t.Fatalf("hook ran %d times under the script, want 1", hooked)
+	}
+	want = []Event{{Point: "test.a", Hit: 1}, {Point: "test.a", Hit: 2, Fired: true}}
+	if tr := Trace(); !reflect.DeepEqual(tr, want) {
+		t.Fatalf("scripted trace = %v, want %v", tr, want)
 	}
 }
