@@ -80,7 +80,7 @@ func runDemo() error {
 	if _, err := s.StartGateway(core.GatewayOptions{}); err != nil {
 		return err
 	}
-	host := s.GatewayHostname()
+	host := core.GatewayHost
 	fmt.Printf("gateway serving on host %q — identities: notes (initiator), %s (delegate)\n\n",
 		host, gateway.Token(ctxD.Task()))
 

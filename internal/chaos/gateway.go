@@ -3,10 +3,10 @@
 // The engine boots a full system, starts the gateway on the simulated
 // network, and drives a seeded single-goroutine request mix across
 // three identities with distinct views — an initiator, its delegate,
-// and an unrelated app — while fault windows arm the three remote-path
-// points: net.accept (the server drops an accept without closing the
-// listener), gw.decode (failure before the request is parsed), and
-// gw.view (failure after identity auth, before dispatch).
+// and an unrelated app — while fault windows arm the two remote-path
+// points: gw.decode (failure before the request is parsed) and gw.view
+// (failure after identity auth, before dispatch). Every request runs
+// on the engine's goroutine, so a seed fixes the whole run.
 //
 // Invariants:
 //
@@ -17,9 +17,8 @@
 //     served to the other identities (no view escape), faults or not.
 //  2. Typed errors only: every response carries one of the mapped
 //     statuses; a 500 is legal only when it is the typed rendering of
-//     an injected fault. Transport-level errors never reach clients —
-//     net.accept faults are absorbed by the accept loop and the
-//     request still completes.
+//     an injected fault. No request fails with a transport error: an
+//     injected fault is always rendered as a typed response.
 //  3. No leaked connections: the run drains and shuts down cleanly
 //     (the engine's test runs under testutil.LeakCheck).
 package chaos
@@ -127,14 +126,11 @@ func runGateway(seed int64, ops int, r *Report) {
 
 	rng := rand.New(rand.NewSource(seed ^ 0x9a7e3a7e))
 
-	// Fault windows over the three remote-path points. Probabilities
-	// stay below 1 so accept retries always terminate.
+	// Fault windows over the two remote-path points.
 	windows := []faultWindow{
-		{"accept", 40, []fault.Spec{{Point: "net.accept", Prob: 0.5}}},
 		{"decode", 40, []fault.Spec{{Point: "gw.decode", Prob: 0.3}}},
 		{"view", 40, []fault.Spec{{Point: "gw.view", Prob: 0.3}}},
 		{"mixed", 50, []fault.Spec{
-			{Point: "net.accept", Prob: 0.25},
 			{Point: "gw.decode", Prob: 0.15},
 			{Point: "gw.view", Prob: 0.15}}},
 	}

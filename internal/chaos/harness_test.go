@@ -34,10 +34,10 @@ func checkCountedOnce(t *testing.T, rep *Report) {
 
 // TestEveryEngineReplaysItsSchedule replays each engine's fired
 // faults as an exact script. Deterministic engines must reproduce the
-// whole report; kill and gateway depend on timing (retry loops, two
-// accept workers), so their replays need only pass.
+// whole report; kill depends on timing (retry loops), so its replay
+// needs only pass.
 func TestEveryEngineReplaysItsSchedule(t *testing.T) {
-	timing := map[string]bool{"kill": true, "gateway": true}
+	timing := map[string]bool{"kill": true}
 	for _, e := range Engines {
 		e := e
 		t.Run(e.Name, func(t *testing.T) {

@@ -12,33 +12,25 @@ import (
 	"maxoid/internal/netstack"
 )
 
-// GatewayHost is the default host the gateway binds on the netstack.
+// GatewayHost is the host the gateway binds on the netstack.
 const GatewayHost = "maxoid-gw"
 
 // GatewayOptions tune StartGateway.
 type GatewayOptions struct {
-	// Host overrides the bound host name (default GatewayHost).
-	Host string
 	// AllowDetached admits identities with no live AMS instance by
 	// synthesizing kernel-less callers — fleet benchmarks only; strict
 	// identity binding is the default.
 	AllowDetached bool
-	// Workers sizes the gateway worker pool (default 4).
+	// Workers caps the requests the gateway serves at once (default 4).
 	Workers int
-	// Audit, when non-nil, is attached as a post-hook audit sink.
-	Audit *gateway.AuditLog
 }
 
-// StartGateway serves the system's providers on its network. The
-// returned gateway is also remembered for Shutdown. Metrics flow into
-// Options.Metrics when the boot provided a registry.
+// StartGateway serves the system's providers on its network at
+// GatewayHost. The returned gateway is also remembered for Shutdown.
+// Metrics flow into Options.Metrics when the boot provided a registry.
 func (s *System) StartGateway(opts GatewayOptions) (*gateway.Gateway, error) {
 	if s.gw != nil {
 		return nil, fmt.Errorf("core: gateway already started")
-	}
-	host := opts.Host
-	if host == "" {
-		host = GatewayHost
 	}
 	gw := gateway.New(gateway.Options{
 		Router:        s.Router,
@@ -48,20 +40,12 @@ func (s *System) StartGateway(opts GatewayOptions) (*gateway.Gateway, error) {
 		AllowDetached: opts.AllowDetached,
 		Workers:       opts.Workers,
 	})
-	if opts.Audit != nil {
-		gw.Post(opts.Audit.Record)
-	}
-	if err := gw.Serve(s.Net, host); err != nil {
+	if err := gw.Serve(s.Net, GatewayHost); err != nil {
 		return nil, err
 	}
 	s.gw = gw
-	s.gwHost = host
 	return gw, nil
 }
-
-// GatewayHostname returns the host the running gateway is bound to
-// ("" when no gateway is running).
-func (s *System) GatewayHostname() string { return s.gwHost }
 
 // GatewayRequest performs one client round trip against the running
 // gateway, attaching the identity token — the programmatic equivalent
@@ -71,7 +55,7 @@ func (s *System) GatewayRequest(token, method, path string, body []byte) (netsta
 		return netstack.Response{}, fmt.Errorf("core: gateway not started")
 	}
 	return s.Net.RoundTrip(netstack.Request{
-		Host:    s.gwHost,
+		Host:    GatewayHost,
 		Path:    path,
 		Method:  method,
 		Body:    body,

@@ -105,8 +105,7 @@ type System struct {
 	// metrics is the boot-time registry, handed to the gateway.
 	metrics *metrics.Registry
 	// gw is the running remote gateway, nil until StartGateway.
-	gw     *gateway.Gateway
-	gwHost string
+	gw *gateway.Gateway
 }
 
 // Boot builds a device: global disk, kernel with network, Binder
@@ -257,7 +256,6 @@ func (s *System) Shutdown() {
 	if s.gw != nil {
 		s.gw.Close()
 		s.gw = nil
-		s.gwHost = ""
 	}
 	s.Downloads.Close()
 	if s.stopMaint != nil {

@@ -53,6 +53,10 @@ import (
 // IdentityHeader carries the request's (user, app, initiator) token.
 const IdentityHeader = "X-Maxoid-Identity"
 
+// ErrClosed fails a request that was still waiting for a slot when
+// Close began.
+var ErrClosed = errors.New("gateway: closed")
+
 // Fault points on the gateway request path (see internal/fault).
 var (
 	faultDecode = fault.Declare("gw.decode", "gateway request decode: fail before the request body/query is parsed")
@@ -73,20 +77,22 @@ type Options struct {
 	// than the zygote will boot.
 	AllowDetached bool
 
-	// Workers is the accept-loop goroutine count (default 4).
+	// Workers is the most requests served at once (default 4); extra
+	// requests wait for a slot.
 	Workers int
 }
 
-// Gateway serves providers over a netstack listener.
+// Gateway serves providers as a netstack host. Each request runs on
+// its client's goroutine.
 type Gateway struct {
 	opts   Options
 	routes map[string]map[string]string // authority -> path -> table
 	hooks  hookChain
 
-	mu       sync.Mutex
-	listener *netstack.Listener
-	wg       sync.WaitGroup
-	inflight sync.WaitGroup
+	slots     chan struct{} // one token per request being served
+	done      chan struct{} // closed when Close begins
+	unbind    func()
+	closeOnce sync.Once
 }
 
 // New creates a gateway and snapshots each provider's table routes.
@@ -95,7 +101,12 @@ func New(opts Options) *Gateway {
 	if opts.Workers <= 0 {
 		opts.Workers = 4
 	}
-	g := &Gateway{opts: opts, routes: make(map[string]map[string]string)}
+	g := &Gateway{
+		opts:   opts,
+		routes: make(map[string]map[string]string),
+		slots:  make(chan struct{}, opts.Workers),
+		done:   make(chan struct{}),
+	}
 	for _, authority := range opts.Providers.Authorities() {
 		p, _ := opts.Providers.Provider(authority)
 		refl, ok := p.(provider.Reflector)
@@ -117,53 +128,48 @@ func (g *Gateway) Pre(h PreHook) { g.hooks.pre = append(g.hooks.pre, h) }
 // Post appends a post-request hook; see hooks.go.
 func (g *Gateway) Post(h PostHook) { g.hooks.post = append(g.hooks.post, h) }
 
-// Serve binds host on the network and starts the worker pool. Returns
-// once the listener is bound; workers run until Close.
+// Serve binds host on the network. Call it once, before Close.
 func (g *Gateway) Serve(net *netstack.Network, host string) error {
-	l, err := net.Listen(host)
+	unbind, err := net.Bind(host, netstack.HandlerFunc(g.serve))
 	if err != nil {
 		return err
 	}
-	g.mu.Lock()
-	g.listener = l
-	g.mu.Unlock()
-	for i := 0; i < g.opts.Workers; i++ {
-		g.wg.Add(1)
-		go g.worker(l)
-	}
+	g.unbind = unbind
 	return nil
 }
 
-// Close stops accepting, waits for workers to exit and in-flight
-// requests to drain to zero. Idempotent.
+// Close unbinds the host, so later requests fail with
+// netstack.ErrNoHost, and fails requests still waiting for a slot with
+// ErrClosed. It returns once every admitted request has finished, and
+// none starts after it. Idempotent.
 func (g *Gateway) Close() {
-	g.mu.Lock()
-	l := g.listener
-	g.mu.Unlock()
-	if l != nil {
-		l.Close()
-	}
-	g.wg.Wait()
-	g.inflight.Wait()
+	g.closeOnce.Do(func() {
+		if g.unbind != nil {
+			g.unbind()
+		}
+		close(g.done)
+		for i := 0; i < cap(g.slots); i++ {
+			g.slots <- struct{}{}
+		}
+	})
 }
 
-// worker is one accept loop: injected accept faults skip a request;
-// the typed listener-closed error ends the loop.
-func (g *Gateway) worker(l *netstack.Listener) {
-	defer g.wg.Done()
-	for {
-		sr, err := l.Accept()
-		if err != nil {
-			if errors.Is(err, fault.ErrInjected) {
-				continue
-			}
-			return
-		}
-		g.inflight.Add(1)
-		resp := g.handle(sr.Req)
-		g.inflight.Done()
-		sr.Reply(resp, nil)
+// serve is the bound netstack handler: it waits for a slot, then runs
+// the request on the caller's goroutine.
+func (g *Gateway) serve(req netstack.Request) (netstack.Response, error) {
+	select {
+	case g.slots <- struct{}{}:
+	case <-g.done:
+		return netstack.Response{}, ErrClosed
 	}
+	defer func() { <-g.slots }()
+	// A slot freed after Close began must not start a request.
+	select {
+	case <-g.done:
+		return netstack.Response{}, ErrClosed
+	default:
+	}
+	return g.handle(req), nil
 }
 
 // handle runs one request end to end: decode, authenticate, hooks,

@@ -5,9 +5,14 @@ package gateway_test
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/url"
+	"runtime"
+	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"maxoid/internal/ams"
 	"maxoid/internal/core"
@@ -28,6 +33,14 @@ func (a nullApp) OnBroadcast(ctx *ams.Context, in intent.Intent)   {}
 
 func bootGateway(t *testing.T) *core.System {
 	t.Helper()
+	s, _ := startGateway(t, core.GatewayOptions{})
+	return s
+}
+
+// startGateway boots a system with three apps installed and starts its
+// gateway with opts.
+func startGateway(t *testing.T, opts core.GatewayOptions) (*core.System, *gateway.Gateway) {
+	t.Helper()
 	s, err := core.Boot(core.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -40,10 +53,11 @@ func bootGateway(t *testing.T) *core.System {
 			t.Fatal(err)
 		}
 	}
-	if _, err := s.StartGateway(core.GatewayOptions{}); err != nil {
+	gw, err := s.StartGateway(opts)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return s
+	return s, gw
 }
 
 // get decodes the error code out of a JSON error body ("" for 2xx).
@@ -364,22 +378,11 @@ func TestGrantServedThroughGateway(t *testing.T) {
 	}
 }
 
-func TestHooksAndAudit(t *testing.T) {
+func TestHooks(t *testing.T) {
 	defer testutil.LeakCheck(t)()
-	s, err := core.Boot(core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, gw := startGateway(t, core.GatewayOptions{})
 	defer s.Shutdown()
-	if err := s.Install(nullApp{pkg: "appA"}, ams.Manifest{Package: "appA"}); err != nil {
-		t.Fatal(err)
-	}
 	if _, err := s.Launch("appA", intent.Intent{}); err != nil {
-		t.Fatal(err)
-	}
-	audit := gateway.NewAuditLog(8)
-	gw, err := s.StartGateway(core.GatewayOptions{Audit: audit})
-	if err != nil {
 		t.Fatal(err)
 	}
 	// A pre-hook vetoing one identity: its error maps through statusFor.
@@ -389,26 +392,166 @@ func TestHooksAndAudit(t *testing.T) {
 		}
 		return nil
 	})
+	type record struct {
+		info   gateway.RequestInfo
+		status int
+	}
+	var seen []record
+	gw.Post(func(info *gateway.RequestInfo, status int) {
+		seen = append(seen, record{*info, status})
+	})
 
 	resp, err := s.GatewayRequest("u0:appA", "GET", "/v1/user_dictionary/words", nil)
 	if err != nil || resp.Status != 200 {
 		t.Fatalf("request: %v %d", err, resp.Status)
 	}
-	entries := audit.Entries()
-	if len(entries) != 1 {
-		t.Fatalf("audit entries: %d", len(entries))
+	if len(seen) != 1 {
+		t.Fatalf("post-hook saw %d requests", len(seen))
 	}
-	e := entries[0]
-	if e.Identity != "appA" || e.Status != 200 || e.Method != "GET" {
-		t.Fatalf("audit entry: %+v", e)
+	if r := seen[0]; r.info.Identity != "appA" || r.status != 200 || r.info.Method != "GET" {
+		t.Fatalf("post-hook record: %+v", r)
 	}
 
-	// The audit log also records rejected requests with their status.
+	// The post-hook also sees rejected requests with their status.
 	if _, err := s.GatewayRequest("", "GET", "/v1/user_dictionary/words", nil); err != nil {
 		t.Fatal(err)
 	}
-	entries = audit.Entries()
-	if len(entries) != 2 || entries[1].Status != 401 {
-		t.Fatalf("audit after reject: %+v", entries)
+	if len(seen) != 2 || seen[1].status != 401 {
+		t.Fatalf("post-hook after reject: %+v", seen)
+	}
+}
+
+// TestCloseDrainsAndReleases: with the only slot taken, Close fails
+// the client waiting for it with ErrClosed, returns only after the
+// admitted request has finished, and leaves the host unbound.
+func TestCloseDrainsAndReleases(t *testing.T) {
+	defer testutil.LeakCheck(t)()
+	s, gw := startGateway(t, core.GatewayOptions{Workers: 1})
+	defer s.Shutdown()
+	if _, err := s.Launch("appA", intent.Intent{}); err != nil {
+		t.Fatal(err)
+	}
+	entered, release := make(chan struct{}), make(chan struct{})
+	releaseAll := sync.OnceFunc(func() { close(release) })
+	defer releaseAll() // a failing test must not wedge Shutdown
+	gw.Pre(func(*gateway.RequestInfo) error {
+		close(entered) // only the admitted request gets this far
+		<-release
+		return nil
+	})
+	type result struct {
+		resp netstack.Response
+		err  error
+	}
+	get := func(out chan<- result) {
+		resp, err := s.GatewayRequest("u0:appA", "GET", "/v1/user_dictionary/words", nil)
+		out <- result{resp, err}
+	}
+	inflight, waiting := make(chan result, 1), make(chan result, 1)
+	go get(inflight)
+	<-entered
+	go get(waiting)
+	waitFor(t, "the second client waits for the slot", func() bool { return serving() == 2 })
+
+	closed := make(chan struct{})
+	go func() {
+		gw.Close()
+		close(closed)
+	}()
+	select {
+	case r := <-waiting:
+		if !errors.Is(r.err, gateway.ErrClosed) {
+			t.Fatalf("waiting client: %+v, want ErrClosed", r)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not release the client waiting for a slot")
+	}
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a request was in flight")
+	case <-time.After(20 * time.Millisecond):
+	}
+	releaseAll()
+	<-closed
+	if r := <-inflight; r.err != nil || r.resp.Status != 200 {
+		t.Fatalf("in-flight request: %d %v, want 200", r.resp.Status, r.err)
+	}
+	if _, err := s.GatewayRequest("u0:appA", "GET", "/v1/user_dictionary/words", nil); !errors.Is(err, netstack.ErrNoHost) {
+		t.Fatalf("request after Close: %v, want ErrNoHost", err)
+	}
+}
+
+// waitFor polls cond until it holds, failing the test after 5 s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting until %s", what)
+		}
+	}
+}
+
+// serving counts the requests inside the gateway, admitted or waiting
+// for a slot.
+func serving() int {
+	buf := make([]byte, 1<<20)
+	return strings.Count(string(buf[:runtime.Stack(buf, true)]), "gateway.(*Gateway).serve(")
+}
+
+// TestWorkersBoundsConcurrency: with Workers 2 and eight concurrent
+// clients, no more than two requests are ever served at once.
+func TestWorkersBoundsConcurrency(t *testing.T) {
+	defer testutil.LeakCheck(t)()
+	s, gw := startGateway(t, core.GatewayOptions{Workers: 2})
+	defer s.Shutdown()
+	if _, err := s.Launch("appA", intent.Intent{}); err != nil {
+		t.Fatal(err)
+	}
+	var (
+		mu        sync.Mutex
+		cur, peak int
+		release   = make(chan struct{})
+	)
+	releaseAll := sync.OnceFunc(func() { close(release) })
+	defer releaseAll() // a failing test must not wedge Shutdown
+	inHook := func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		return cur
+	}
+	gw.Pre(func(*gateway.RequestInfo) error {
+		mu.Lock()
+		cur++
+		peak = max(peak, cur)
+		mu.Unlock()
+		<-release
+		mu.Lock()
+		cur--
+		mu.Unlock()
+		return nil
+	})
+	errs := make(chan error, 8)
+	for i := 0; i < 8; i++ {
+		go func() {
+			resp, err := s.GatewayRequest("u0:appA", "GET", "/v1/user_dictionary/words", nil)
+			if err == nil && resp.Status != 200 {
+				err = fmt.Errorf("status %d %s", resp.Status, resp.Body)
+			}
+			errs <- err
+		}()
+	}
+	// Hold the admitted requests in the hook until every client is
+	// inside the gateway, then give a broken bound time to show.
+	waitFor(t, "eight requests are inside", func() bool { return serving() == 8 })
+	waitFor(t, "two requests are admitted", func() bool { return inHook() >= 2 })
+	time.Sleep(10 * time.Millisecond)
+	releaseAll()
+	for i := 0; i < 8; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if peak != 2 {
+		t.Fatalf("peak concurrent requests %d, want 2", peak)
 	}
 }

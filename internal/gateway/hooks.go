@@ -4,9 +4,6 @@ package gateway
 // after identity resolution and may veto the request with any error
 // (mapped through statusFor, so a hook can impose its own 403s);
 // post-hooks observe the final status and never affect the response.
-// Audit logging is a post-hook, not gateway plumbing.
-
-import "sync"
 
 // RequestInfo is the per-request record handed to hooks.
 type RequestInfo struct {
@@ -41,62 +38,4 @@ func (h *hookChain) runPost(info *RequestInfo, status int) {
 	for _, fn := range h.post {
 		fn(info, status)
 	}
-}
-
-// AuditEntry is one completed request in the audit log.
-type AuditEntry struct {
-	Method   string
-	Path     string
-	Identity string
-	Status   int
-}
-
-// AuditLog is a bounded in-memory audit sink: attach with
-// gw.Post(log.Record). The newest entries win once the bound is hit.
-type AuditLog struct {
-	mu      sync.Mutex
-	max     int
-	entries []AuditEntry
-	dropped int64
-}
-
-// NewAuditLog creates a log keeping at most max entries (default 4096).
-func NewAuditLog(max int) *AuditLog {
-	if max <= 0 {
-		max = 4096
-	}
-	return &AuditLog{max: max}
-}
-
-// Record is a PostHook appending the completed request.
-func (a *AuditLog) Record(info *RequestInfo, status int) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if len(a.entries) >= a.max {
-		copy(a.entries, a.entries[1:])
-		a.entries = a.entries[:len(a.entries)-1]
-		a.dropped++
-	}
-	a.entries = append(a.entries, AuditEntry{
-		Method:   info.Method,
-		Path:     info.Path,
-		Identity: info.Identity,
-		Status:   status,
-	})
-}
-
-// Entries returns a snapshot of the retained entries.
-func (a *AuditLog) Entries() []AuditEntry {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make([]AuditEntry, len(a.entries))
-	copy(out, a.entries)
-	return out
-}
-
-// Dropped reports how many entries the bound evicted.
-func (a *AuditLog) Dropped() int64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.dropped
 }

@@ -59,6 +59,10 @@ func TestParseRoute(t *testing.T) {
 		{"/v1/media/_schema", route{kind: routeSchema, authority: "media"}, true},
 		{"/v1/media/files/_explain", route{kind: routeExplain, authority: "media", table: "files"}, true},
 		{"/v1/_fs/sdcard/Download/a.bin", route{kind: routeFS}, true},
+		// Paths a pattern mux finds ambiguous between the provider
+		// routes and _fs: they are files.
+		{"/v1/_fs/_schema", route{kind: routeFS}, true},
+		{"/v1/_fs/a/_explain", route{kind: routeFS}, true},
 		{"/v1/_grant", route{kind: routeGrant}, true},
 		{"/v1/media/files?where=_id+%3D+%3F&arg=1", route{kind: routeTable, authority: "media", table: "files"}, true},
 		{"/", route{}, false},
@@ -94,6 +98,7 @@ func FuzzGatewayPath(f *testing.F) {
 		"/v1/media/files/_explain", "/v1/_fs/a/b", "/v1/_grant?uri=content://x/y",
 		"/v1/downloads/my_downloads?where=status+%3D+%3F&arg=200&order=_id",
 		"//v1//media//files//", "/v1/a/b/c/d", "/v1/%zz", "/v1/media/files/-9",
+		"/v1/_fs/_schema", "/v1/_fs/a/_explain",
 	} {
 		f.Add(seed)
 	}

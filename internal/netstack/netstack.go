@@ -97,6 +97,27 @@ func (n *Network) Register(host string, h Handler) {
 	n.hosts[host] = h
 }
 
+// Bind makes host reachable like Register, but fails when the host is
+// already taken: two servers must not silently steal each other's
+// traffic. unbind frees the host again; later calls do nothing, so a
+// repeated unbind cannot free a host someone else has bound since.
+func (n *Network) Bind(host string, h Handler) (unbind func(), err error) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if _, taken := n.hosts[host]; taken {
+		return nil, fmt.Errorf("netstack: host %s already registered", host)
+	}
+	n.hosts[host] = h
+	var once sync.Once
+	return func() {
+		once.Do(func() {
+			n.mu.Lock()
+			delete(n.hosts, host)
+			n.mu.Unlock()
+		})
+	}, nil
+}
+
 // Requests returns the total number of requests served, for asserting
 // in tests that confined apps generated no network traffic.
 func (n *Network) Requests() int64 {
