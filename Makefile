@@ -31,9 +31,9 @@ staticcheck:
 # The full gate: what CI runs on every push.
 check: build vet staticcheck test race fuzz
 
-# Short coverage-guided fuzzing smoke over the SQL front end. Each
-# target needs its own invocation: go test allows one -fuzz pattern
-# per run.
+# Short coverage-guided fuzzing smoke over the SQL front end, the WAL
+# decoders and the gateway's path parser and row encoder. Each target
+# needs its own invocation: go test allows one -fuzz pattern per run.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzTokenize -fuzztime 10s ./internal/sqldb
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/sqldb
@@ -42,6 +42,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzWALDecode -fuzztime 10s ./internal/wal
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotDecode -fuzztime 10s ./internal/wal
 	$(GO) test -run '^$$' -fuzz FuzzGatewayPath -fuzztime 10s ./internal/gateway
+	$(GO) test -run '^$$' -fuzz FuzzRowsResponse -fuzztime 10s ./internal/gateway
 
 # Deterministic fault-injection run: every engine, race detector on.
 # Same seed => same fault schedule, same verdict. The extra kill-engine

@@ -10,6 +10,7 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"net/url"
 	"testing"
 	"time"
 
@@ -162,6 +163,53 @@ func TestGatewayDifferentialRemoteVsLocal(t *testing.T) {
 	resp, _ = s.GatewayRequest(tokA, "GET", "/v1/media/files?order=_id", nil)
 	if want := remoteRows(t, local); string(resp.Body) != string(want) {
 		t.Fatalf("initiator remote/local diverge:\nremote: %s\nlocal:  %s", resp.Body, want)
+	}
+}
+
+// TestGatewayOrderLimitOverflow: a LIMIT near max int64 smuggled in
+// through order= must not crash the device. LIMIT
+// 9223372036854775807 OFFSET 1 used to overflow offset+limit in sqldb
+// and panic on the request goroutine; it is a 200 with rows 2…n, for an
+// initiator and for a delegate reading through its COW view.
+func TestGatewayOrderLimitOverflow(t *testing.T) {
+	defer testutil.LeakCheck(t)()
+	s := boot(t)
+	defer s.Shutdown()
+	installScript(t, s, "appA", ams.Manifest{})
+	installScript(t, s, "editor", ams.Manifest{Filters: viewFilter()})
+	ctxA, err := s.Launch("appA", intent.Intent{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctxD, err := s.LaunchAsDelegate("editor", "appA", intent.Intent{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.StartGateway(GatewayOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []string{"alpha", "beta", "gamma", "delta"} {
+		if _, err := ctxA.Resolver().Insert("content://user_dictionary/words", provider.Values{"word": w}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path := "/v1/user_dictionary/words?order=" + url.QueryEscape("_id LIMIT 9223372036854775807 OFFSET 1")
+	for _, ctx := range []*ams.Context{ctxA, ctxD} {
+		local, err := ctx.Resolver().Query("content://user_dictionary/words", nil, "", "_id")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(local.Data) != 4 {
+			t.Fatalf("%v sees %d words, want 4", ctx.Task(), len(local.Data))
+		}
+		resp, err := s.GatewayRequest(gateway.Token(ctx.Task()), "GET", path, nil)
+		if err != nil || resp.Status != 200 {
+			t.Fatalf("%v: %v %d %s", ctx.Task(), err, resp.Status, resp.Body)
+		}
+		want := remoteRows(t, &sqldb.Rows{Columns: local.Columns, Data: local.Data[1:]})
+		if string(resp.Body) != string(want) {
+			t.Fatalf("%v: LIMIT max OFFSET 1\nremote: %s\nwant:   %s", ctx.Task(), resp.Body, want)
+		}
 	}
 }
 

@@ -586,19 +586,118 @@ func decodeValues(body []byte) (provider.Values, error) {
 	return values, nil
 }
 
-// rowsResponse encodes a query result as {"columns": [...], "rows": [[...]]}.
+// rowsResponse encodes a query result as {"columns":[...],"rows":[[...]]},
+// appending into one buffer sized by rowsLen. The bytes are
+// encoding/json's for the {Columns, Rows} struct with nil columns or
+// rows sent as []; FuzzRowsResponse holds the two together.
 func rowsResponse(rows *sqldb.Rows) netstack.Response {
-	out := struct {
-		Columns []string        `json:"columns"`
-		Rows    [][]sqldb.Value `json:"rows"`
-	}{Columns: rows.Columns, Rows: rows.Data}
-	if out.Columns == nil {
-		out.Columns = []string{}
+	buf := make([]byte, 0, rowsLen(rows))
+	buf = append(buf, `{"columns":[`...)
+	for i, c := range rows.Columns {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = appendString(buf, c)
 	}
-	if out.Rows == nil {
-		out.Rows = [][]sqldb.Value{}
+	buf = append(buf, `],"rows":[`...)
+	var err error
+	for i, row := range rows.Data {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		if row == nil {
+			buf = append(buf, "null"...)
+			continue
+		}
+		buf = append(buf, '[')
+		for j, v := range row {
+			if j > 0 {
+				buf = append(buf, ',')
+			}
+			if buf, err = appendValue(buf, v); err != nil {
+				return encodeFailure()
+			}
+		}
+		buf = append(buf, ']')
 	}
-	return jsonResponse(200, out)
+	buf = append(buf, "]}"...)
+	return netstack.Response{Status: 200, Body: buf}
+}
+
+// rowsLen bounds the encoded length of rows when every value is
+// written inline; a value sent through json.Marshal is guessed at 24
+// bytes.
+func rowsLen(rows *sqldb.Rows) int {
+	n := len(`{"columns":[],"rows":[]}`)
+	for _, c := range rows.Columns {
+		n += len(c) + len(`"",`)
+	}
+	for _, row := range rows.Data {
+		if row == nil {
+			n += len("null,")
+			continue
+		}
+		n += len("[],")
+		for _, v := range row {
+			switch x := v.(type) {
+			case nil:
+				n += len("null,")
+			case int64:
+				n += intLen(x) + len(",")
+			case string:
+				n += len(x) + len(`"",`)
+			default:
+				n += 24
+			}
+		}
+	}
+	return n
+}
+
+// intLen is the number of bytes strconv.AppendInt writes for x.
+func intLen(x int64) int {
+	n, u := 1, uint64(x)
+	if x < 0 {
+		n, u = 2, -u
+	}
+	for ; u >= 10; u /= 10 {
+		n++
+	}
+	return n
+}
+
+// appendValue appends v's JSON encoding. Nil, int64 and plain strings
+// are written inline; any other value goes through json.Marshal alone,
+// so its bytes, and its errors (NaN, ±Inf), are encoding/json's.
+func appendValue(buf []byte, v sqldb.Value) ([]byte, error) {
+	switch x := v.(type) {
+	case nil:
+		return append(buf, "null"...), nil
+	case int64:
+		return strconv.AppendInt(buf, x, 10), nil
+	case string:
+		return appendString(buf, x), nil
+	}
+	b, err := json.Marshal(v)
+	if err != nil {
+		return nil, err
+	}
+	return append(buf, b...), nil
+}
+
+// appendString appends s as a JSON string. Printable ASCII other than
+// the characters encoding/json escapes (" \ < > &) is copied between
+// quotes; any other string goes through json.Marshal.
+func appendString(buf []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			b, _ := json.Marshal(s) // a string always marshals
+			return append(buf, b...)
+		}
+	}
+	buf = append(buf, '"')
+	buf = append(buf, s...)
+	return append(buf, '"')
 }
 
 // methodOf defaults an empty method to GET (netstack's plain fetches).

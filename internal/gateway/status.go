@@ -73,7 +73,12 @@ func errResponse(err error) netstack.Response {
 func jsonResponse(status int, v any) netstack.Response {
 	body, err := json.Marshal(v)
 	if err != nil {
-		return netstack.Response{Status: 500, Body: []byte(`{"error":"encode failure","code":"internal"}`)}
+		return encodeFailure()
 	}
 	return netstack.Response{Status: status, Body: body}
+}
+
+// encodeFailure is the response to a body that cannot be encoded.
+func encodeFailure() netstack.Response {
+	return netstack.Response{Status: 500, Body: []byte(`{"error":"encode failure","code":"internal"}`)}
 }

@@ -82,7 +82,13 @@ func (u URI) ID() (int64, bool) {
 	if len(u.Segments) == 0 {
 		return 0, false
 	}
-	n, err := strconv.ParseInt(u.Segments[len(u.Segments)-1], 10, 64)
+	last := u.Segments[len(u.Segments)-1]
+	// A table name never parses; skipping ParseInt spares the error it
+	// would allocate.
+	if last == "" || (last[0] != '-' && last[0] != '+' && (last[0] < '0' || last[0] > '9')) {
+		return 0, false
+	}
+	n, err := strconv.ParseInt(last, 10, 64)
 	if err != nil {
 		return 0, false
 	}

@@ -2,6 +2,7 @@ package provider
 
 import (
 	"errors"
+	"strconv"
 	"testing"
 
 	"maxoid/internal/binder"
@@ -58,6 +59,37 @@ func TestURIPathStripsTmpAndID(t *testing.T) {
 	u2 := u.WithID(99)
 	if id, ok := u2.ID(); !ok || id != 99 {
 		t.Errorf("WithID: %v", u2)
+	}
+}
+
+// TestURIID: ID answers as strconv.ParseInt on the last segment does,
+// including for segments it rejects without parsing.
+func TestURIID(t *testing.T) {
+	for _, tc := range []struct {
+		seg  string
+		id   int64
+		isID bool
+	}{
+		{"words", 0, false},
+		{"12", 12, true},
+		{"007", 7, true},
+		{"-5", -5, true},
+		{"+7", 7, true},
+		{"1e3", 0, false},
+		{"", 0, false},
+		{"99999999999999999999", 0, false},
+	} {
+		id, ok := URI{Authority: "a", Segments: []string{"words", tc.seg}}.ID()
+		if id != tc.id || ok != tc.isID {
+			t.Errorf("ID of %q = %d, %v; want %d, %v", tc.seg, id, ok, tc.id, tc.isID)
+		}
+		n, err := strconv.ParseInt(tc.seg, 10, 64)
+		if ok != (err == nil) || (ok && n != id) {
+			t.Errorf("ID of %q = %d, %v; ParseInt gives %d, %v", tc.seg, id, ok, n, err)
+		}
+	}
+	if id, ok := (URI{Authority: "a"}).ID(); id != 0 || ok {
+		t.Errorf("ID with no segments = %d, %v", id, ok)
 	}
 }
 

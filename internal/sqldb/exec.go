@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -993,13 +994,16 @@ func (ex *executor) orderAndLimit(sel *SelectStmt, out *Rows, sc *scope, srcCols
 			parent = srcScope
 		}
 		rowScope := ex.newScope(parent, bindings, nil)
-		keys := make([][]Value, len(out.Data))
+		// Every row's key sits in one statement-scoped array: row ri's
+		// key is keys[ri*nt:(ri+1)*nt].
+		nt := len(sel.OrderBy)
+		keys := ex.values(len(out.Data) * nt)
 		for ri, row := range out.Data {
 			if srcScope != nil {
 				srcScope.row = srcRows[ri]
 			}
 			rowScope.row = row
-			key := make([]Value, len(sel.OrderBy))
+			key := keys[ri*nt : (ri+1)*nt]
 			for ti, term := range sel.OrderBy {
 				// Integer literal means output column index (1-based).
 				if lit, ok := term.Expr.(*Lit); ok {
@@ -1014,7 +1018,6 @@ func (ex *executor) orderAndLimit(sel *SelectStmt, out *Rows, sc *scope, srcCols
 				}
 				key[ti] = v
 			}
-			keys[ri] = key
 		}
 		sortRowsByKeys(out.Data, keys, sel.OrderBy)
 	}
@@ -1039,7 +1042,9 @@ func (ex *executor) orderAndLimit(sel *SelectStmt, out *Rows, sc *scope, srcCols
 			offset = int64(len(out.Data))
 		}
 		end := int64(len(out.Data))
-		if limit >= 0 && offset+limit < end {
+		// limit < end-offset, not offset+limit < end: the sum overflows
+		// for LIMIT near max int64.
+		if limit >= 0 && limit < end-offset {
 			end = offset + limit
 		}
 		out.Data = out.Data[offset:end]
@@ -1047,67 +1052,31 @@ func (ex *executor) orderAndLimit(sel *SelectStmt, out *Rows, sc *scope, srcCols
 	return nil
 }
 
-// sortRowsByKeys stably sorts rows by precomputed keys.
-func sortRowsByKeys(rows [][]Value, keys [][]Value, terms []OrderTerm) {
+// sortRowsByKeys stably sorts rows by precomputed keys: row i's key
+// is keys[i*len(terms):(i+1)*len(terms)].
+func sortRowsByKeys(rows [][]Value, keys []Value, terms []OrderTerm) {
 	type pair struct {
 		row []Value
 		key []Value
 	}
+	nt := len(terms)
 	pairs := make([]pair, len(rows))
 	for i := range rows {
-		pairs[i] = pair{rows[i], keys[i]}
+		pairs[i] = pair{rows[i], keys[i*nt : (i+1)*nt]}
 	}
-	stableSort(pairs, func(a, b pair) bool {
-		for ti := range terms {
-			c := compare(a.key[ti], b.key[ti])
-			if c == 0 {
-				continue
+	slices.SortStableFunc(pairs, func(a, b pair) int {
+		for ti, term := range terms {
+			if c := compare(a.key[ti], b.key[ti]); c != 0 {
+				if term.Desc {
+					return -c
+				}
+				return c
 			}
-			if terms[ti].Desc {
-				return c > 0
-			}
-			return c < 0
 		}
-		return false
+		return 0
 	})
 	for i := range pairs {
 		rows[i] = pairs[i].row
-	}
-}
-
-// stableSort is insertion-sort-based merge sort; row counts here are
-// small enough that a dependency-free stable sort is fine.
-func stableSort[T any](s []T, less func(a, b T) bool) {
-	if len(s) < 2 {
-		return
-	}
-	mid := len(s) / 2
-	left := make([]T, mid)
-	right := make([]T, len(s)-mid)
-	copy(left, s[:mid])
-	copy(right, s[mid:])
-	stableSort(left, less)
-	stableSort(right, less)
-	i, j, k := 0, 0, 0
-	for i < len(left) && j < len(right) {
-		if less(right[j], left[i]) {
-			s[k] = right[j]
-			j++
-		} else {
-			s[k] = left[i]
-			i++
-		}
-		k++
-	}
-	for i < len(left) {
-		s[k] = left[i]
-		i++
-		k++
-	}
-	for j < len(right) {
-		s[k] = right[j]
-		j++
-		k++
 	}
 }
 
@@ -1332,23 +1301,29 @@ func (ex *executor) project(core *SelectCore, src relation, sc *scope) (relation
 	if err != nil {
 		return relation{}, err
 	}
-	out := relation{cols: outCols, rows: make([][]Value, 0, len(src.rows))}
+	// One backing array holds every projected row. Each row is a capped
+	// sub-slice of it, so an append to one row cannot write into the next.
+	n := len(exprs)
+	flat := make([]Value, len(src.rows)*n)
+	out := relation{cols: outCols, rows: make([][]Value, len(src.rows))}
+	for ri := range out.rows {
+		out.rows[ri] = flat[ri*n : (ri+1)*n : (ri+1)*n]
+	}
 	// Fast path: a projection of plain column references compiles to
 	// index copies, avoiding per-row scope lookups.
-	if idxs, ok := columnIndexes(exprs, src.cols, ex.intsBuf(len(exprs))); ok {
-		for _, row := range src.rows {
-			projected := make([]Value, len(idxs))
+	if idxs, ok := columnIndexes(exprs, src.cols, ex.intsBuf(n)); ok {
+		for ri, row := range src.rows {
+			projected := out.rows[ri]
 			for i, idx := range idxs {
 				projected[i] = row[idx]
 			}
-			out.rows = append(out.rows, projected)
 		}
 		return out, nil
 	}
 	rowScope := ex.newScope(sc, src.cols, nil)
-	for _, row := range src.rows {
+	for ri, row := range src.rows {
 		rowScope.row = row
-		projected := make([]Value, len(exprs))
+		projected := out.rows[ri]
 		for i, e := range exprs {
 			v, err := ex.eval(e, rowScope, nil)
 			if err != nil {
@@ -1356,7 +1331,6 @@ func (ex *executor) project(core *SelectCore, src relation, sc *scope) (relation
 			}
 			projected[i] = v
 		}
-		out.rows = append(out.rows, projected)
 	}
 	return out, nil
 }
