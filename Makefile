@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet staticcheck check fuzz chaos bench bench-index bench-load bench-durability bench-gateway advisor tables audit demo examples clean
+.PHONY: all build test race vet fmt staticcheck check fuzz chaos bench bench-index bench-load bench-durability bench-gateway advisor tables audit demo examples clean
 
 all: build test
 
@@ -18,6 +18,10 @@ race:
 vet:
 	$(GO) vet ./...
 
+# Formatting gate: fails, listing them, when gofmt would change files.
+fmt:
+	@files=$$(gofmt -l .); test -z "$$files" || { echo "gofmt would reformat:"; echo "$$files"; exit 1; }
+
 # Static analysis beyond vet. The tool is not vendored: run it when
 # installed (CI installs it), skip with a notice otherwise so local
 # `make check` works offline.
@@ -29,7 +33,7 @@ staticcheck:
 	fi
 
 # The full gate: what CI runs on every push.
-check: build vet staticcheck test race fuzz
+check: build fmt vet staticcheck test race fuzz
 
 # Short coverage-guided fuzzing smoke over the SQL front end, the WAL
 # decoders and the gateway's path parser and row encoder. Each target

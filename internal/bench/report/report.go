@@ -21,11 +21,11 @@ const Schema = 1
 
 // Machine describes the environment a report was measured on.
 type Machine struct {
-	GoVersion string `json:"go_version"`
-	GOOS      string `json:"goos"`
-	GOARCH    string `json:"goarch"`
-	NumCPU    int    `json:"num_cpu"`
-	GOMAXPROCS int   `json:"gomaxprocs"`
+	GoVersion  string `json:"go_version"`
+	GOOS       string `json:"goos"`
+	GOARCH     string `json:"goarch"`
+	NumCPU     int    `json:"num_cpu"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
 }
 
 // Metric is one named measurement. Value's meaning is given by Unit
@@ -152,7 +152,7 @@ func Load(path string) (*Report, error) {
 
 // Regression describes one gated metric's baseline comparison.
 type Regression struct {
-	Path     string  // "section/metric"
+	Path     string // "section/metric"
 	Baseline float64
 	Current  float64
 	Delta    float64 // fractional change, signed ((cur-base)/base)

@@ -3,11 +3,13 @@
 // The engine runs a seeded single-goroutine workload of filesystem
 // mutations and SQL batches over a durable environment (internal/wal
 // over MemStorage), with faults armed on the WAL's append, fsync, and
-// snapshot paths. Crashes come from three directions: spontaneous
-// seeded kills between operations, forced kills after an injected
-// fault poisons the log (fail-stop), and torn tails — the crash model
-// keeps a seeded prefix of each file's unsynced bytes, exactly the
-// freedom a real kernel has.
+// snapshot paths — including the window between a snapshot's rename
+// and the WAL truncation, where the forced crash finds a published
+// snapshot whose WAL still holds the records it carries. Crashes come
+// from three directions: spontaneous seeded kills between operations,
+// forced kills after an injected fault poisons the log (fail-stop),
+// and torn tails — the crash model keeps a seeded prefix of each
+// file's unsynced bytes, exactly the freedom a real kernel has.
 //
 // After every crash the engine reopens from snapshot+WAL and diffs the
 // recovered state row-for-row and file-for-file against a reference
@@ -84,6 +86,7 @@ func runRecover(seed int64, ops int, r *Report) {
 		fault.Spec{Point: "wal.append", Prob: 0.004, Op: fault.OpPartial},
 		fault.Spec{Point: "wal.fsync", Prob: 0.006},
 		fault.Spec{Point: "wal.snapshot", Prob: 0.15},
+		fault.Spec{Point: "wal.truncate", Prob: 0.15},
 	)
 
 	var tape []tapeOp
@@ -206,7 +209,7 @@ func runRecover(seed int64, ops int, r *Report) {
 				return
 			}
 			ensure()
-		case p < 0.08: // compact: snapshot + WAL reset
+		case p < 0.08: // compact: snapshot + WAL truncation
 			if err := env.Store.Snapshot(); err != nil && !isOneOf(err, recoverErrors) {
 				r.failf("op %d: snapshot: %v", r.Ops, err)
 			}

@@ -8,12 +8,15 @@
 //	   ↑______________________|
 //	         (Heal)
 //
-// healthy    all operations served.
-// degrading  transient faults observed; writes are being retried.
-// read-only  retries exhausted: reads and volatile operations keep
-//            serving, durable writes are rejected with ErrReadOnly
-//            until the store heals.
-// poisoned   permanent corruption: the store is fail-stop (terminal).
+// The states:
+//
+//   - healthy: all operations served.
+//   - degrading: transient faults observed; writes are being retried.
+//   - read-only: retries exhausted. Reads and volatile operations keep
+//     serving; durable writes are rejected with ErrReadOnly until the
+//     store heals.
+//   - poisoned: permanent corruption; the store is fail-stop
+//     (terminal).
 //
 // The state machine is monotone except for Heal: any state except
 // poisoned can return to healthy once faults clear, and nothing leaves

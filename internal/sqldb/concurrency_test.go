@@ -117,12 +117,13 @@ func TestStmtCacheLRUEviction(t *testing.T) {
 	}
 }
 
-// TestDumpUnitsConcurrentWithViewQueries: DumpUnits walks every view
-// definition to emit views in dependency order while queries plan and
-// execute the same view ASTs (merged plans share the views' FROM
-// references). The dependency walk must only read them; run under
+// TestImageConcurrentWithViewQueries: Image.Units walks every view
+// definition to emit views in dependency order — after Thaw, with no
+// lock held — while queries plan and execute the same view ASTs
+// (merged plans share the views' FROM references) and DDL replaces
+// catalog objects. The dependency walk must only read them; run under
 // -race, any write to a shared TableRef is reported.
-func TestDumpUnitsConcurrentWithViewQueries(t *testing.T) {
+func TestImageConcurrentWithViewQueries(t *testing.T) {
 	db := Open()
 	mustExec(t, db, "CREATE TABLE a (_id INTEGER PRIMARY KEY, v INTEGER)")
 	mustExec(t, db, "CREATE TABLE b (_id INTEGER PRIMARY KEY, v INTEGER)")
@@ -133,12 +134,18 @@ func TestDumpUnitsConcurrentWithViewQueries(t *testing.T) {
 
 	const rounds = 200
 	var wg sync.WaitGroup
-	errs := make(chan error, 3)
-	wg.Add(3)
+	errs := make(chan error, 4)
+	wg.Add(4)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < rounds; i++ {
-			if err := db.DumpUnits(func(JournalUnit) error { return nil }); err != nil {
+			if err := db.Freeze(); err != nil {
+				errs <- err
+				return
+			}
+			im := db.Image()
+			db.Thaw()
+			if err := im.Units(func(JournalUnit) error { return nil }); err != nil {
 				errs <- err
 				return
 			}
@@ -155,6 +162,23 @@ func TestDumpUnitsConcurrentWithViewQueries(t *testing.T) {
 			}
 		}(q)
 	}
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			for _, q := range []string{
+				"CREATE INDEX a_v ON a (v)",
+				"CREATE VIEW x AS SELECT _id FROM w",
+				"UPDATE a SET v = v + 1 WHERE _id = 2",
+				"DROP VIEW x",
+				"DROP INDEX a_v",
+			} {
+				if _, err := db.Exec(q); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}
+	}()
 	wg.Wait()
 	close(errs)
 	for err := range errs {

@@ -64,7 +64,7 @@ func SelectTables(sql string) ([]string, error) {
 // rewriteSelectTables renames every table/view reference of sel in
 // place. Only freshly parsed statements may be rewritten: catalog ASTs
 // are shared with concurrent planning and execution, so walks over
-// them (DumpUnits) must use walkSelectRefs read-only.
+// them (Image.Units) must use walkSelectRefs read-only.
 func rewriteSelectTables(sel *SelectStmt, rename func(string) string) {
 	walkSelectRefs(sel, func(ref *TableRef) {
 		orig := ref.Name
@@ -382,7 +382,7 @@ func writeLit(b *strings.Builder, v Value) {
 }
 
 // FormatStmt renders any statement node back to parseable SQL. The
-// snapshot dump (DumpUnits) uses it to serialize catalog objects —
+// checkpoint image (Image.Units) uses it to serialize catalog objects —
 // view definitions and trigger bodies round-trip through it.
 func FormatStmt(s Stmt) string {
 	var b strings.Builder
@@ -528,21 +528,21 @@ func writeColumnDef(b *strings.Builder, c *ColumnDef) {
 	}
 }
 
-// formatCreateTable renders a catalog table's schema (DumpUnits).
-func formatCreateTable(t *table) string {
+// formatCreateTable renders a catalog table's schema (Image.Units).
+func formatCreateTable(name string, cols []ColumnDef) string {
 	var b strings.Builder
-	b.WriteString("CREATE TABLE " + quoteIdent(t.name) + " (")
-	for i := range t.cols {
+	b.WriteString("CREATE TABLE " + quoteIdent(name) + " (")
+	for i := range cols {
 		if i > 0 {
 			b.WriteString(", ")
 		}
-		writeColumnDef(&b, &t.cols[i])
+		writeColumnDef(&b, &cols[i])
 	}
 	b.WriteString(")")
 	return b.String()
 }
 
-// formatCreateIndex renders a catalog index's definition (DumpUnits).
+// formatCreateIndex renders a catalog index's definition (Image.Units).
 func formatCreateIndex(ix *index) string {
 	var b strings.Builder
 	b.WriteString("CREATE INDEX " + quoteIdent(ix.name) + " ON " + quoteIdent(ix.table) + " (")
@@ -559,7 +559,7 @@ func formatCreateIndex(ix *index) string {
 	return b.String()
 }
 
-// formatCreateTrigger renders a catalog trigger (DumpUnits).
+// formatCreateTrigger renders a catalog trigger (Image.Units).
 func formatCreateTrigger(name, event, view string, body []Stmt) string {
 	var b strings.Builder
 	b.WriteString("CREATE TRIGGER " + quoteIdent(name) + " INSTEAD OF " + event + " ON " + quoteIdent(view) + " BEGIN ")

@@ -1,10 +1,6 @@
 package sqldb
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
+import "fmt"
 
 // Statement-level journaling: every mutating batch Exec runs emits
 // one JournalUnit through the attached Journal, while the batch still
@@ -231,19 +227,6 @@ type Counters struct {
 	NextIDs map[string]int64
 }
 
-// CounterState snapshots the ID allocators.
-func (db *DB) CounterState() Counters {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	cs := Counters{LastInsertID: db.lastID.Load(), NextIDs: make(map[string]int64, len(db.tables))}
-	for name, t := range db.tables {
-		t.mu.RLock()
-		cs.NextIDs[name] = t.nextID
-		t.mu.RUnlock()
-	}
-	return cs
-}
-
 // RestoreCounters reinstates snapshotted ID allocators; tables that no
 // longer exist are skipped.
 func (db *DB) RestoreCounters(cs Counters) {
@@ -257,152 +240,4 @@ func (db *DB) RestoreCounters(cs Counters) {
 			t.mu.Unlock()
 		}
 	}
-}
-
-// DumpUnits streams the whole database as replayable journal units —
-// the DB half of a snapshot. Schema first (tables, indexes, views in
-// dependency order, triggers), then rows as chunked parameterized
-// INSERTs preserving storage order, so replaying the units into an
-// empty database reproduces catalog and storage exactly. The caller
-// must be quiescent (no open transaction, snapshot-layer LSN check)
-// for the dump to be a consistent cut.
-func (db *DB) DumpUnits(emit func(u JournalUnit) error) error {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	if db.txn != nil {
-		return fmt.Errorf("sqldb: cannot dump with a transaction open")
-	}
-
-	tableNames := make([]string, 0, len(db.tables))
-	for k := range db.tables {
-		tableNames = append(tableNames, k)
-	}
-	sort.Strings(tableNames)
-
-	emitSQL := func(sql string) error { return emit(JournalUnit{SQL: sql, N: 1}) }
-
-	// Base tables and their secondary indexes.
-	for _, k := range tableNames {
-		t := db.tables[k]
-		if err := emitSQL(formatCreateTable(t)); err != nil {
-			return err
-		}
-		ixNames := make([]string, 0, len(t.indexes))
-		byIx := make(map[string]*index, len(t.indexes))
-		for _, ix := range t.indexes {
-			ixNames = append(ixNames, ix.name)
-			byIx[ix.name] = ix
-		}
-		sort.Strings(ixNames)
-		for _, n := range ixNames {
-			if err := emitSQL(formatCreateIndex(byIx[n])); err != nil {
-				return err
-			}
-		}
-	}
-
-	// Views in dependency order (a view may select from another view).
-	if err := db.dumpViews(emitSQL); err != nil {
-		return err
-	}
-
-	// Triggers.
-	trNames := make([]string, 0, len(db.byName))
-	for k := range db.byName {
-		trNames = append(trNames, k)
-	}
-	sort.Strings(trNames)
-	for _, k := range trNames {
-		tr := db.byName[k]
-		if err := emitSQL(formatCreateTrigger(tr.name, tr.event, tr.view, tr.body)); err != nil {
-			return err
-		}
-	}
-
-	// Rows, in storage order, as parameterized INSERTs (literals cannot
-	// represent blobs; parameters carry every value type exactly).
-	const chunk = 128
-	for _, k := range tableNames {
-		t := db.tables[k]
-		t.mu.RLock()
-		err := dumpRows(t, chunk, emit)
-		t.mu.RUnlock()
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (db *DB) dumpViews(emitSQL func(string) error) error {
-	viewNames := make([]string, 0, len(db.views))
-	for k := range db.views {
-		viewNames = append(viewNames, k)
-	}
-	sort.Strings(viewNames)
-	emitted := make(map[string]bool, len(viewNames))
-	var emitView func(k string) error
-	emitView = func(k string) error {
-		if emitted[k] {
-			return nil
-		}
-		emitted[k] = true
-		v := db.views[k]
-		// Dependencies first. The walk is read-only: v.def is shared
-		// with queries planning and executing concurrently.
-		var depErr error
-		walkSelectRefs(v.def, func(ref *TableRef) {
-			lk := strings.ToLower(ref.Name)
-			if _, ok := db.views[lk]; ok && lk != k && depErr == nil {
-				depErr = emitView(lk)
-			}
-		})
-		if depErr != nil {
-			return depErr
-		}
-		return emitSQL("CREATE VIEW " + quoteIdent(v.name) + " AS " + FormatSelect(v.def))
-	}
-	for _, k := range viewNames {
-		if err := emitView(k); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func dumpRows(t *table, chunk int, emit func(u JournalUnit) error) error {
-	if len(t.rows) == 0 {
-		return nil
-	}
-	var head strings.Builder
-	head.WriteString("INSERT INTO " + quoteIdent(t.name) + " (")
-	for i, c := range t.cols {
-		if i > 0 {
-			head.WriteString(", ")
-		}
-		head.WriteString(quoteIdent(c.Name))
-	}
-	head.WriteString(") VALUES ")
-	oneRow := "(" + strings.Repeat("?, ", len(t.cols)-1) + "?)"
-
-	for start := 0; start < len(t.rows); start += chunk {
-		end := start + chunk
-		if end > len(t.rows) {
-			end = len(t.rows)
-		}
-		var sql strings.Builder
-		sql.WriteString(head.String())
-		args := make([]Value, 0, (end-start)*len(t.cols))
-		for i := start; i < end; i++ {
-			if i > start {
-				sql.WriteString(", ")
-			}
-			sql.WriteString(oneRow)
-			args = append(args, t.rows[i]...)
-		}
-		if err := emit(JournalUnit{SQL: sql.String(), Args: args, N: 1}); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -53,18 +53,29 @@ type Record struct {
 
 // appendFrame encodes rec as a frame appended to buf.
 func appendFrame(buf []byte, rec Record) []byte {
-	plen := recHeaderSize + len(rec.Stream) + len(rec.Payload)
+	buf, start := beginFrame(buf, rec.LSN, rec.Stream)
+	buf = append(buf, rec.Payload...)
+	return endFrame(buf, start)
+}
+
+// beginFrame appends the head of a frame — length and CRC slots, LSN,
+// stream — and returns where the frame starts. The caller appends the
+// record bytes in place and seals the frame with endFrame, so a large
+// payload is never built apart from its frame.
+func beginFrame(buf []byte, lsn uint64, stream string) ([]byte, int) {
 	start := len(buf)
 	buf = append(buf, make([]byte, frameHeaderSize)...)
-	binary.LittleEndian.PutUint32(buf[start:], uint32(plen))
-	var lsn [8]byte
-	binary.LittleEndian.PutUint64(lsn[:], rec.LSN)
-	buf = append(buf, lsn[:]...)
-	buf = append(buf, byte(len(rec.Stream)))
-	buf = append(buf, rec.Stream...)
-	buf = append(buf, rec.Payload...)
-	crc := crc32.ChecksumIEEE(buf[start+frameHeaderSize:])
-	binary.LittleEndian.PutUint32(buf[start+4:], crc)
+	buf = binary.LittleEndian.AppendUint64(buf, lsn)
+	buf = append(buf, byte(len(stream)))
+	buf = append(buf, stream...)
+	return buf, start
+}
+
+// endFrame fills in the length and CRC of the frame begun at start.
+func endFrame(buf []byte, start int) []byte {
+	payload := buf[start+frameHeaderSize:]
+	binary.LittleEndian.PutUint32(buf[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[start+4:], crc32.ChecksumIEEE(payload))
 	return buf
 }
 

@@ -49,9 +49,9 @@ func FuzzWALDecode(f *testing.F) {
 
 // FuzzSnapshotDecode feeds arbitrary bytes through the scrubber's
 // snapshot verifier. Contract: never panic, accept a well-formed image
-// exactly (returning its header cut), and reject any input whose valid
-// frame prefix does not cover the whole file or whose first frame is
-// not the snap header.
+// exactly (returning its cut, the highest LSN it holds), and reject
+// any input whose valid frame prefix does not cover the whole file or
+// whose first frame is not the snap header.
 func FuzzSnapshotDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0})
@@ -65,6 +65,8 @@ func FuzzSnapshotDecode(f *testing.F) {
 	f.Add(bad)
 	noHdr := appendFrame(nil, Record{LSN: 1, Stream: "fs", Payload: []byte("not a header")})
 	f.Add(noHdr)
+	// A WAL frame carried past the image.
+	f.Add(appendFrame(append([]byte(nil), img...), Record{LSN: 8, Stream: "fs", Payload: []byte("carried")}))
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		cut, err := verifySnapshot(b)

@@ -13,9 +13,11 @@ import (
 
 // Fault points on the durability-critical paths (see internal/fault).
 // The permanent points model corruption: an append fault tears a frame
-// mid-write, an fsync fault loses the acknowledgment, a snapshot fault
-// aborts compaction before the atomic rename — all of which poison the
-// log (fail-stop) so no acknowledged write can ever land after a hole.
+// mid-write, an fsync fault loses the acknowledgment, a truncate fault
+// strikes between publishing a snapshot and truncating the log — all
+// of which poison the log (fail-stop) so no acknowledged write can
+// ever land after a hole. A snapshot fault aborts a checkpoint before
+// anything is published, leaving the old snapshot and the log intact.
 // The *.transient points model EIO/ENOSPC-style faults that may clear:
 // they perform no work and are absorbed by bounded retry; only
 // exhaustion drops the store to read-only (never poisons).
@@ -23,6 +25,7 @@ var (
 	faultAppend          = fault.Declare("wal.append", "WAL frame append: tear the frame with a partial write")
 	faultFsync           = fault.Declare("wal.fsync", "WAL group-commit fsync: fail before acknowledging")
 	faultSnapshot        = fault.Declare("wal.snapshot", "snapshot write: fail before the atomic rename publishes it")
+	faultTruncate        = fault.Declare("wal.truncate", "checkpoint: fail after the snapshot rename, before the WAL truncation")
 	faultAppendTransient = fault.Declare("wal.append.transient", "WAL frame append: transient EIO-style fault before any byte is written")
 	faultFsyncTransient  = fault.Declare("wal.fsync.transient", "WAL fsync: transient EIO-style fault; the fsync may be retried")
 )
@@ -54,6 +57,8 @@ type Log struct {
 	f        File
 	appended uint64 // last LSN appended
 	synced   uint64 // last LSN known durable
+	size     int64  // bytes of whole frames in f: where the next frame starts
+	lastFS   uint64 // LSN of the last record on the file-system stream
 	broken   error
 	buf      []byte
 
@@ -67,9 +72,10 @@ type Log struct {
 	ctrRejects *metrics.Counter
 }
 
-// newLog wraps an open file whose valid content ends at LSN last.
-func newLog(f File, last uint64, noCoalesce bool, reg *metrics.Registry, tr *health.Tracker) *Log {
-	l := &Log{f: f, appended: last, synced: last, noCoalesce: noCoalesce, tr: tr}
+// newLog wraps an open file whose valid content, size bytes long, ends
+// at LSN last.
+func newLog(f File, last uint64, size int64, noCoalesce bool, reg *metrics.Registry, tr *health.Tracker) *Log {
+	l := &Log{f: f, appended: last, synced: last, size: size, noCoalesce: noCoalesce, tr: tr}
 	if reg != nil {
 		l.histAppend = reg.Histogram("wal.append")
 		l.histFsync = reg.Histogram("wal.fsync")
@@ -151,6 +157,10 @@ func (l *Log) Append(stream string, payload []byte) (uint64, error) {
 		return 0, err
 	}
 	l.appended = lsn
+	l.size += int64(len(frame))
+	if stream == fsStream {
+		l.lastFS = lsn
+	}
 	if l.histAppend != nil {
 		l.histAppend.Observe(time.Since(start))
 	}
@@ -248,25 +258,78 @@ func (l *Log) Broken() error {
 	return l.broken
 }
 
-// swapFile atomically replaces the log's file with an empty one iff
-// the tail still sits at LSN cut (no append raced the caller's
-// snapshot). Returns whether the swap happened. LSNs keep counting
-// from cut — they are never reused, which is what lets recovery
-// filter WAL records against a snapshot's cut LSN.
-func (l *Log) swapFile(cut uint64, open func() (File, error)) (bool, error) {
+// end returns the last appended LSN and the byte offset where its
+// frame ends: a checkpoint's cut.
+func (l *Log) end() (uint64, int64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.broken != nil || l.appended != cut {
-		return false, l.broken
+	return l.appended, l.size
+}
+
+// lastFSLSN returns the LSN of the last file-system record appended.
+func (l *Log) lastFSLSN() uint64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.lastFS
+}
+
+// carry ends a checkpoint whose image, cut at byte offset from of the
+// log file, sits written and synced in snap (snapshot.tmp). Holding
+// syncMu, then mu — the order Sync takes them in, so no fsync runs on
+// a file being replaced — it appends to snap the frames the log gained
+// past from, syncs snap and renames it over the snapshot. Every
+// appended record is then durable in the snapshot, so the log file is
+// truncated in place and synced moves up to the last appended LSN,
+// which carry returns. LSNs keep counting from there: they are never
+// reused, which is what lets recovery skip the records a snapshot
+// carries. A failure before the rename leaves the log as it was; a
+// failure after it poisons the log (fail-stop), as the state of its
+// file is then unknown.
+func (l *Log) carry(st Storage, from int64, snap File) (uint64, error) {
+	l.syncMu.Lock()
+	defer l.syncMu.Unlock()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.broken != nil {
+		snap.Close()
+		return 0, l.broken
 	}
-	nf, err := open()
+	if l.size > from {
+		data, err := st.ReadFile(walFile)
+		if err == nil && int64(len(data)) < l.size {
+			err = fmt.Errorf("%w: log file holds %d bytes, %d were appended", ErrCorrupt, len(data), l.size)
+		}
+		if err == nil {
+			_, err = snap.Write(data[from:l.size])
+		}
+		if err == nil {
+			err = snap.Sync()
+		}
+		if err != nil {
+			snap.Close()
+			return 0, err
+		}
+	}
+	if err := snap.Close(); err != nil {
+		return 0, err
+	}
+	if err := st.Rename(snapTmpFile, snapFile); err != nil {
+		return 0, err
+	}
+	if err := fault.Hit(faultTruncate); err != nil {
+		l.poisonLocked(err)
+		return 0, err
+	}
+	f, err := st.Create(walFile)
 	if err != nil {
-		return false, err
+		l.poisonLocked(err)
+		return 0, err
 	}
 	l.f.Close()
-	l.f = nf
-	l.synced = cut
-	return true, nil
+	l.f = f
+	l.size = 0
+	l.synced = l.appended
+	return l.appended, nil
 }
 
 // close releases the log file. A poisoned log returns its poison error

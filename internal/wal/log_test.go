@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"maxoid/internal/health"
 )
@@ -83,7 +84,7 @@ func TestLogGroupCommit(t *testing.T) {
 	st := NewMemStorage()
 	inner, _ := st.Create(walFile)
 	f := &countingFile{File: inner}
-	l := newLog(f, 0, false, nil, health.NewTracker(health.Options{}))
+	l := newLog(f, 0, 0, false, nil, health.NewTracker(health.Options{}))
 
 	var last uint64
 	for i := 0; i < 10; i++ {
@@ -117,7 +118,7 @@ func TestLogGroupCommitConcurrent(t *testing.T) {
 	st := NewMemStorage()
 	inner, _ := st.Create(walFile)
 	f := &countingFile{File: inner}
-	l := newLog(f, 0, false, nil, health.NewTracker(health.Options{}))
+	l := newLog(f, 0, 0, false, nil, health.NewTracker(health.Options{}))
 
 	const writers, perWriter = 8, 25
 	var wg sync.WaitGroup
@@ -155,7 +156,7 @@ func TestLogNoCoalesce(t *testing.T) {
 	st := NewMemStorage()
 	inner, _ := st.Create(walFile)
 	f := &countingFile{File: inner}
-	l := newLog(f, 0, true, nil, health.NewTracker(health.Options{}))
+	l := newLog(f, 0, 0, true, nil, health.NewTracker(health.Options{}))
 	for i := 0; i < 5; i++ {
 		lsn, err := l.Append("fs", []byte{byte(i)})
 		if err != nil {
@@ -174,7 +175,7 @@ func TestLogPoison(t *testing.T) {
 	st := NewMemStorage()
 	inner, _ := st.Create(walFile)
 	f := &countingFile{File: inner}
-	l := newLog(f, 0, false, nil, health.NewTracker(health.Options{}))
+	l := newLog(f, 0, 0, false, nil, health.NewTracker(health.Options{}))
 
 	lsn, err := l.Append("fs", []byte("x"))
 	if err != nil {
@@ -196,4 +197,65 @@ func TestLogPoison(t *testing.T) {
 	if l.Broken() == nil {
 		t.Fatal("Broken() = nil on a poisoned log")
 	}
+}
+
+// slowSyncStorage hands out log files whose Sync takes a while and
+// touches no lock, as a real fsync does: the race detector then sees
+// every unsynchronized use of the Log's file.
+type slowSyncStorage struct{ *MemStorage }
+
+func (s slowSyncStorage) Create(name string) (File, error) {
+	f, err := s.MemStorage.Create(name)
+	if err != nil || name != walFile {
+		return f, err
+	}
+	return slowSyncFile{f}, nil
+}
+
+type slowSyncFile struct{ File }
+
+func (slowSyncFile) Sync() error {
+	time.Sleep(20 * time.Microsecond)
+	return nil
+}
+
+// TestSyncRacesCarry: a Sync leader fsyncs the log file outside mu,
+// holding only syncMu, so carry, which truncates and replaces that
+// file, must hold syncMu too. Under -race, an Append+Sync loop (every
+// Sync fsyncs) against a carry loop must report nothing, and no Sync
+// may fail.
+func TestSyncRacesCarry(t *testing.T) {
+	st := slowSyncStorage{NewMemStorage()}
+	f, _ := st.Create(walFile)
+	l := newLog(f, 0, 0, true, nil, health.NewTracker(health.Options{}))
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			snap, _ := st.Create(snapTmpFile)
+			_, from := l.end()
+			if _, err := l.carry(st, from, snap); err != nil {
+				t.Errorf("carry: %v", err)
+				return
+			}
+		}
+	}()
+	for i := 0; i < 500; i++ {
+		lsn, err := l.Append("fs", []byte{byte(i)})
+		if err == nil {
+			err = l.Sync(lsn)
+		}
+		if err != nil {
+			t.Fatalf("write %d: %v", i, err)
+		}
+	}
+	close(done)
+	wg.Wait()
 }

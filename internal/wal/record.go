@@ -340,9 +340,14 @@ func (r *reader) value() sqldb.Value {
 	return nil
 }
 
-// encodeDBUnit serializes a statement unit.
+// encodeDBUnit serializes a statement unit, sized for its fixed-width
+// fields and short values so the encoding seldom regrows.
 func encodeDBUnit(u sqldb.JournalUnit) ([]byte, error) {
-	b := []byte{dbUnit}
+	return appendDBUnit(make([]byte, 0, 14+len(u.SQL)+16*len(u.Args)), u)
+}
+
+// appendDBUnit appends a statement unit's encoding to b.
+func appendDBUnit(b []byte, u sqldb.JournalUnit) ([]byte, error) {
 	var flags byte
 	if u.Errored {
 		flags |= unitFlagErrored
@@ -350,7 +355,7 @@ func encodeDBUnit(u sqldb.JournalUnit) ([]byte, error) {
 	if u.Sync {
 		flags |= unitFlagSync
 	}
-	b = append(b, flags)
+	b = append(b, dbUnit, flags)
 	b = appendUint32(b, uint32(u.N))
 	b = appendString(b, u.SQL)
 	b = appendUint32(b, uint32(len(u.Args)))

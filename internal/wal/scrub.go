@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
-	"sort"
 	"sync"
 	"time"
 
@@ -28,14 +27,14 @@ func (l *Log) poison(err error) {
 	}
 }
 
-// verifySnapshot structurally validates a snapshot image without
-// applying it: every frame's length and CRC must check out, the first
-// frame must be the "snap" header carrying the cut LSN, and the frames
-// must cover the whole file (a snapshot is published by atomic rename,
-// so unlike the WAL it has no legitimate torn tail). It never panics
-// on arbitrary input (fuzzed by FuzzSnapshotDecode) and returns the
-// header's cut LSN on success.
-func verifySnapshot(data []byte) (cut uint64, err error) {
+// scanSnapshot decodes a snapshot image, handing apply (when non-nil)
+// every frame after the header, and returns the snapshot's cut: the
+// highest LSN among its frames — the header's for a snapshot that
+// carries no WAL tail. Every frame's length and CRC must check out,
+// the first frame must be the "snap" header, and the frames must cover
+// the whole file (a snapshot is published by atomic rename, so unlike
+// the WAL it has no legitimate torn tail).
+func scanSnapshot(data []byte, apply func(Record) error) (cut uint64, err error) {
 	first := true
 	n, serr := scanFrames(data, func(rec Record) error {
 		if first {
@@ -44,8 +43,13 @@ func verifySnapshot(data []byte) (cut uint64, err error) {
 				return fmt.Errorf("wal: snapshot missing header frame")
 			}
 			cut = binary.LittleEndian.Uint64(rec.Payload)
+			return nil
 		}
-		return nil
+		cut = max(cut, rec.LSN)
+		if apply == nil {
+			return nil
+		}
+		return apply(rec)
 	})
 	if serr != nil {
 		return 0, serr
@@ -56,13 +60,18 @@ func verifySnapshot(data []byte) (cut uint64, err error) {
 	return cut, nil
 }
 
+// verifySnapshot structurally validates a snapshot image without
+// applying it and returns its cut (scanSnapshot). It never panics on
+// arbitrary input (fuzzed by FuzzSnapshotDecode).
+func verifySnapshot(data []byte) (uint64, error) { return scanSnapshot(data, nil) }
+
 // ScrubOnce re-verifies on-disk integrity while serving: every
 // snapshot frame CRC, and that the WAL still holds every record the
 // store acknowledged as durable. Corruption poisons the store
 // (fail-stop — the disk lied about an acknowledged write); a transient
 // read fault only degrades it, to be retried next cycle. Runs under
-// snapMu so it never races a snapshot/heal swapping the WAL file out
-// from beneath the read.
+// snapMu so it never races a snapshot/heal truncating the WAL file
+// beneath the read.
 func (s *Store) ScrubOnce() error {
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
@@ -114,7 +123,7 @@ func (s *Store) ScrubOnce() error {
 		s.log.poison(fmt.Errorf("wal: scrub cannot read log: %v", err))
 		return s.log.Broken()
 	}
-	maxLSN := s.walBase // a swapped (empty) WAL file starts after the cut
+	maxLSN := s.walBase // a truncated (empty) WAL file starts after the snapshot
 	scanFrames(wal, func(rec Record) error {
 		if rec.LSN > maxLSN {
 			maxLSN = rec.LSN
@@ -133,11 +142,12 @@ func (s *Store) ScrubOnce() error {
 // read-only, operations that failed after mutating memory left the
 // in-memory state ahead of the log (none of them were acknowledged, so
 // no durability promise is at stake — but memory and log disagree).
-// Heal folds the current memory image into a fresh snapshot, publishes
-// it atomically, and swaps in an empty WAL, making memory and disk
-// agree again before accepting writes. Open transactions are aborted
-// first — their half-applied state cannot be dumped. A poisoned store
-// cannot heal; it returns ErrBroken.
+// Heal folds the current memory image into a snapshot through the
+// same path as Snapshot, which publishes it atomically and truncates
+// the WAL, making memory and disk agree again before accepting writes.
+// Open transactions are aborted first — their half-applied state
+// cannot be imaged. A poisoned store cannot heal; it returns
+// ErrBroken.
 //
 // Injection is suspended throughout: heal is a recovery path, and
 // re-injecting faults into recovery would make progress impossible to
@@ -159,41 +169,18 @@ func (s *Store) Heal() error {
 	fault.Suspend()
 	defer fault.Resume()
 
-	names := make([]string, 0, len(s.cfg.DBs))
-	for name := range s.cfg.DBs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range s.names {
 		// The rollback mutates memory only: the sqldb write gate admits
 		// pure-ROLLBACK batches read-only, and dbJournal skips logging
 		// them (recovery reproduces the abort from the orphaned BEGIN).
 		s.cfg.DBs[name].AbortOpenTxn()
 	}
 
-	// Appends are gated while read-only, so the tail cannot move under
-	// the dump; the recheck guards the invariant anyway.
-	cut := s.log.LastAppended()
-	buf, err := s.dump(cut)
-	if err != nil {
+	// Appends are gated while read-only, so the WAL gains no tail past
+	// the cut.
+	if err := s.checkpoint(); err != nil {
 		return err
 	}
-	if s.log.LastAppended() != cut {
-		return ErrBusy
-	}
-	if err := s.publish(buf); err != nil {
-		return err
-	}
-	swapped, err := s.log.swapFile(cut, func() (File, error) {
-		return s.cfg.Storage.Create(walFile)
-	})
-	if err != nil {
-		return err
-	}
-	if !swapped {
-		return ErrBusy
-	}
-	s.walBase = cut
 	if !s.tr.Heal() {
 		return s.log.Broken()
 	}

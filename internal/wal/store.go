@@ -20,12 +20,15 @@ import (
 // On-disk layout, inside one Storage namespace:
 //
 //	wal           append-only frame log (log.go); may end in a torn frame
-//	snapshot      compacted state: a "snap" header frame carrying the cut
-//	              LSN, then the full state as framed fs/db records
+//	snapshot      compacted state: a "snap" header frame carrying the
+//	              image's cut LSN, the full state at that cut as framed
+//	              fs/db records, then the WAL frames appended after the
+//	              cut, carried over unchanged
 //	snapshot.tmp  in-flight snapshot; removed at open, renamed on success
 //
 // Recovery applies the snapshot (if any), then every WAL record with
-// LSN greater than the snapshot's cut, then truncates the torn tail.
+// LSN greater than the highest LSN the snapshot holds, then truncates
+// the torn tail.
 const (
 	walFile     = "wal"
 	snapFile    = "snapshot"
@@ -37,11 +40,13 @@ const (
 )
 
 // ErrBusy reports a snapshot that could not get a consistent cut: a
-// transaction stayed open, or mutations kept racing the dump. The
-// caller retries later; the WAL alone still provides durability.
+// transaction was open, or file-system writes kept racing the walk of
+// the tree. The caller retries later; the WAL alone still provides
+// durability.
 var ErrBusy = errors.New("wal: snapshot deferred: state is busy")
 
-// snapshotRetries bounds the seqlock retry loop before giving up with
+// snapshotRetries bounds how many cuts a snapshot takes when
+// file-system writes race its walk of the tree, before giving up with
 // ErrBusy.
 const snapshotRetries = 8
 
@@ -58,8 +63,9 @@ type Config struct {
 	// baseline, not for production use).
 	NoCoalesce bool
 	// Metrics, when non-nil, receives wal.append / wal.fsync /
-	// wal.recover histograms, the wal.health gauge, and the
-	// wal.retries / wal.degraded.rejects counters.
+	// wal.recover / wal.snapshot / wal.snapshot.frozen histograms, the
+	// wal.health gauge, and the wal.retries / wal.degraded.rejects /
+	// wal.snapshot.busy counters.
 	Metrics *metrics.Registry
 	// MaxRetries bounds transient-fault retries on appends and fsyncs
 	// before the store drops to read-only. 0 = default (3).
@@ -77,11 +83,18 @@ type Config struct {
 // on Open.
 type Store struct {
 	cfg       Config
+	names     []string // cfg.DBs keys, sorted
 	log       *Log
 	tr        *health.Tracker
-	snapMu    sync.Mutex // one snapshot/heal/scrub at a time; guards walBase
-	walBase   uint64     // LSN the current WAL file starts after (last swap cut)
-	recovered uint64     // LSN recovered state corresponds to at Open
+	recovered uint64 // LSN recovered state corresponds to at Open
+
+	snapMu    sync.Mutex // one snapshot/heal/scrub at a time; guards walBase, imageSize
+	walBase   uint64     // LSN the current WAL file starts after (last truncation)
+	imageSize int        // bytes of the last snapshot image, to size the next
+
+	histSnapshot *metrics.Histogram // successful Snapshot calls
+	histFrozen   *metrics.Histogram // how long each cut held the writers off
+	ctrBusy      *metrics.Counter   // Snapshot calls that returned ErrBusy
 }
 
 // Open recovers state from the snapshot and WAL in cfg.Storage into
@@ -122,7 +135,12 @@ func Open(cfg Config) (*Store, error) {
 		f.Close()
 		return nil, err
 	}
-	s := &Store{cfg: cfg, recovered: last, walBase: cut}
+	names := make([]string, 0, len(cfg.DBs))
+	for name := range cfg.DBs {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	s := &Store{cfg: cfg, names: names, recovered: last, walBase: cut}
 	topts := health.Options{
 		MaxRetries:   cfg.MaxRetries,
 		RetryBackoff: cfg.RetryBackoff,
@@ -134,20 +152,18 @@ func Open(cfg Config) (*Store, error) {
 		topts.OnTransition = func(_, to health.State) { gauge.Set(int64(to)) }
 		retries := cfg.Metrics.Counter("wal.retries")
 		topts.OnRetry = func(int, error) { retries.Inc() }
+		s.histSnapshot = cfg.Metrics.Histogram("wal.snapshot")
+		s.histFrozen = cfg.Metrics.Histogram("wal.snapshot.frozen")
+		s.ctrBusy = cfg.Metrics.Counter("wal.snapshot.busy")
 	}
 	s.tr = health.NewTracker(topts)
-	s.log = newLog(f, last, cfg.NoCoalesce, cfg.Metrics, s.tr)
+	s.log = newLog(f, last, int64(validLen), cfg.NoCoalesce, cfg.Metrics, s.tr)
 
 	// A transaction the WAL left open never committed: roll it back —
 	// and journal the rollback, so the next recovery's replay closes
 	// the transaction at the same point instead of folding whatever
 	// comes after the orphaned BEGIN into it. Without this record the
 	// WAL is not a replayable history.
-	names := make([]string, 0, len(cfg.DBs))
-	for name := range cfg.DBs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
 	for _, name := range names {
 		if !cfg.DBs[name].AbortOpenTxn() {
 			continue
@@ -179,10 +195,11 @@ func Open(cfg Config) (*Store, error) {
 	return s, nil
 }
 
-// recoverSnapshot applies the snapshot file if present and returns its
-// cut LSN. Unlike the WAL, a snapshot is published by atomic rename
-// and must be perfect: any decode failure is corruption, not a torn
-// tail.
+// recoverSnapshot applies the snapshot file if present and returns
+// its cut: the highest LSN among its frames, so WAL replay skips the
+// records the snapshot carries. Unlike the WAL, a snapshot is
+// published by atomic rename and must be perfect: any decode failure
+// is corruption, not a torn tail.
 func recoverSnapshot(cfg *Config) (uint64, error) {
 	data, err := cfg.Storage.ReadFile(snapFile)
 	if err != nil {
@@ -191,26 +208,7 @@ func recoverSnapshot(cfg *Config) (uint64, error) {
 		}
 		return 0, err
 	}
-	var cut uint64
-	first := true
-	n, serr := scanFrames(data, func(rec Record) error {
-		if first {
-			first = false
-			if rec.Stream != snapStream || len(rec.Payload) != 8 {
-				return fmt.Errorf("wal: snapshot missing header frame")
-			}
-			cut = binary.LittleEndian.Uint64(rec.Payload)
-			return nil
-		}
-		return applyRecord(cfg, rec)
-	})
-	if serr != nil {
-		return 0, serr
-	}
-	if first || n != len(data) {
-		return 0, fmt.Errorf("%w: snapshot truncated at byte %d of %d", ErrCorrupt, n, len(data))
-	}
-	return cut, nil
+	return scanSnapshot(data, func(rec Record) error { return applyRecord(cfg, rec) })
 }
 
 // recoverWAL replays every record past cut from the valid WAL prefix,
@@ -307,12 +305,25 @@ func (s *Store) Close() error {
 	return s.log.close()
 }
 
-// Snapshot writes a compacted snapshot of the full state and, when no
-// append raced it, resets the WAL. Consistency is optimistic: the dump
-// runs without blocking writers, and if the tail LSN moved while it
-// ran, the dump was not a consistent cut and is retried (a seqlock).
-// Journaled mutations are exactly the ones that move the tail, so an
-// unchanged LSN proves an unchanged state.
+// Snapshot checkpoints the store: it publishes a snapshot of the full
+// state and truncates the WAL, without stopping writers for longer
+// than a copy. One cut serves every stream:
+//
+//   - Every database is frozen (writers wait, readers run) while the
+//     cut LSN is read from the log and the rows are copied; no
+//     database batch can append while all are frozen, so every
+//     database is cut at the same LSN.
+//   - The file system is walked optimistically after the thaw. The
+//     walk is valid iff no file-system record past the cut was
+//     appended before it finished; otherwise the cut is retaken.
+//   - The image is encoded with writers running and written to
+//     snapshot.tmp, then published with the WAL frames appended since
+//     the cut carried inside it (Log.carry), so the WAL is truncated
+//     on every successful checkpoint.
+//
+// Snapshot returns ErrBusy while a transaction is open, or when
+// file-system writes raced snapshotRetries walks in a row; the WAL
+// alone still provides durability then. It is durable on return.
 func (s *Store) Snapshot() error {
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
@@ -322,80 +333,96 @@ func (s *Store) Snapshot() error {
 	if err := s.WriteGate(); err != nil {
 		return err
 	}
+	start := time.Now()
+	err := s.checkpoint()
+	switch {
+	case err == nil && s.histSnapshot != nil:
+		s.histSnapshot.Observe(time.Since(start))
+	case errors.Is(err, ErrBusy) && s.ctrBusy != nil:
+		s.ctrBusy.Inc()
+	}
+	return err
+}
+
+// checkpoint takes a consistent cut, encodes it and publishes it.
+// Caller holds snapMu.
+func (s *Store) checkpoint() error {
 	for attempt := 0; attempt < snapshotRetries; attempt++ {
-		if err := s.log.Broken(); err != nil {
-			return err
-		}
-		cut := s.log.LastAppended()
-		buf, err := s.dump(cut)
+		cut, from, images, err := s.cutImages()
 		if err != nil {
 			return err
 		}
-		if s.log.LastAppended() != cut {
-			continue // a writer raced the dump; the cut is inconsistent
+		var hdr [8]byte
+		binary.LittleEndian.PutUint64(hdr[:], cut)
+		buf := make([]byte, 0, s.imageSize+s.imageSize/8)
+		buf = appendFrame(buf, Record{LSN: cut, Stream: snapStream, Payload: hdr[:]})
+		if s.cfg.FS != nil {
+			if buf, err = dumpFS(buf, s.cfg.FS, cut); err != nil {
+				return err
+			}
+			if s.log.lastFSLSN() > cut {
+				continue // a file-system write raced the walk
+			}
 		}
-		if err := s.publish(buf); err != nil {
-			return err
+		for i, name := range s.names {
+			if buf, err = appendDBImage(buf, dbPrefix+name, cut, images[i]); err != nil {
+				return err
+			}
 		}
-		// Opportunistic WAL reset: only safe if still nothing appended
-		// past the cut. Skipping it is correct — recovery filters WAL
-		// records at or below the snapshot's cut LSN.
-		swapped, err := s.log.swapFile(cut, func() (File, error) {
-			return s.cfg.Storage.Create(walFile)
-		})
-		if swapped {
-			s.walBase = cut
-		}
-		return err
+		s.imageSize = len(buf)
+		return s.publish(buf, from)
 	}
 	return ErrBusy
 }
 
-// dump serializes the full state as a framed snapshot image cut at
-// LSN cut.
-func (s *Store) dump(cut uint64) ([]byte, error) {
-	var hdr [8]byte
-	binary.LittleEndian.PutUint64(hdr[:], cut)
-	buf := appendFrame(nil, Record{LSN: cut, Stream: snapStream, Payload: hdr[:]})
-
-	if s.cfg.FS != nil {
-		var err error
-		buf, err = dumpFS(buf, s.cfg.FS, cut)
-		if err != nil {
-			return nil, err
+// cutImages freezes every database in name order, reads the cut LSN
+// and the byte offset where its frame ends from the log, then copies
+// each database's image and thaws it. An open transaction makes it
+// ErrBusy.
+func (s *Store) cutImages() (uint64, int64, []*sqldb.Image, error) {
+	start := time.Now()
+	for i, name := range s.names {
+		if err := s.cfg.DBs[name].Freeze(); err != nil {
+			for _, frozen := range s.names[:i] {
+				s.cfg.DBs[frozen].Thaw()
+			}
+			if errors.Is(err, sqldb.ErrTxnOpen) {
+				return 0, 0, nil, ErrBusy
+			}
+			return 0, 0, nil, err
 		}
 	}
-
-	names := make([]string, 0, len(s.cfg.DBs))
-	for name := range s.cfg.DBs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	cut, from := s.log.end()
+	images := make([]*sqldb.Image, len(s.names))
+	for i, name := range s.names {
 		db := s.cfg.DBs[name]
-		if db.InTxn() {
-			return nil, ErrBusy
-		}
-		stream := dbPrefix + name
-		err := db.DumpUnits(func(u sqldb.JournalUnit) error {
-			payload, err := encodeDBUnit(u)
-			if err != nil {
-				return err
-			}
-			buf = appendFrame(buf, Record{LSN: cut, Stream: stream, Payload: payload})
-			return nil
-		})
-		if err != nil {
-			if strings.Contains(err.Error(), "transaction open") {
-				return nil, ErrBusy
-			}
-			return nil, err
-		}
-		// ID allocators last: row replay rebuilds them except for
-		// high-water marks left by deleted rows.
-		buf = appendFrame(buf, Record{LSN: cut, Stream: stream, Payload: encodeDBCounters(db.CounterState())})
+		images[i] = db.Image()
+		db.Thaw()
 	}
-	return buf, nil
+	if s.histFrozen != nil {
+		s.histFrozen.Observe(time.Since(start))
+	}
+	return cut, from, images, nil
+}
+
+// appendDBImage frames one database image: its units, then its ID
+// allocators, which row replay rebuilds except for high-water marks
+// left by deleted rows.
+func appendDBImage(buf []byte, stream string, cut uint64, im *sqldb.Image) ([]byte, error) {
+	err := im.Units(func(u sqldb.JournalUnit) error {
+		var start int
+		var err error
+		buf, start = beginFrame(buf, cut, stream)
+		if buf, err = appendDBUnit(buf, u); err != nil {
+			return err
+		}
+		buf = endFrame(buf, start)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return appendFrame(buf, Record{LSN: cut, Stream: stream, Payload: encodeDBCounters(im.Counters())}), nil
 }
 
 // dumpFS walks the tree in lexical order (parents before children)
@@ -428,12 +455,14 @@ func dumpFS(buf []byte, fsys *vfs.FS, cut uint64) ([]byte, error) {
 	return buf, nil
 }
 
-// publish writes the snapshot image to snapshot.tmp, syncs it, and
-// atomically renames it over the previous snapshot. A failure (the
-// wal.snapshot fault point fires before the bytes are written) leaves
-// the old snapshot intact; the orphan tmp file is removed at next
-// Open.
-func (s *Store) publish(buf []byte) error {
+// publish writes the snapshot image, cut at byte offset from of the
+// WAL, to snapshot.tmp and syncs it while writers run, then hands it
+// to Log.carry, which appends the WAL tail, renames it over the
+// previous snapshot and truncates the WAL. A failure before the rename
+// (the wal.snapshot fault point fires before the bytes are written)
+// leaves the old snapshot intact; the orphan tmp file is removed at
+// next Open.
+func (s *Store) publish(img []byte, from int64) error {
 	f, err := s.cfg.Storage.Create(snapTmpFile)
 	if err != nil {
 		return err
@@ -443,7 +472,7 @@ func (s *Store) publish(buf []byte) error {
 		s.cfg.Storage.Remove(snapTmpFile)
 		return err
 	}
-	if _, err := f.Write(buf); err != nil {
+	if _, err := f.Write(img); err != nil {
 		f.Close()
 		return err
 	}
@@ -451,10 +480,12 @@ func (s *Store) publish(buf []byte) error {
 		f.Close()
 		return err
 	}
-	if err := f.Close(); err != nil {
+	base, err := s.log.carry(s.cfg.Storage, from, f)
+	if err != nil {
 		return err
 	}
-	return s.cfg.Storage.Rename(snapTmpFile, snapFile)
+	s.walBase = base
+	return nil
 }
 
 // --- journal adapters ---
