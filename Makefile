@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt staticcheck check fuzz chaos bench bench-index bench-load bench-durability bench-gateway advisor tables audit demo examples clean
+.PHONY: all build test race vet fmt staticcheck check fuzz chaos bench bench-index bench-load advisor tables audit demo examples clean
 
 all: build test
 
@@ -82,20 +82,6 @@ bench-index:
 # BENCH_PR7.json in place for the CI artifact.
 bench-load:
 	$(GO) run ./cmd/maxoid-loadbench -instances 10000 -baseline BENCH_PR7.json -out BENCH_PR7.json
-
-# Durability cost benchmark: the same concurrent insert workload
-# against a volatile database, a WAL with group commit, and a WAL
-# forced to one fsync per statement. Refreshes the BENCH_PR8.json
-# artifact.
-bench-durability:
-	$(GO) run ./cmd/maxoid-loadbench -durability BENCH_PR8.json -workers 32
-
-# Remote-gateway fleet benchmark: req/sec for a single device vs a
-# 1000-device fleet syncing through one shared backend, plus the
-# admission-control overload run (100% typed 429/503, in-flight
-# drains to 0). Refreshes the BENCH_PR10.json artifact.
-bench-gateway:
-	$(GO) run ./cmd/maxoid-gateway -bench -devices 1000 -out BENCH_PR10.json
 
 # Workload-driven index advisor on the Media/Downloads providers.
 advisor:

@@ -1,51 +1,24 @@
 // Command maxoid-gateway exercises the schema-reflected remote
 // gateway (internal/gateway) end to end.
 //
-// Demo mode (default) boots a device, installs a sample app plus a
-// delegate editor, starts the gateway on the simulated network, and
-// replays a curl-style session — schema introspection, CRUD through
-// the delegate's COW view, the confinement counter-probe, and the
-// typed error surface — printing each request/response pair.
-//
-// Bench mode measures the fleet:
-//
-//	maxoid-gateway -bench [-devices 1000] [-ops N] [-out BENCH_PR10.json]
-//
-// Three scenarios are recorded: a single device, the full fleet
-// syncing Downloads/Media through one shared backend, and an overload
-// run under AMS admission control where every response must be a 2xx
-// or a typed 429/503 with Retry-After, with in-flight draining to 0.
+// It boots a device, installs a sample app plus a delegate editor,
+// starts the gateway on the simulated network, and replays a
+// curl-style session — schema introspection, CRUD through the
+// delegate's COW view, the confinement counter-probe, and the typed
+// error surface — printing each request/response pair.
 package main
 
 import (
-	"flag"
 	"fmt"
 	"log"
 
 	"maxoid/internal/ams"
-	"maxoid/internal/bench/report"
 	"maxoid/internal/core"
 	"maxoid/internal/gateway"
 	"maxoid/internal/intent"
-	"maxoid/internal/load"
-	"maxoid/internal/metrics"
 )
 
 func main() {
-	var (
-		bench   = flag.Bool("bench", false, "run the fleet benchmark instead of the demo")
-		devices = flag.Int("devices", 1000, "bench: fleet size (device identities)")
-		ops     = flag.Int("ops", 0, "bench: requests per scenario (0 = 4x devices, min 2000)")
-		workers = flag.Int("workers", 8, "bench: concurrent clients")
-		out     = flag.String("out", "BENCH_PR10.json", "bench: report output path")
-	)
-	flag.Parse()
-	if *bench {
-		if err := runBench(*devices, *ops, *workers, *out); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
 	if err := runDemo(); err != nil {
 		log.Fatal(err)
 	}
@@ -126,114 +99,4 @@ func truncate(b []byte, n int) string {
 		return string(b)
 	}
 	return string(b[:n]) + "…"
-}
-
-func runBench(devices, ops, workers int, out string) error {
-	if ops <= 0 {
-		ops = 4 * devices
-		if ops < 2000 {
-			ops = 2000
-		}
-	}
-	rep := report.New("maxoid-gateway")
-	rep.Command = fmt.Sprintf("maxoid-gateway -bench -devices %d -ops %d -workers %d", devices, ops, workers)
-
-	if _, err := runFleet(rep, "single_device", 1, ops, workers); err != nil {
-		return fmt.Errorf("single_device: %w", err)
-	}
-	fleet, err := runFleet(rep, "fleet", devices, ops, workers)
-	if err != nil {
-		return fmt.Errorf("fleet: %w", err)
-	}
-	if err := runGatewayOverload(rep, workers); err != nil {
-		return fmt.Errorf("overload: %w", err)
-	}
-
-	if err := rep.WriteFile(out); err != nil {
-		return fmt.Errorf("write %s: %v", out, err)
-	}
-	fmt.Printf("\nfleet of %d devices: %.0f req/s through one shared backend — report written to %s\n",
-		fleet.Devices, fleet.Throughput, out)
-	return nil
-}
-
-// runFleet executes one gateway throughput pass and records its section.
-func runFleet(rep *report.Report, name string, devices, ops, workers int) (*load.GatewayResult, error) {
-	eng, err := load.NewGatewayEngine(devices)
-	if err != nil {
-		return nil, err
-	}
-	defer eng.Close()
-	res, err := eng.Run(load.GatewayOptions{
-		Ops: ops, Workers: workers, WritePermille: 250, Registry: metrics.NewRegistry(),
-	})
-	if err != nil {
-		return nil, err
-	}
-	if res.Served != res.Issued {
-		return nil, fmt.Errorf("%d/%d requests served", res.Served, res.Issued)
-	}
-	sec := rep.Section(name)
-	sec.Params = map[string]float64{
-		"devices": float64(res.Devices),
-		"workers": float64(res.Workers),
-		"ops":     float64(res.Issued),
-	}
-	sec.Add("throughput", "req/s", res.Throughput)
-	addLatency(sec, "request_latency", res.Latency)
-	fmt.Printf("%-14s %8d req  %10.0f req/s  p50 %-9v p99 %-9v p999 %v\n",
-		name, res.Issued, res.Throughput, res.Latency.P50(), res.Latency.P99(), res.Latency.P999())
-	return res, nil
-}
-
-// runGatewayOverload floods a tiny admission budget through the
-// gateway: the acceptance gate is 100% typed 429/503 responses for
-// everything not served, and the in-flight gauge draining to 0.
-func runGatewayOverload(rep *report.Report, workers int) error {
-	eng, err := load.NewGatewayEngine(32)
-	if err != nil {
-		return err
-	}
-	defer eng.Close()
-	res, err := eng.Run(load.GatewayOptions{
-		Ops: 2000, Workers: workers * 2, WritePermille: 1000,
-		Registry:  metrics.NewRegistry(),
-		Admission: &ams.AdmissionConfig{PerAppRate: 50, PerAppBurst: 2, MaxInFlight: 8},
-	})
-	if err != nil {
-		return err
-	}
-	if res.Untyped != 0 {
-		return fmt.Errorf("%d responses were not typed 2xx/429/503", res.Untyped)
-	}
-	if res.Rejected429 == 0 {
-		return fmt.Errorf("overload produced no 429s (served %d)", res.Served)
-	}
-	if res.InFlightEnd != 0 {
-		return fmt.Errorf("admission leaked %d in-flight slots", res.InFlightEnd)
-	}
-	typed := float64(res.Served+res.Rejected429+res.Degraded503) / float64(res.Issued)
-	sec := rep.Section("overload")
-	sec.Params = map[string]float64{
-		"devices":       float64(res.Devices),
-		"per_app_rate":  50,
-		"per_app_burst": 2,
-		"max_in_flight": 8,
-	}
-	sec.Add("served", "count", float64(res.Served))
-	sec.Add("rejected_429", "count", float64(res.Rejected429))
-	sec.Add("degraded_503", "count", float64(res.Degraded503))
-	sec.Add("typed_response_fraction", "ratio", typed)
-	sec.Add("inflight_after_drain", "count", float64(res.InFlightEnd))
-	addLatency(sec, "request_latency", res.Latency)
-	fmt.Printf("%-14s %8d served, %d×429 %d×503 (100%% typed)  in-flight after drain: %d\n",
-		"overload", res.Served, res.Rejected429, res.Degraded503, res.InFlightEnd)
-	return nil
-}
-
-func addLatency(sec *report.Section, name string, s metrics.Snapshot) {
-	m := sec.Add(name, "ns/op", float64(s.Mean()))
-	m.P50 = float64(s.P50())
-	m.P99 = float64(s.P99())
-	m.P999 = float64(s.P999())
 }

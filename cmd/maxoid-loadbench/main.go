@@ -34,19 +34,10 @@ func main() {
 		out       = flag.String("out", "BENCH_PR7.json", "report output path")
 		baseline  = flag.String("baseline", "", "baseline report to gate against (empty = no gate)")
 		tolerance = flag.Float64("tolerance", 0.10, "allowed fractional throughput drop vs baseline")
-		durOut    = flag.String("durability", "", "run the durability benchmark (volatile vs WAL group commit vs per-op fsync) and write its report to this path, skipping the fleet scenarios")
-		durOps    = flag.Int("durops", 20000, "durability benchmark: total inserts per mode")
 	)
 	flag.Parse()
 	if *ops <= 0 {
 		*ops = 4 * *instances
-	}
-
-	if *durOut != "" {
-		if err := runDurability(*durOut, *workers, *durOps); err != nil {
-			log.Fatalf("durability: %v", err)
-		}
-		return
 	}
 
 	// The baseline is loaded before the run so -out may overwrite the

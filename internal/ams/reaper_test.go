@@ -2,6 +2,7 @@ package ams
 
 import (
 	"errors"
+	"sync"
 	"testing"
 
 	"maxoid/internal/binder"
@@ -12,6 +13,24 @@ import (
 	"maxoid/internal/zygote"
 )
 
+// recordDeaths watches k's deaths and returns a lookup of the reason
+// each PID died with; ok is false for a PID whose death it never saw.
+func recordDeaths(k *kernel.Kernel) func(pid int) (kernel.DeathReason, bool) {
+	var mu sync.Mutex
+	reasons := map[int]kernel.DeathReason{}
+	k.WatchDeaths(func(ev kernel.DeathEvent) {
+		mu.Lock()
+		defer mu.Unlock()
+		reasons[ev.PID] = ev.Reason
+	})
+	return func(pid int) (kernel.DeathReason, bool) {
+		mu.Lock()
+		defer mu.Unlock()
+		reason, ok := reasons[pid]
+		return reason, ok
+	}
+}
+
 // TestConflictKillReclaimsResources covers the kill-on-conflict path
 // (§6.2) end to end: when starting B^A kills the normal instance of B,
 // the reaper must tear down everything the dead instance held — kernel
@@ -19,6 +38,7 @@ import (
 // record the death as a conflict.
 func TestConflictKillReclaimsResources(t *testing.T) {
 	m := newManager(t)
+	deathReason := recordDeaths(m.kern)
 	install(t, m, &testApp{pkg: "viewer"}, viewerManifest("viewer"))
 	install(t, m, &testApp{pkg: "email"}, Manifest{Package: "email"})
 
@@ -61,7 +81,7 @@ func TestConflictKillReclaimsResources(t *testing.T) {
 	if _, ok := m.kern.Process(victimPID); ok {
 		t.Fatal("victim still in process table")
 	}
-	if reason, ok := m.kern.DeathReasonOf(victimPID); !ok || reason != kernel.ReasonConflict {
+	if reason, ok := deathReason(victimPID); !ok || reason != kernel.ReasonConflict {
 		t.Fatalf("death reason = %v, %v; want conflict", reason, ok)
 	}
 	if got := mount.Live(); got != baseNS {
@@ -85,6 +105,7 @@ func TestConflictKillReclaimsResources(t *testing.T) {
 // reaper and releases the namespace and endpoint.
 func TestStopInstanceReclaims(t *testing.T) {
 	m := newManager(t)
+	deathReason := recordDeaths(m.kern)
 	install(t, m, &testApp{pkg: "viewer"}, viewerManifest("viewer"))
 	baseNS := mount.Live()
 	vctx, err := m.StartActivity(nil, intent.Intent{Component: "viewer"})
@@ -101,8 +122,8 @@ func TestStopInstanceReclaims(t *testing.T) {
 	if m.NumRunning() != 0 {
 		t.Fatalf("running = %d, want 0", m.NumRunning())
 	}
-	if reason, _ := m.kern.DeathReasonOf(vctx.PID()); reason != kernel.ReasonKilled {
-		t.Fatalf("death reason = %v, want killed", reason)
+	if reason, ok := deathReason(vctx.PID()); !ok || reason != kernel.ReasonKilled {
+		t.Fatalf("death reason = %v, %v; want killed", reason, ok)
 	}
 }
 

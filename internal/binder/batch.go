@@ -125,10 +125,8 @@ func (r *Router) transactBatch(from Caller, name string, items []BatchItem) (Bat
 	if err := fault.Hit(faultCall); err != nil {
 		return BatchResult{}, fmt.Errorf("binder: batch to %s failed: %w", name, err)
 	}
-	if k := r.kern.Load(); k != nil && from.PID != 0 {
-		if _, dead := k.DeathReasonOf(from.PID); dead {
-			return BatchResult{}, fmt.Errorf("binder: caller pid %d: %w", from.PID, kernel.ErrDeadProcess)
-		}
+	if k := r.kern.Load(); k != nil && k.Exited(from.PID) {
+		return BatchResult{}, fmt.Errorf("binder: caller pid %d: %w", from.PID, kernel.ErrDeadProcess)
 	}
 	ep, ok := r.endpoints.Get(name)
 	if !ok {

@@ -293,10 +293,8 @@ func (r *Router) call(from Caller, name string, code string, data Parcel) (Parce
 	// views are already torn down, and letting it reach a provider would
 	// re-create volatile state the reaper just reclaimed. PIDs the
 	// kernel never spawned (system callers, tests) pass through.
-	if k := r.kern.Load(); k != nil && from.PID != 0 {
-		if _, dead := k.DeathReasonOf(from.PID); dead {
-			return nil, fmt.Errorf("binder: caller pid %d: %w", from.PID, kernel.ErrDeadProcess)
-		}
+	if k := r.kern.Load(); k != nil && k.Exited(from.PID) {
+		return nil, fmt.Errorf("binder: caller pid %d: %w", from.PID, kernel.ErrDeadProcess)
 	}
 	ep, ok := r.endpoints.Get(name)
 	if !ok {

@@ -18,8 +18,8 @@ const GatewayHost = "maxoid-gw"
 // GatewayOptions tune StartGateway.
 type GatewayOptions struct {
 	// AllowDetached admits identities with no live AMS instance by
-	// synthesizing kernel-less callers — fleet benchmarks only; strict
-	// identity binding is the default.
+	// synthesizing kernel-less callers, as perfbench's sync workloads
+	// do; strict identity binding is the default.
 	AllowDetached bool
 	// Workers caps the requests the gateway serves at once (default 4).
 	Workers int

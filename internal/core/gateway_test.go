@@ -11,6 +11,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/url"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -214,10 +216,19 @@ func TestGatewayOrderLimitOverflow(t *testing.T) {
 }
 
 // TestGatewayOverloadTyped429 floods a rate-limited system through the
-// gateway and requires every rejection to be the typed 429 with a
-// Retry-After hint — never a 500 — and in-flight work to drain to 0.
+// gateway from one client and, under "concurrent", from eight.
 func TestGatewayOverloadTyped429(t *testing.T) {
 	defer testutil.LeakCheck(t)()
+	floodRateLimited(t, 1)
+	t.Run("concurrent", func(t *testing.T) { floodRateLimited(t, 8) })
+}
+
+// floodRateLimited boots a system admitting 5 requests/s per app and
+// sends 200 POSTs through the gateway from the given number of
+// clients. Every rejection must be the typed 429 with a Retry-After
+// hint — never a 500 — the 201s and 429s must account for every
+// request, and in-flight work must drain to 0.
+func floodRateLimited(t *testing.T, clients int) {
 	s := boot(t)
 	defer s.Shutdown()
 	installScript(t, s, "appA", ams.Manifest{})
@@ -229,31 +240,42 @@ func TestGatewayOverloadTyped429(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var ok200, rej429, other int
-	for i := 0; i < 200; i++ {
-		resp, err := s.GatewayRequest("u0:appA", "POST", "/v1/user_dictionary/words",
-			[]byte(fmt.Sprintf(`{"word":"w%d"}`, i)))
-		if err != nil {
-			t.Fatalf("transport error: %v", err)
-		}
-		switch resp.Status {
-		case 201:
-			ok200++
-		case 429:
-			rej429++
-			if resp.Header("Retry-After") == "" {
-				t.Fatal("429 without Retry-After")
+	const requests = 200
+	var next, created, rej429 atomic.Int64
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= requests {
+					return
+				}
+				resp, err := s.GatewayRequest("u0:appA", "POST", "/v1/user_dictionary/words",
+					[]byte(fmt.Sprintf(`{"word":"w%d"}`, i)))
+				switch {
+				case err != nil:
+					t.Errorf("transport error: %v", err)
+				case resp.Status == 201:
+					created.Add(1)
+				case resp.Status == 429:
+					rej429.Add(1)
+					if resp.Header("Retry-After") == "" {
+						t.Error("429 without Retry-After")
+					}
+				default:
+					t.Errorf("untyped overload response: %d %s", resp.Status, resp.Body)
+				}
 			}
-		default:
-			other++
-			t.Errorf("untyped overload response: %d %s", resp.Status, resp.Body)
-		}
+		}()
 	}
-	if rej429 == 0 {
-		t.Fatalf("no 429s across 200 requests at rate 5/s (admitted %d)", ok200)
+	wg.Wait()
+	if rej429.Load() == 0 {
+		t.Fatalf("no 429s across %d requests at rate 5/s (admitted %d)", requests, created.Load())
 	}
-	if other != 0 {
-		t.Fatalf("%d responses were neither 201 nor 429", other)
+	if got := created.Load() + rej429.Load(); got != requests {
+		t.Fatalf("201s + 429s = %d, want %d", got, requests)
 	}
 	if got := adm.InFlight(); got != 0 {
 		t.Fatalf("in-flight after drain: %d, want 0", got)

@@ -73,8 +73,8 @@ type Options struct {
 	// AllowDetached admits identities with no running AMS instance by
 	// synthesizing a kernel-less caller (PID 0). Off by default: strict
 	// mode binds every token to a live instance, so a dead process is a
-	// 401 — the fleet benchmark turns this on to simulate more devices
-	// than the zygote will boot.
+	// 401. perfbench's sync workloads turn this on to address their
+	// remote identities without booting an instance for each.
 	AllowDetached bool
 
 	// Workers is the most requests served at once (default 4); extra

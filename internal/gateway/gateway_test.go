@@ -75,9 +75,24 @@ func codeOf(t *testing.T, resp netstack.Response) string {
 	return body.Code
 }
 
+// TestIdentityAuthorizationEdgeCases runs one table of tokens against
+// a strict gateway and, under "detached", against one started with
+// AllowDetached.
 func TestIdentityAuthorizationEdgeCases(t *testing.T) {
 	defer testutil.LeakCheck(t)()
-	s := bootGateway(t)
+	checkIdentities(t, core.GatewayOptions{})
+	t.Run("detached", func(t *testing.T) {
+		checkIdentities(t, core.GatewayOptions{AllowDetached: true})
+	})
+}
+
+// checkIdentities boots a gateway with opts and requests a table of
+// tokens, one subtest each. Rows marked detached are 401 only because
+// no live instance exists, so an AllowDetached gateway serves them;
+// malformed tokens stay 401, and foreign or unknown principals stay
+// 403, in both modes.
+func checkIdentities(t *testing.T, opts core.GatewayOptions) {
+	s, _ := startGateway(t, opts)
 	defer s.Shutdown()
 
 	// Live identities for the positive baseline and the probes.
@@ -94,37 +109,42 @@ func TestIdentityAuthorizationEdgeCases(t *testing.T) {
 	s.AM.StopInstance("appX", "")
 
 	cases := []struct {
-		name   string
-		token  string
-		status int
-		code   string
+		name     string
+		token    string
+		status   int
+		code     string
+		detached bool
 	}{
-		{"live initiator", "u0:appA", 200, ""},
-		{"live delegate", "u0:viewer^appA", 200, ""},
-		{"absent token", "", 401, "unauthorized"},
-		{"malformed: no scheme", "appA", 401, "unauthorized"},
-		{"malformed: no app", "u0:", 401, "unauthorized"},
-		{"malformed: bad user", "ux:appA", 401, "unauthorized"},
-		{"malformed: double initiator", "u0:a^b^c", 401, "unauthorized"},
-		{"malformed: whitespace", "u0:app A", 401, "unauthorized"},
-		{"foreign user", "u1:appA", 403, "forbidden"},
-		{"unknown principal", "u0:ghost", 403, "forbidden"},
-		{"unknown initiator", "u0:viewer^ghost", 403, "forbidden"},
-		{"dead process", "u0:appX", 401, "unauthorized"},
-		{"never started", "u0:viewer", 401, "unauthorized"},
-		{"cross-initiator probe", "u0:viewer^appX", 401, "unauthorized"},
+		{"live initiator", "u0:appA", 200, "", false},
+		{"live delegate", "u0:viewer^appA", 200, "", false},
+		{"absent token", "", 401, "unauthorized", false},
+		{"malformed: no scheme", "appA", 401, "unauthorized", false},
+		{"malformed: no app", "u0:", 401, "unauthorized", false},
+		{"malformed: bad user", "ux:appA", 401, "unauthorized", false},
+		{"malformed: double initiator", "u0:a^b^c", 401, "unauthorized", false},
+		{"malformed: whitespace", "u0:app A", 401, "unauthorized", false},
+		{"foreign user", "u1:appA", 403, "forbidden", false},
+		{"unknown principal", "u0:ghost", 403, "forbidden", false},
+		{"unknown initiator", "u0:viewer^ghost", 403, "forbidden", false},
+		{"dead process", "u0:appX", 401, "unauthorized", true},
+		{"never started", "u0:viewer", 401, "unauthorized", true},
+		{"cross-initiator probe", "u0:viewer^appX", 401, "unauthorized", true},
 	}
 	for _, tc := range cases {
+		status, code := tc.status, tc.code
+		if opts.AllowDetached && tc.detached {
+			status, code = 200, ""
+		}
 		t.Run(tc.name, func(t *testing.T) {
 			resp, err := s.GatewayRequest(tc.token, "GET", "/v1/user_dictionary/words", nil)
 			if err != nil {
 				t.Fatalf("transport error: %v", err)
 			}
-			if resp.Status != tc.status {
-				t.Fatalf("status %d (%s), want %d", resp.Status, resp.Body, tc.status)
+			if resp.Status != status {
+				t.Fatalf("status %d (%s), want %d", resp.Status, resp.Body, status)
 			}
-			if got := codeOf(t, resp); got != tc.code {
-				t.Fatalf("code %q, want %q", got, tc.code)
+			if got := codeOf(t, resp); got != code {
+				t.Fatalf("code %q, want %q", got, code)
 			}
 		})
 	}

@@ -73,7 +73,8 @@ func parseToken(tok string) (user int, task kernel.Task, err error) {
 // resolveIdentity binds a token to a caller. Strict mode (default)
 // requires a live AMS instance of exactly that (app, initiator) — the
 // caller *is* that instance, PID and all. Detached mode synthesizes a
-// kernel-less caller for installed apps, used by the fleet benchmark.
+// kernel-less caller for installed apps, used by perfbench's sync
+// workloads.
 func (g *Gateway) resolveIdentity(tok string) (identity, error) {
 	user, task, err := parseToken(tok)
 	if err != nil {
@@ -106,7 +107,7 @@ func (g *Gateway) resolveIdentity(tok string) (identity, error) {
 }
 
 // Token renders the identity header value for a task — the helper
-// clients (load simulator, tests, curl examples) use.
+// clients (the demo, the gateway chaos engine, tests) use.
 func Token(task kernel.Task) string {
 	if task.Initiator != "" {
 		return "u0:" + task.App + "^" + task.Initiator

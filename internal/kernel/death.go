@@ -69,12 +69,10 @@ type DeathEvent struct {
 	Reason DeathReason
 }
 
-// deathState is the kernel's record of exited PIDs and the watcher
-// list. Dead-PID tracking is what makes Kill idempotent: a second kill
-// of the same PID reports ErrDeadProcess instead of ErrNoSuchPID.
+// deathState is the death-watcher list. No record of exited PIDs is
+// kept: PIDs are never reused, so Exited can tell a dead PID from one
+// never spawned without one.
 type deathState struct {
-	mu       sync.Mutex
-	dead     map[int]DeathReason
 	watchMu  sync.RWMutex
 	watchers []func(DeathEvent)
 }
@@ -103,15 +101,12 @@ func (k *Kernel) Crash(pid int) error {
 // KillReason terminates a process with an explicit reason. Exactly one
 // caller wins a concurrent kill race; the others get ErrDeadProcess.
 // The winner removes the process from the table, closes its mount
-// namespace (dropping the union branches mounted in it), records the
-// PID as dead, and then notifies the death watchers.
+// namespace (dropping the union branches mounted in it), and then
+// notifies the death watchers.
 func (k *Kernel) KillReason(pid int, reason DeathReason) error {
 	p, ok := k.procs.Get(pid)
 	if !ok {
-		k.deaths.mu.Lock()
-		_, wasDead := k.deaths.dead[pid]
-		k.deaths.mu.Unlock()
-		if wasDead {
+		if k.Exited(pid) {
 			return fmt.Errorf("kernel: kill %d: %w", pid, ErrDeadProcess)
 		}
 		return fmt.Errorf("kernel: kill %d: %w", pid, ErrNoSuchPID)
@@ -119,9 +114,6 @@ func (k *Kernel) KillReason(pid int, reason DeathReason) error {
 	if !p.alive.CompareAndSwap(true, false) {
 		return fmt.Errorf("kernel: kill %d: %w", pid, ErrDeadProcess)
 	}
-	k.deaths.mu.Lock()
-	k.deaths.dead[pid] = reason
-	k.deaths.mu.Unlock()
 	k.procs.Delete(pid)
 	// Release kernel-owned resources before anyone learns of the death:
 	// watchers observe a process whose namespace is already gone, and
@@ -139,13 +131,19 @@ func (k *Kernel) KillReason(pid int, reason DeathReason) error {
 	return nil
 }
 
-// DeathReasonOf reports how a dead PID exited. ok is false for PIDs
-// that are live or were never spawned.
-func (k *Kernel) DeathReasonOf(pid int) (DeathReason, bool) {
-	k.deaths.mu.Lock()
-	defer k.deaths.mu.Unlock()
-	r, ok := k.deaths.dead[pid]
-	return r, ok
+// Exited reports whether pid belonged to a process that has exited.
+// PIDs count up from firstPID and are never reused, so a PID below
+// the next one to be handed out was spawned, and it has exited when
+// it is no longer a live entry in the process table. (A PID Spawn is
+// still handing out reads as exited until Spawn returns it, before
+// which no caller can hold it.) How a process died reaches the death
+// watchers only.
+func (k *Kernel) Exited(pid int) bool {
+	if pid < firstPID || int64(pid) >= k.nextPID.Load() {
+		return false
+	}
+	p, ok := k.procs.Get(pid)
+	return !ok || !p.alive.Load()
 }
 
 // LiveProcesses returns the number of live processes — the leak

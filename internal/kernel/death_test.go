@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,8 +16,14 @@ func TestKillSentinels(t *testing.T) {
 		t.Fatalf("unknown pid: %v", err)
 	}
 	p := k.Spawn(Task{App: "a"}, FirstAppUID, nil)
+	if k.Exited(p.PID) || k.Exited(12345) || k.Exited(0) {
+		t.Fatal("a live or never-spawned pid reported as exited")
+	}
 	if err := k.Kill(p.PID); err != nil {
 		t.Fatalf("kill: %v", err)
+	}
+	if !k.Exited(p.PID) {
+		t.Fatal("killed pid not reported as exited")
 	}
 	if err := k.Kill(p.PID); !errors.Is(err, ErrDeadProcess) {
 		t.Fatalf("double kill: %v", err)
@@ -30,7 +37,8 @@ func TestKillSentinels(t *testing.T) {
 func TestDeathEventAndWatcherOrder(t *testing.T) {
 	k := New(nil)
 	var order []string
-	k.WatchDeaths(func(ev DeathEvent) { order = append(order, "first") })
+	var reason DeathReason
+	k.WatchDeaths(func(ev DeathEvent) { order = append(order, "first"); reason = ev.Reason })
 	k.WatchDeaths(func(ev DeathEvent) { order = append(order, "second") })
 
 	ns := mount.New()
@@ -41,8 +49,11 @@ func TestDeathEventAndWatcherOrder(t *testing.T) {
 	if len(order) != 2 || order[0] != "first" || order[1] != "second" {
 		t.Fatalf("watcher order = %v", order)
 	}
-	if reason, ok := k.DeathReasonOf(p.PID); !ok || reason != ReasonCrash {
-		t.Fatalf("reason = %v, %v", reason, ok)
+	if reason != ReasonCrash {
+		t.Fatalf("reason = %v, want crash", reason)
+	}
+	if !k.Exited(p.PID) {
+		t.Fatal("crashed pid not reported as exited")
 	}
 	if k.LiveProcesses() != 0 {
 		t.Fatalf("live = %d", k.LiveProcesses())
@@ -80,5 +91,31 @@ func TestConcurrentKillOneWinner(t *testing.T) {
 	wg.Wait()
 	if wins.Load() != 1 || dead.Load() != 7 || events.Load() != 1 {
 		t.Fatalf("wins=%d dead=%d events=%d", wins.Load(), dead.Load(), events.Load())
+	}
+}
+
+// TestDeadProcessesKeepNoMemory: the kernel keeps nothing of a process
+// once it has exited, so 100,000 spawn+kill cycles leave the live heap
+// less than 256 KB above where it started.
+func TestDeadProcessesKeepNoMemory(t *testing.T) {
+	k := New(nil)
+	liveHeap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := liveHeap()
+	for i := 0; i < 100000; i++ {
+		p := k.Spawn(Task{App: "a"}, FirstAppUID, nil)
+		if err := k.Kill(p.PID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	grew := int64(liveHeap()) - int64(before)
+	runtime.KeepAlive(k)
+	t.Logf("live heap grew by %d B", grew)
+	if grew >= 256<<10 {
+		t.Fatalf("live heap grew by %d B over 100,000 spawn+kill cycles, want < 256 KB", grew)
 	}
 }

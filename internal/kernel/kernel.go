@@ -37,6 +37,10 @@ var ErrPermissionDenied = errors.New("binder: permission denied (EPERM)")
 // convention of app UIDs starting at 10000.
 const FirstAppUID = 10000
 
+// firstPID is the first PID Spawn hands out. PIDs count up from it and
+// are never reused.
+const firstPID = 100
+
 // Task identifies an app execution context: which app, and which
 // initiator it runs on behalf of ("" when running as itself).
 type Task struct {
@@ -120,7 +124,7 @@ type Kernel struct {
 	trustMu      sync.RWMutex
 	trustedHosts map[string]bool
 
-	// deaths tracks exited PIDs and the death watchers (death.go).
+	// deaths holds the death watchers (death.go).
 	deaths deathState
 }
 
@@ -136,8 +140,7 @@ func New(net *netstack.Network) *Kernel {
 		net:          net,
 		trustedHosts: make(map[string]bool),
 	}
-	k.deaths.dead = make(map[int]DeathReason)
-	k.nextPID.Store(100)
+	k.nextPID.Store(firstPID)
 	return k
 }
 

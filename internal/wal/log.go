@@ -62,8 +62,7 @@ type Log struct {
 	broken   error
 	buf      []byte
 
-	syncMu     sync.Mutex // serializes fsync; the group-commit leader lock
-	noCoalesce bool
+	syncMu sync.Mutex // serializes fsync; the group-commit leader lock
 
 	tr *health.Tracker
 
@@ -74,8 +73,8 @@ type Log struct {
 
 // newLog wraps an open file whose valid content, size bytes long, ends
 // at LSN last.
-func newLog(f File, last uint64, size int64, noCoalesce bool, reg *metrics.Registry, tr *health.Tracker) *Log {
-	l := &Log{f: f, appended: last, synced: last, size: size, noCoalesce: noCoalesce, tr: tr}
+func newLog(f File, last uint64, size int64, reg *metrics.Registry, tr *health.Tracker) *Log {
+	l := &Log{f: f, appended: last, synced: last, size: size, tr: tr}
 	if reg != nil {
 		l.histAppend = reg.Histogram("wal.append")
 		l.histFsync = reg.Histogram("wal.fsync")
@@ -179,7 +178,7 @@ func (l *Log) Sync(target uint64) error {
 		l.mu.Unlock()
 		return err
 	}
-	if !l.noCoalesce && l.synced >= target {
+	if l.synced >= target {
 		l.mu.Unlock()
 		return nil
 	}
@@ -194,7 +193,7 @@ func (l *Log) Sync(target uint64) error {
 		l.mu.Unlock()
 		return err
 	}
-	if !l.noCoalesce && l.synced >= target {
+	if l.synced >= target {
 		// The previous leader's fsync covered us: group commit.
 		l.mu.Unlock()
 		return nil

@@ -84,7 +84,7 @@ func TestLogGroupCommit(t *testing.T) {
 	st := NewMemStorage()
 	inner, _ := st.Create(walFile)
 	f := &countingFile{File: inner}
-	l := newLog(f, 0, 0, false, nil, health.NewTracker(health.Options{}))
+	l := newLog(f, 0, 0, nil, health.NewTracker(health.Options{}))
 
 	var last uint64
 	for i := 0; i < 10; i++ {
@@ -118,7 +118,7 @@ func TestLogGroupCommitConcurrent(t *testing.T) {
 	st := NewMemStorage()
 	inner, _ := st.Create(walFile)
 	f := &countingFile{File: inner}
-	l := newLog(f, 0, 0, false, nil, health.NewTracker(health.Options{}))
+	l := newLog(f, 0, 0, nil, health.NewTracker(health.Options{}))
 
 	const writers, perWriter = 8, 25
 	var wg sync.WaitGroup
@@ -152,30 +152,11 @@ func TestLogGroupCommitConcurrent(t *testing.T) {
 	}
 }
 
-func TestLogNoCoalesce(t *testing.T) {
-	st := NewMemStorage()
-	inner, _ := st.Create(walFile)
-	f := &countingFile{File: inner}
-	l := newLog(f, 0, 0, true, nil, health.NewTracker(health.Options{}))
-	for i := 0; i < 5; i++ {
-		lsn, err := l.Append("fs", []byte{byte(i)})
-		if err != nil {
-			t.Fatalf("append: %v", err)
-		}
-		if err := l.Sync(lsn); err != nil {
-			t.Fatalf("sync: %v", err)
-		}
-	}
-	if f.syncs != 5 {
-		t.Fatalf("fsyncs = %d, want 5 (NoCoalesce syncs every op)", f.syncs)
-	}
-}
-
 func TestLogPoison(t *testing.T) {
 	st := NewMemStorage()
 	inner, _ := st.Create(walFile)
 	f := &countingFile{File: inner}
-	l := newLog(f, 0, 0, false, nil, health.NewTracker(health.Options{}))
+	l := newLog(f, 0, 0, nil, health.NewTracker(health.Options{}))
 
 	lsn, err := l.Append("fs", []byte("x"))
 	if err != nil {
@@ -221,13 +202,14 @@ func (slowSyncFile) Sync() error {
 
 // TestSyncRacesCarry: a Sync leader fsyncs the log file outside mu,
 // holding only syncMu, so carry, which truncates and replaces that
-// file, must hold syncMu too. Under -race, an Append+Sync loop (every
-// Sync fsyncs) against a carry loop must report nothing, and no Sync
-// may fail.
+// file, must hold syncMu too. Under -race, an Append+Sync loop against
+// a carry loop must report nothing, and no Sync may fail. One writer
+// has nobody to coalesce with, so each Sync fsyncs unless a carry
+// already made its record durable.
 func TestSyncRacesCarry(t *testing.T) {
 	st := slowSyncStorage{NewMemStorage()}
 	f, _ := st.Create(walFile)
-	l := newLog(f, 0, 0, true, nil, health.NewTracker(health.Options{}))
+	l := newLog(f, 0, 0, nil, health.NewTracker(health.Options{}))
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)

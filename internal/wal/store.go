@@ -59,9 +59,6 @@ type Config struct {
 	// DBs maps a stable name (the WAL stream suffix) to each journaled
 	// database. Names must not change across restarts.
 	DBs map[string]*sqldb.DB
-	// NoCoalesce disables group commit: every Sync fsyncs (benchmark
-	// baseline, not for production use).
-	NoCoalesce bool
 	// Metrics, when non-nil, receives wal.append / wal.fsync /
 	// wal.recover / wal.snapshot / wal.snapshot.frozen histograms, the
 	// wal.health gauge, and the wal.retries / wal.degraded.rejects /
@@ -157,7 +154,7 @@ func Open(cfg Config) (*Store, error) {
 		s.ctrBusy = cfg.Metrics.Counter("wal.snapshot.busy")
 	}
 	s.tr = health.NewTracker(topts)
-	s.log = newLog(f, last, int64(validLen), cfg.NoCoalesce, cfg.Metrics, s.tr)
+	s.log = newLog(f, last, int64(validLen), cfg.Metrics, s.tr)
 
 	// A transaction the WAL left open never committed: roll it back —
 	// and journal the rollback, so the next recovery's replay closes
