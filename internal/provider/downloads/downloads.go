@@ -85,9 +85,16 @@ type Provider struct {
 	waiters   map[int64][]chan Event
 	done      map[int64]Event
 	listeners []func(Event)
-	closed    bool // set by Close; no new worker goroutines may start
-	pending   sync.WaitGroup
-	slots     chan struct{}
+	closed    bool           // set by Close; no new worker goroutines may start
+	pending   sync.WaitGroup // running workers; a queued fetch always has one
+	queue     []fetchJob     // fetches waiting for a worker, oldest first
+	workers   int            // running workers, at most maxConcurrentDownloads
+}
+
+// fetchJob is one queued download.
+type fetchJob struct {
+	id                            int64
+	initiator, srcURL, clientPath string
 }
 
 // New creates the provider over the global disk and network.
@@ -138,7 +145,6 @@ func NewWithDB(db *sqldb.DB, disk *vfs.FS, net *netstack.Network) (*Provider, er
 		net:     net,
 		waiters: make(map[int64][]chan Event),
 		done:    make(map[int64]Event),
-		slots:   make(chan struct{}, maxConcurrentDownloads),
 	}, nil
 }
 
@@ -332,7 +338,10 @@ func (p *Provider) Insert(c provider.Caller, uri provider.URI, values provider.V
 	}
 }
 
-// fetchAsync runs the background download thread for one record.
+// fetchAsync queues the download of one record. Queued fetches wait
+// in a FIFO, not in goroutines of their own: at most
+// maxConcurrentDownloads workers drain it, each started on demand and
+// exiting when it finds the queue empty.
 func (p *Provider) fetchAsync(id int64, initiator, srcURL, clientPath string) {
 	p.mu.Lock()
 	if p.closed {
@@ -346,42 +355,66 @@ func (p *Provider) fetchAsync(id int64, initiator, srcURL, clientPath string) {
 		p.complete(Event{ID: id, Initiator: initiator, Status: StatusErrorNetwork, ClientPath: clientPath})
 		return
 	}
-	p.pending.Add(1)
+	p.queue = append(p.queue, fetchJob{id: id, initiator: initiator, srcURL: srcURL, clientPath: clientPath})
+	if p.workers < maxConcurrentDownloads {
+		p.workers++
+		p.pending.Add(1)
+		go p.work()
+	}
 	p.mu.Unlock()
-	go func() {
-		defer p.pending.Done()
-		p.slots <- struct{}{}
-		defer func() { <-p.slots }()
-		conn := p.proxy.For(initiator)
-		finish := func(status int64, size int64) {
-			_, _ = conn.Update("downloads",
-				map[string]sqldb.Value{"status": status, "total_bytes": size},
-				"_id = ?", id)
-			p.complete(Event{ID: id, Initiator: initiator, Status: status, ClientPath: clientPath})
-		}
-		_, _ = conn.Update("downloads", map[string]sqldb.Value{"status": int64(StatusRunning)}, "_id = ?", id)
+}
 
-		host, urlPath, err := splitURL(srcURL)
-		if err != nil {
-			finish(StatusErrorNetwork, 0)
+// work runs queued fetches until the queue is empty. A worker leaves
+// only under p.mu with the queue empty, so a fetch queued after that
+// finds a free worker slot and starts a new one.
+func (p *Provider) work() {
+	defer p.pending.Done()
+	for {
+		p.mu.Lock()
+		if len(p.queue) == 0 {
+			p.workers--
+			p.mu.Unlock()
 			return
 		}
-		resp, err := p.net.RoundTrip(netstack.Request{Host: host, Path: urlPath})
-		if err != nil || resp.Status != 200 {
-			finish(StatusErrorNetwork, 0)
-			return
-		}
-		backing := LocateFile(initiator, clientPath)
-		if err := p.disk.MkdirAll(vfs.Root, path.Dir(backing), 0o777); err != nil {
-			finish(StatusErrorNetwork, 0)
-			return
-		}
-		if err := vfs.WriteFile(p.disk, vfs.Root, backing, resp.Body, 0o666); err != nil {
-			finish(StatusErrorNetwork, 0)
-			return
-		}
-		finish(StatusSuccess, int64(len(resp.Body)))
-	}()
+		job := p.queue[0]
+		p.queue[0] = fetchJob{}
+		p.queue = p.queue[1:]
+		p.mu.Unlock()
+		p.fetch(job)
+	}
+}
+
+// fetch downloads one record's file and records its terminal status.
+func (p *Provider) fetch(job fetchJob) {
+	conn := p.proxy.For(job.initiator)
+	finish := func(status int64, size int64) {
+		_, _ = conn.Update("downloads",
+			map[string]sqldb.Value{"status": status, "total_bytes": size},
+			"_id = ?", job.id)
+		p.complete(Event{ID: job.id, Initiator: job.initiator, Status: status, ClientPath: job.clientPath})
+	}
+	_, _ = conn.Update("downloads", map[string]sqldb.Value{"status": int64(StatusRunning)}, "_id = ?", job.id)
+
+	host, urlPath, err := splitURL(job.srcURL)
+	if err != nil {
+		finish(StatusErrorNetwork, 0)
+		return
+	}
+	resp, err := p.net.RoundTrip(netstack.Request{Host: host, Path: urlPath})
+	if err != nil || resp.Status != 200 {
+		finish(StatusErrorNetwork, 0)
+		return
+	}
+	backing := LocateFile(job.initiator, job.clientPath)
+	if err := p.disk.MkdirAll(vfs.Root, path.Dir(backing), 0o777); err != nil {
+		finish(StatusErrorNetwork, 0)
+		return
+	}
+	if err := vfs.WriteFile(p.disk, vfs.Root, backing, resp.Body, 0o666); err != nil {
+		finish(StatusErrorNetwork, 0)
+		return
+	}
+	finish(StatusSuccess, int64(len(resp.Body)))
 }
 
 // Update updates records in the caller's view. Delegates may update

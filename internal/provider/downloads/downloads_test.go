@@ -3,7 +3,9 @@ package downloads
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -294,6 +296,60 @@ func TestWorkerPoolBoundsConcurrency(t *testing.T) {
 	if peak == 0 {
 		t.Error("no downloads observed")
 	}
+}
+
+// TestQueuedFetchesKeepNoGoroutines: downloads waiting for a worker
+// wait in the provider's queue, not in parked goroutines of their own.
+// 200 inserts against a host that holds every request until released
+// may add only the worker pool's goroutines, and every queued download
+// still succeeds once the host answers.
+func TestQueuedFetchesKeepNoGoroutines(t *testing.T) {
+	disk := vfs.New()
+	if err := disk.MkdirAll(vfs.Root, layout.ExtPubBranch(), 0o777); err != nil {
+		t.Fatal(err)
+	}
+	net := netstack.New(0, 0)
+	release := make(chan struct{})
+	var inHandler atomic.Int32
+	net.Register("held.example", netstack.HandlerFunc(func(req netstack.Request) (netstack.Response, error) {
+		inHandler.Add(1)
+		<-release
+		return netstack.Response{Status: 200, Body: []byte("x")}, nil
+	}))
+	p, err := New(disk, net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseline := runtime.NumGoroutine()
+	const inserts = 200
+	ids := make([]int64, 0, inserts)
+	for i := 0; i < inserts; i++ {
+		uri, err := p.Insert(browser, mustURI(t, DownloadsURI), provider.Values{
+			"uri": "held.example/f", "hint": fmt.Sprintf("held-%03d", i),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		id, _ := uri.ID()
+		ids = append(ids, id)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for inHandler.Load() < maxConcurrentDownloads && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := inHandler.Load(); n != maxConcurrentDownloads {
+		t.Errorf("%d fetches reached the host, want %d", n, maxConcurrentDownloads)
+	}
+	if n, limit := runtime.NumGoroutine(), baseline+maxConcurrentDownloads+2; n > limit {
+		t.Errorf("%d goroutines with %d downloads queued, want <= %d", n, inserts, limit)
+	}
+	close(release)
+	for _, id := range ids {
+		if ev := p.WaitFor(id); ev.Status != StatusSuccess {
+			t.Fatalf("download %d: status %d", id, ev.Status)
+		}
+	}
+	p.Close()
 }
 
 func TestWaitForAlreadyCompleted(t *testing.T) {

@@ -3,6 +3,7 @@ package sqldb
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -34,7 +35,11 @@ import (
 // lo <= x <= hi has AsInt(x) — x truncated — inside that interval, so
 // the probe can only over-select. compare() orders numerics as
 // float64, which is exact for integers only below 2^53 in magnitude,
-// so bounds outside ±2^53 scan instead.
+// so bounds outside ±2^53 scan instead. An IN list of constants on the
+// primary key probes byPK once per element (pkInPlan).
+//
+// What a WHERE offers a probe (its access shape) is found once per
+// binding; each execution only evaluates the constants.
 
 type accessKind int
 
@@ -60,6 +65,7 @@ type accessPlan struct {
 	rangeCol string   // display: range column, "" if none
 	loOp     string   // display: ">?" or ">=?", "" if unbounded below
 	hiOp     string   // display: "<?" or "<=?", "" if unbounded above
+	in       bool     // display: a primary-key IN-list probe
 
 	// Inline buffers for the single-position / single-column shapes the
 	// pk-probe path produces, so a point lookup allocates no side slices.
@@ -67,8 +73,47 @@ type accessPlan struct {
 	eqBuf  [1]string
 }
 
-// colConstraint accumulates the usable constraints on one column from
-// the top-level AND conjuncts of a WHERE clause.
+// accessShape is what an access path can use of a table's bound WHERE,
+// found once per binding: each top-level AND conjunct that compares a
+// column of the table with a literal or parameter (either way round),
+// a BETWEEN of two of them, or an IN list of them on the primary key.
+// Which values the constants take is left to each execution.
+type accessShape struct {
+	conds []accessCond
+	cols  []int     // the table column of each constrained column
+	pk    int       // index into cols of the primary key, -1 if unconstrained
+	ixs   []ixShape // the indexes whose leading key column is constrained
+}
+
+// accessCond is one usable conjunct on constrained column col (an index
+// into accessShape.cols). x is the constant of a comparison, the
+// *Between of a BETWEEN, or the *InExpr of an IN list.
+type accessCond struct {
+	op  condOp
+	col int
+	x   Expr
+}
+
+type condOp uint8
+
+const (
+	condEq condOp = iota
+	condLt
+	condLe
+	condGt
+	condGe
+	condBetween
+	condIn
+)
+
+// ixShape is an index with, per key column, the constrained column
+// that pins it (an index into accessShape.cols), -1 where none does.
+type ixShape struct {
+	ix   *index
+	cons []int
+}
+
+// colConstraint accumulates one execution's constraints on one column.
 type colConstraint struct {
 	hasEq  bool
 	eq     Value
@@ -78,26 +123,112 @@ type colConstraint struct {
 	hasHi  bool
 	hi     Value
 	hiIncl bool
+	in     []Expr // an IN list on the primary key
 }
 
-// chooseAccess picks the cheapest access path for table t (referred to
-// as alias) under where. It never fails: anything unanalyzable falls
-// back to a sequential scan.
-func (ex *executor) chooseAccess(t *table, alias string, where Expr) *accessPlan {
+// accessShapeOf finds the access shape of table t under its bound
+// WHERE, whose depth-0 slots are t's columns.
+func accessShapeOf(t *table, where Expr) accessShape {
+	s := accessShape{pk: -1}
+	s.collect(t, where)
+	if len(s.conds) == 0 {
+		return accessShape{pk: -1}
+	}
+	s.pk = slices.Index(s.cols, t.pk)
+	for _, ix := range t.indexes {
+		cons := make([]int, len(ix.cols))
+		for k, c := range ix.cols {
+			cons[k] = slices.Index(s.cols, c)
+		}
+		if cons[0] >= 0 {
+			s.ixs = append(s.ixs, ixShape{ix: ix, cons: cons})
+		}
+	}
+	return s
+}
+
+func (s *accessShape) collect(t *table, e Expr) {
+	switch x := e.(type) {
+	case *Binary:
+		if x.Op == "AND" {
+			s.collect(t, x.L)
+			s.collect(t, x.R)
+			return
+		}
+		op, ok := compareOps[x.Op]
+		if !ok {
+			return
+		}
+		// col OP const, or const OP col (flip the operator).
+		if col, ok := localColumn(x.L); ok && isConst(x.R) {
+			s.add(op, col, x.R)
+		} else if col, ok := localColumn(x.R); ok && isConst(x.L) {
+			s.add(flipOp[op], col, x.L)
+		}
+	case *Between:
+		if col, ok := localColumn(x.X); ok && !x.Not && isConst(x.Lo) && isConst(x.Hi) {
+			s.add(condBetween, col, x)
+		}
+	case *InExpr:
+		if col, ok := localColumn(x.X); ok && !x.Not && col == t.pk && slices.IndexFunc(x.List, notConst) < 0 {
+			s.add(condIn, col, x)
+		}
+	}
+}
+
+func (s *accessShape) add(op condOp, col int, x Expr) {
+	i := slices.Index(s.cols, col)
+	if i < 0 {
+		i = len(s.cols)
+		s.cols = append(s.cols, col)
+	}
+	s.conds = append(s.conds, accessCond{op: op, col: i, x: x})
+}
+
+// localColumn reports the column of a reference to the innermost row.
+func localColumn(e Expr) (int, bool) {
+	ref, ok := e.(*slotRef)
+	if !ok || ref.depth != 0 {
+		return 0, false
+	}
+	return ref.slot, true
+}
+
+func isConst(e Expr) bool {
+	switch e.(type) {
+	case *Lit, *Param:
+		return true
+	}
+	return false
+}
+
+func notConst(e Expr) bool { return !isConst(e) }
+
+// compareOps maps each comparison a probe can serve to its op, and
+// flipOp turns "const OP col" around into "col OP const".
+var (
+	compareOps = map[string]condOp{"=": condEq, "<": condLt, "<=": condLe, ">": condGt, ">=": condGe}
+	flipOp     = [...]condOp{condEq: condEq, condLt: condGt, condLe: condGe, condGt: condLt, condGe: condLe}
+)
+
+// chooseAccess picks the cheapest access path for table t under its
+// access shape. It never fails: anything unusable falls back to a
+// sequential scan.
+func (ex *executor) chooseAccess(t *table, s *accessShape) *accessPlan {
 	scan := ex.newPlan()
 	scan.kind, scan.tbl, scan.est = accessSeqScan, t, len(t.rows)
-	if where == nil {
+	if len(s.conds) == 0 {
 		return scan
 	}
-	cons := ex.constraintMap()
-	ex.collectConstraints(t, alias, where, cons)
-	if len(cons) == 0 {
-		return scan
+	cons := ex.constraints(len(s.cols))
+	for i := range s.conds {
+		ex.constrain(cons, &s.conds[i])
 	}
 	best := scan
 	// Primary-key probes, only while byPK reaches every row (see the
 	// exactness argument at the top of this file).
-	if c, ok := cons[t.pk]; ok && t.pk >= 0 && len(t.byPK) == len(t.rows) {
+	if s.pk >= 0 && len(t.byPK) == len(t.rows) {
+		c := &cons[s.pk]
 		// Point probe: at most one row, always wins when available. The
 		// scan plan is repurposed in place: nothing else references it.
 		if c.hasEq {
@@ -117,14 +248,107 @@ func (ex *executor) chooseAccess(t *table, alias string, where Expr) *accessPlan
 		if plan := ex.pkRangePlan(t, c); plan != nil {
 			best = plan
 		}
+		if c.in != nil {
+			if plan := ex.pkInPlan(t, c.in); plan != nil && (best == scan || plan.est < best.est) {
+				best = plan
+			}
+		}
 	}
-	for _, ix := range t.indexes {
-		plan := planForIndex(ix, t, cons)
-		if plan != nil && plan.est < best.est {
+	for i := range s.ixs {
+		if plan := ex.planForIndex(&s.ixs[i], t, cons); plan != nil && plan.est < best.est {
 			best = plan
 		}
 	}
 	return best
+}
+
+// constrain folds one conjunct's constants into cons. A constant that
+// does not evaluate (an unbound parameter) leaves its conjunct unused.
+func (ex *executor) constrain(cons []colConstraint, cond *accessCond) {
+	c := &cons[cond.col]
+	switch cond.op {
+	case condBetween:
+		x := cond.x.(*Between)
+		lo, okLo := ex.constValue(x.Lo)
+		hi, okHi := ex.constValue(x.Hi)
+		if okLo && okHi {
+			c.tightenLo(lo, true)
+			c.tightenHi(hi, true)
+		}
+		return
+	case condIn:
+		if c.in == nil {
+			c.in = cond.x.(*InExpr).List
+		}
+		return
+	}
+	v, ok := ex.constValue(cond.x)
+	if !ok {
+		return
+	}
+	switch cond.op {
+	case condEq:
+		c.hasEq, c.eq = true, v
+	case condGt:
+		c.tightenLo(v, false)
+	case condGe:
+		c.tightenLo(v, true)
+	case condLt:
+		c.tightenHi(v, false)
+	case condLe:
+		c.tightenHi(v, true)
+	}
+}
+
+// pkInPlan probes byPK once per element of an IN list on the primary
+// key and returns the distinct positions found, in storage order (the
+// order a scan would produce). The probe is exact, like the range
+// probe: byPK indexes every row by AsInt(key), so a key equal to a
+// numeric element e under compare sits at AsInt(e) (below 2^53 in
+// magnitude every int64 is exact as a float64, and a float key
+// truncates as the element does), and a key equal to a text element
+// is that same text, which AsInt maps as it maps the element. NULL and
+// blob elements, and text no key can parse to, probe nothing; any
+// numeric element outside ±2^53, or NaN, sends the statement back to a
+// scan (nil).
+func (ex *executor) pkInPlan(t *table, list []Expr) *accessPlan {
+	positions := ex.intsBuf(len(list))[:0]
+	for _, e := range list {
+		v, ok := ex.constValue(e)
+		if !ok {
+			return nil
+		}
+		var id int64
+		switch x := v.(type) {
+		case int64:
+			if x <= -maxExactKey || x >= maxExactKey {
+				return nil
+			}
+			id = x
+		case float64:
+			if !(x > -maxExactKey && x < maxExactKey) {
+				return nil
+			}
+			id = int64(x)
+		case string:
+			if id, ok = AsInt(x); !ok {
+				continue
+			}
+		default: // NULL and blobs equal no key byPK holds
+			continue
+		}
+		if pos, found := t.byPK[id]; found {
+			positions = append(positions, pos)
+		}
+	}
+	slices.Sort(positions)
+	positions = slices.Compact(positions)
+	plan := ex.newPlan()
+	plan.kind, plan.tbl, plan.in = accessPKProbe, t, true
+	plan.positions, plan.est = positions, len(positions)
+	plan.eqBuf[0] = t.cols[t.pk].Name
+	plan.eqCols = plan.eqBuf[:1]
+	return plan
 }
 
 // pkRangePlan probes byPK once for every integer key in
@@ -200,63 +424,51 @@ func (ap *accessPlan) setRange(col string, c *colConstraint) {
 	}
 }
 
-// planForIndex builds the best plan this one index supports for the
-// given constraints, or nil if the index is unusable.
-func planForIndex(ix *index, t *table, cons map[int]*colConstraint) *accessPlan {
+// planForIndex builds the best plan one index supports under cons, or
+// nil if the index is unusable; it decides that before allocating.
+func (ex *executor) planForIndex(is *ixShape, t *table, cons []colConstraint) *accessPlan {
+	ix := is.ix
 	// Longest equality prefix of the index key.
-	var eqVals []Value
-	var eqCols []string
-	for _, c := range ix.cols {
-		cc, ok := cons[c]
-		if !ok || !cc.hasEq {
+	k := 0
+	for _, ci := range is.cons {
+		if ci < 0 || !cons[ci].hasEq {
 			break
 		}
-		eqVals = append(eqVals, cc.eq)
-		eqCols = append(eqCols, t.cols[c].Name)
+		k++
 	}
+	// Ordered: the prefix, optionally extended by a range on the next
+	// key column. Hash buckets key the full composite value: every
+	// column must be pinned by equality.
+	var rc *colConstraint
+	if k < len(ix.cols) {
+		if ci := is.cons[k]; ci >= 0 && (cons[ci].hasLo || cons[ci].hasHi) {
+			rc = &cons[ci]
+		}
+	}
+	if ix.kind == indexHash && k != len(ix.cols) || k == 0 && rc == nil {
+		return nil
+	}
+	eqVals := ex.values(k)
+	for i := range eqVals {
+		eqVals[i] = cons[is.cons[i]].eq
+	}
+	plan := ex.newPlan()
+	plan.kind, plan.tbl, plan.ix, plan.eqCols = accessIndexEq, t, ix, ix.colNames[:k]
 	if ix.kind == indexHash {
-		// Hash buckets key the full composite value: all columns must
-		// be pinned by equality.
-		if len(eqVals) != len(ix.cols) {
-			return nil
-		}
 		bucket := ix.buckets[hashKey(eqVals)]
-		return &accessPlan{
-			kind:      accessIndexEq,
-			tbl:       t,
-			ix:        ix,
-			positions: append([]int(nil), bucket...),
-			est:       len(bucket),
-			eqCols:    eqCols,
-		}
-	}
-	// Ordered: equality prefix, optionally extended by a range on the
-	// next key column.
-	plan := &accessPlan{tbl: t, ix: ix, eqCols: eqCols}
-	var lo, hi Value
-	var loIncl, hiIncl bool
-	if len(eqVals) == len(ix.cols) {
-		plan.kind = accessIndexEq
-	} else {
-		next := ix.cols[len(eqVals)]
-		cc, ok := cons[next]
-		if !ok || (!cc.hasLo && !cc.hasHi) {
-			if len(eqVals) == 0 {
-				return nil
-			}
-			plan.kind = accessIndexEq // pure prefix probe
-		} else {
-			plan.kind = accessIndexRange
-			plan.setRange(t.cols[next].Name, cc)
-			lo, loIncl = cc.lo, cc.loIncl
-			hi, hiIncl = cc.hi, cc.hiIncl
-		}
+		plan.positions, plan.est = append([]int(nil), bucket...), len(bucket)
+		return plan
 	}
 	var start, end int
-	if plan.kind == accessIndexEq && len(eqVals) == len(ix.cols) {
+	switch {
+	case k == len(ix.cols):
 		start, end = ix.eqRange(eqVals)
-	} else {
-		start, end = ix.rangeBounds(eqVals, lo, loIncl, hi, hiIncl)
+	case rc == nil: // pure prefix probe
+		start, end = ix.rangeBounds(eqVals, nil, false, nil, false)
+	default:
+		plan.kind = accessIndexRange
+		plan.setRange(t.cols[ix.cols[k]].Name, rc)
+		start, end = ix.rangeBounds(eqVals, rc.lo, rc.loIncl, rc.hi, rc.hiIncl)
 	}
 	plan.est = end - start
 	plan.positions = make([]int, 0, end-start)
@@ -264,69 +476,6 @@ func planForIndex(ix *index, t *table, cons map[int]*colConstraint) *accessPlan 
 		plan.positions = append(plan.positions, e.row)
 	}
 	return plan
-}
-
-// collectConstraints walks the top-level AND conjuncts of where and
-// records per-column equality and range constraints whose other side is
-// a constant (literal or bound parameter).
-func (ex *executor) collectConstraints(t *table, alias string, where Expr, out map[int]*colConstraint) {
-	switch x := where.(type) {
-	case *Binary:
-		if x.Op == "AND" {
-			ex.collectConstraints(t, alias, x.L, out)
-			ex.collectConstraints(t, alias, x.R, out)
-			return
-		}
-		switch x.Op {
-		case "=", "<", "<=", ">", ">=":
-		default:
-			return
-		}
-		// col OP const, or const OP col (flip the operator).
-		ci, v, op, ok := ex.constraintSides(t, alias, x.L, x.R, x.Op)
-		if !ok {
-			return
-		}
-		c := ex.constraintFor(out, ci)
-		switch op {
-		case "=":
-			c.hasEq = true
-			c.eq = v
-		case ">":
-			c.tightenLo(v, false)
-		case ">=":
-			c.tightenLo(v, true)
-		case "<":
-			c.tightenHi(v, false)
-		case "<=":
-			c.tightenHi(v, true)
-		}
-	case *Between:
-		if x.Not {
-			return
-		}
-		ci, ok := resolveCol(t, alias, x.X)
-		if !ok {
-			return
-		}
-		lo, okLo := ex.constValue(x.Lo)
-		hi, okHi := ex.constValue(x.Hi)
-		if !okLo || !okHi {
-			return
-		}
-		c := ex.constraintFor(out, ci)
-		c.tightenLo(lo, true)
-		c.tightenHi(hi, true)
-	}
-}
-
-func (ex *executor) constraintFor(m map[int]*colConstraint, ci int) *colConstraint {
-	c, ok := m[ci]
-	if !ok {
-		c = ex.newConstraint()
-		m[ci] = c
-	}
-	return c
 }
 
 // tightenLo/tightenHi merge multiple range conjuncts on one column by
@@ -341,55 +490,6 @@ func (c *colConstraint) tightenHi(v Value, incl bool) {
 	if !c.hasHi || compare(v, c.hi) < 0 || (compare(v, c.hi) == 0 && !incl) {
 		c.hasHi, c.hi, c.hiIncl = true, v, incl
 	}
-}
-
-// constraintSides identifies which side of a comparison is the column
-// and which the constant, flipping the operator when the column is on
-// the right.
-func (ex *executor) constraintSides(t *table, alias string, l, r Expr, op string) (int, Value, string, bool) {
-	if ci, ok := resolveCol(t, alias, l); ok {
-		if v, okv := ex.constValue(r); okv {
-			return ci, v, op, true
-		}
-	}
-	if ci, ok := resolveCol(t, alias, r); ok {
-		if v, okv := ex.constValue(l); okv {
-			return ci, v, flipOp(op), true
-		}
-	}
-	return 0, nil, "", false
-}
-
-func flipOp(op string) string {
-	switch op {
-	case "<":
-		return ">"
-	case "<=":
-		return ">="
-	case ">":
-		return "<"
-	case ">=":
-		return "<="
-	}
-	return op
-}
-
-// resolveCol maps an expression to a column position of t when it is a
-// plain reference to that table (unqualified names bind to the table
-// first, matching scope.lookup's innermost-wins resolution).
-func resolveCol(t *table, alias string, e Expr) (int, bool) {
-	ref, ok := e.(*ColRef)
-	if !ok {
-		return 0, false
-	}
-	if ref.Table != "" && !strings.EqualFold(ref.Table, alias) && !strings.EqualFold(ref.Table, t.name) {
-		return 0, false
-	}
-	ci := t.colIndex(ref.Col)
-	if ci < 0 {
-		return 0, false
-	}
-	return ci, true
 }
 
 // constValue evaluates a constant expression (literal or bound
@@ -433,6 +533,9 @@ func (ap *accessPlan) sortedPositions() []int {
 func (ap *accessPlan) describe() string {
 	switch ap.kind {
 	case accessPKProbe:
+		if ap.in {
+			return fmt.Sprintf("SEARCH %s USING PRIMARY KEY (%s IN (?,…))", ap.tbl.name, ap.eqCols[0])
+		}
 		if ap.rangeCol != "" {
 			return fmt.Sprintf("SEARCH %s USING PRIMARY KEY (%s) (~%d rows)",
 				ap.tbl.name, strings.Join(ap.rangeTerms(nil), " AND "), ap.est)

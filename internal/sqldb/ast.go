@@ -89,16 +89,12 @@ type UpdateStmt struct {
 	Table string
 	Set   []Assign
 	Where Expr
-
-	scan memo[*SelectStmt] // row scan when Table is a view (viewScan)
 }
 
 // DeleteStmt is DELETE FROM table [WHERE expr].
 type DeleteStmt struct {
 	Table string
 	Where Expr
-
-	scan memo[*SelectStmt] // row scan when Table is a view (viewScan)
 }
 
 // OrderTerm is one ORDER BY term.
@@ -114,8 +110,6 @@ type SelectStmt struct {
 	OrderBy []OrderTerm
 	Limit   Expr
 	Offset  Expr
-
-	plan memo[*SelectStmt] // planner output (planner.go)
 }
 
 // ResultCol is one column of a select list.
@@ -149,8 +143,6 @@ type SelectCore struct {
 	Where    Expr
 	GroupBy  []Expr
 	Having   Expr
-
-	expand memo[coreMemo] // select-list expansion and validation (exec.go)
 }
 
 func (*CreateTableStmt) stmt()   {}

@@ -108,9 +108,10 @@ func (t *table) reindex() {
 
 // view is a named stored SELECT.
 type view struct {
-	name string
-	def  *SelectStmt
-	cols []string // output column names, computed at creation
+	name  string
+	def   *SelectStmt
+	cols  []string           // output column names, computed at creation
+	bound memo[*boundSelect] // def bound in its own scope, for materializing (bind.go)
 }
 
 // trigger is an INSTEAD OF trigger on a view.
@@ -119,6 +120,7 @@ type trigger struct {
 	event string
 	view  string
 	body  []Stmt
+	bound memo[[]bstmt] // body bound against NEW/OLD (bind.go)
 }
 
 // DB is an in-memory SQL database. All methods are safe for concurrent
@@ -166,8 +168,8 @@ type DB struct {
 	normStmts *lruCache[string, *compiled]
 
 	// gen is the catalog generation. Every memo derived from an AST and
-	// the catalog (plans, lock plans, view scans, select-list
-	// expansions) records the generation it was computed at and is
+	// the catalog (statement, view-body and trigger-body bindings, lock
+	// plans) records the generation it was computed at and is
 	// recomputed once gen has moved. DDL, ROLLBACK and a failed COMMIT
 	// bump it. Guarded by mu: it moves only under mu held exclusively,
 	// so it is stable for the whole of any batch.
@@ -184,8 +186,8 @@ type DB struct {
 	jrn atomic.Value // journalBox
 }
 
-// memo is a value derived from an AST node and the catalog, hung off
-// the node it derives from. It is current while the DB's catalog
+// memo is a value derived from an AST and the catalog, hung off the
+// compiled batch or catalog object that owns the AST. It is current while the DB's catalog
 // generation equals the one it was computed at. Every get and put
 // happens while the batch holds db.mu, so the generation cannot move
 // underneath it; batches racing to fill a memo under the shared lock

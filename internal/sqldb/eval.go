@@ -17,24 +17,19 @@ func (ex *executor) eval(e Expr, sc *scope, grp *groupData) (Value, error) {
 			return nil, fmt.Errorf("sqldb: missing argument for placeholder %d", x.Index+1)
 		}
 		return ex.args[x.Index], nil
-	case *ColRef:
-		if sc == nil {
-			return nil, fmt.Errorf("sqldb: no such column: %s", x.Col)
+	case *slotRef:
+		for d := x.depth; d > 0; d-- {
+			sc = sc.parent
 		}
-		v, ok := sc.lookup(x.Table, x.Col)
-		if !ok {
-			if x.Table != "" {
-				return nil, fmt.Errorf("sqldb: no such column: %s.%s", x.Table, x.Col)
-			}
-			return nil, fmt.Errorf("sqldb: no such column: %s", x.Col)
-		}
-		return v, nil
+		return sc.row[x.slot], nil
 	case *Unary:
 		return ex.evalUnary(x, sc, grp)
 	case *Binary:
 		return ex.evalBinary(x, sc, grp)
 	case *InExpr:
 		return ex.evalIn(x, sc, grp)
+	case *boundIn:
+		return ex.evalInSub(x, sc, grp)
 	case *IsNull:
 		v, err := ex.eval(x.X, sc, grp)
 		if err != nil {
@@ -68,25 +63,18 @@ func (ex *executor) eval(e Expr, sc *scope, grp *groupData) (Value, error) {
 		return boolVal(in), nil
 	case *Call:
 		return ex.evalCall(x, sc, grp)
-	case *SubqueryExpr:
-		rows, err := ex.execSelect(x.Select, sc)
+	case *boundSub:
+		rows, err := ex.execSelect(x.sel, sc)
 		if err != nil {
 			return nil, err
+		}
+		if x.exists {
+			return boolVal((len(rows.Data) > 0) != x.not), nil
 		}
 		if len(rows.Data) == 0 || len(rows.Data[0]) == 0 {
 			return nil, nil
 		}
 		return rows.Data[0][0], nil
-	case *ExistsExpr:
-		rows, err := ex.execSelect(x.Select, sc)
-		if err != nil {
-			return nil, err
-		}
-		exists := len(rows.Data) > 0
-		if x.Not {
-			exists = !exists
-		}
-		return boolVal(exists), nil
 	case *CaseExpr:
 		return ex.evalCase(x, sc, grp)
 	}
@@ -277,117 +265,80 @@ func coerceNumeric(v Value) Value {
 	return int64(0)
 }
 
+// evalIn evaluates x [NOT] IN (list). Each element is compared as it
+// is evaluated, and every element is evaluated, so an element's error
+// surfaces even after an earlier element matched.
 func (ex *executor) evalIn(x *InExpr, sc *scope, grp *groupData) (Value, error) {
 	v, err := ex.eval(x.X, sc, grp)
 	if err != nil {
 		return nil, err
 	}
-	if x.Sub != nil {
-		if v == nil {
-			return nil, nil
-		}
-		// "pk IN (SELECT pk FROM table)" answers straight from the
-		// primary-key index — the COW views' NOT IN shape.
-		if t, ok := ex.pkScanTable(x.Sub); ok {
-			found := false
-			if id, isInt := AsInt(v); isInt {
-				_, found = t.byPK[id]
-			}
-			if x.Not {
-				found = !found
-			}
-			return boolVal(found), nil
-		}
-		set, err := ex.inSubquerySet(x, sc)
-		if err != nil {
-			return nil, err
-		}
-		found := set[valueKey(v)]
-		if x.Not {
-			found = !found
-		}
-		return boolVal(found), nil
-	}
-	var candidates []Value
+	found := false
 	for _, le := range x.List {
 		lv, err := ex.eval(le, sc, grp)
 		if err != nil {
 			return nil, err
 		}
-		candidates = append(candidates, lv)
+		if !found && v != nil && lv != nil && valuesEqual(v, lv) {
+			found = true
+		}
 	}
 	if v == nil {
 		return nil, nil
 	}
-	found := false
-	for _, c := range candidates {
-		if c != nil && valuesEqual(v, c) {
-			found = true
-			break
-		}
-	}
-	if x.Not {
-		found = !found
-	}
-	return boolVal(found), nil
+	return boolVal(found != x.Not), nil
 }
 
-// inSubquerySet returns the value set of an IN subquery. A subquery of
-// the exact shape "SELECT <pk> FROM <table>" answers membership through
-// the table's primary-key index with no set construction at all — the
-// shape the COW views use. Other non-correlated subqueries are
-// evaluated once per statement and memoized; correlated ones (which
-// reference outer columns) re-run against the row scope.
-func (ex *executor) inSubquerySet(x *InExpr, sc *scope) (map[string]bool, error) {
+// evalInSub evaluates x [NOT] IN (subquery).
+func (ex *executor) evalInSub(x *boundIn, sc *scope, grp *groupData) (Value, error) {
+	v, err := ex.eval(x.x, sc, grp)
+	if err != nil || v == nil {
+		return nil, err
+	}
+	found := false
+	if x.pk != nil {
+		// "pk IN (SELECT pk FROM table)" answers straight from the
+		// primary-key map: the COW views' NOT IN shape.
+		if id, isInt := AsInt(v); isInt {
+			_, found = x.pk.byPK[id]
+		}
+	} else {
+		set, err := ex.inSubquerySet(x, sc)
+		if err != nil {
+			return nil, err
+		}
+		found = set[valueKey(v)]
+	}
+	return boolVal(found != x.not), nil
+}
+
+// inSubquerySet returns the value set of an IN subquery. A subquery
+// that reads no outer row is evaluated once per statement and memoized;
+// a correlated one runs again for every row.
+func (ex *executor) inSubquerySet(x *boundIn, sc *scope) (map[string]bool, error) {
+	if x.sel.correlated {
+		rows, err := ex.execSelect(x.sel, sc)
+		if err != nil {
+			return nil, err
+		}
+		return rowsToSet(rows)
+	}
 	if set, ok := ex.inCache[x]; ok {
 		return set, nil
 	}
-	if !ex.correlated[x] {
-		// Try evaluating without the outer scope: success means the
-		// subquery is self-contained and cacheable.
-		rows, err := ex.execSelect(x.Sub, nil)
-		if err == nil {
-			set, serr := rowsToSet(rows)
-			if serr != nil {
-				return nil, serr
-			}
-			if ex.inCache == nil {
-				ex.inCache = make(map[*InExpr]map[string]bool)
-			}
-			ex.inCache[x] = set
-			return set, nil
-		}
-		if ex.correlated == nil {
-			ex.correlated = make(map[*InExpr]bool)
-		}
-		ex.correlated[x] = true
-	}
-	rows, err := ex.execSelect(x.Sub, sc)
+	rows, err := ex.execSelect(x.sel, nil)
 	if err != nil {
 		return nil, err
 	}
-	return rowsToSet(rows)
-}
-
-// pkScanTable recognizes "SELECT <pkcol> FROM <basetable>" subqueries.
-func (ex *executor) pkScanTable(sel *SelectStmt) (*table, bool) {
-	if sel == nil || len(sel.Cores) != 1 {
-		return nil, false
+	set, err := rowsToSet(rows)
+	if err != nil {
+		return nil, err
 	}
-	core := sel.Cores[0]
-	if core.From == nil || core.From.Sub != nil || len(core.Joins) > 0 ||
-		core.Where != nil || core.GroupBy != nil || core.Distinct || len(core.Cols) != 1 {
-		return nil, false
+	if ex.inCache == nil {
+		ex.inCache = make(map[*boundIn]map[string]bool)
 	}
-	ref, ok := core.Cols[0].Expr.(*ColRef)
-	if !ok {
-		return nil, false
-	}
-	t, ok := ex.db.tables[strings.ToLower(core.From.Name)]
-	if !ok || t.pk < 0 || !strings.EqualFold(ref.Col, t.cols[t.pk].Name) {
-		return nil, false
-	}
-	return t, true
+	ex.inCache[x] = set
+	return set, nil
 }
 
 func rowsToSet(rows *Rows) (map[string]bool, error) {
@@ -436,6 +387,8 @@ func (ex *executor) evalCase(x *CaseExpr, sc *scope, grp *groupData) (Value, err
 func (ex *executor) evalCall(x *Call, sc *scope, grp *groupData) (Value, error) {
 	// Aggregates in aggregate context.
 	if grp != nil {
+		// Each group row is read through one scope beside sc.
+		rowScope := ex.newScope(sc.parent, nil)
 		switch x.Name {
 		case "COUNT":
 			if x.Star {
@@ -443,7 +396,7 @@ func (ex *executor) evalCall(x *Call, sc *scope, grp *groupData) (Value, error) 
 			}
 			var n int64
 			for _, row := range grp.rows {
-				rowScope := &scope{parent: sc.parent, cols: grp.cols, row: row}
+				rowScope.row = row
 				v, err := ex.eval(x.Args[0], rowScope, nil)
 				if err != nil {
 					return nil, err
@@ -457,7 +410,7 @@ func (ex *executor) evalCall(x *Call, sc *scope, grp *groupData) (Value, error) 
 			if len(x.Args) == 1 {
 				var best Value
 				for _, row := range grp.rows {
-					rowScope := &scope{parent: sc.parent, cols: grp.cols, row: row}
+					rowScope.row = row
 					v, err := ex.eval(x.Args[0], rowScope, nil)
 					if err != nil {
 						return nil, err
@@ -478,7 +431,7 @@ func (ex *executor) evalCall(x *Call, sc *scope, grp *groupData) (Value, error) 
 			var n int64
 			allInt := true
 			for _, row := range grp.rows {
-				rowScope := &scope{parent: sc.parent, cols: grp.cols, row: row}
+				rowScope.row = row
 				v, err := ex.eval(x.Args[0], rowScope, nil)
 				if err != nil {
 					return nil, err

@@ -9,56 +9,32 @@ import (
 	"maxoid/internal/fault"
 )
 
-// colBinding names one column of a relation, optionally qualified by a
-// table alias.
+// colBinding names one column of a row in scope while binding,
+// optionally qualified by a table alias.
 type colBinding struct {
 	qual string
 	name string
 }
 
-// relation is a materialized intermediate result.
-type relation struct {
-	cols []colBinding
-	rows [][]Value
-}
-
-// scope binds column names to values for expression evaluation; scopes
-// nest for correlated subqueries and trigger NEW/OLD rows.
+// scope is one row in scope during execution. Scopes nest for
+// correlated subqueries and trigger NEW/OLD rows exactly as the
+// binder's frames did, so a slotRef finds its row depth parents up.
 type scope struct {
 	parent *scope
-	cols   []colBinding
 	row    []Value
 }
 
-// lookup finds a column value by (qualifier, name). The boolean reports
-// whether the name resolved anywhere in the scope chain.
-func (sc *scope) lookup(qual, name string) (Value, bool) {
-	for s := sc; s != nil; s = s.parent {
-		for i, b := range s.cols {
-			if qual != "" && !strings.EqualFold(b.qual, qual) {
-				continue
-			}
-			if strings.EqualFold(b.name, name) {
-				return s.row[i], true
-			}
-		}
-	}
-	return nil, false
-}
-
-// executor runs statements against a DB. The DB lock is held by the
-// caller for the duration of a batch.
+// executor runs bound statements against a DB. The DB lock is held by
+// the caller for the duration of a batch.
 type executor struct {
 	db   *DB
 	args []Value
 
-	// inCache memoizes the value sets of non-correlated IN subqueries
-	// so WHERE clauses like "_id NOT IN (SELECT _id FROM delta)" — the
-	// COW view's shape — evaluate the subquery once per statement, as
-	// SQLite does, instead of once per candidate row. Any table
-	// mutation drops the cache (triggers can write mid-query).
-	inCache    map[*InExpr]map[string]bool
-	correlated map[*InExpr]bool
+	// inCache memoizes the value sets of non-correlated IN subqueries,
+	// so each is evaluated once per statement, as SQLite does, instead
+	// of once per candidate row. Any table mutation drops the cache
+	// (triggers can write mid-query).
+	inCache map[*boundIn]map[string]bool
 
 	// sc holds the per-statement scratch arenas; argsBuf is the reusable
 	// backing for bound arguments. Both survive pooling (see scratch.go).
@@ -69,7 +45,6 @@ type executor struct {
 // invalidateInCache drops memoized subquery results after a mutation.
 func (ex *executor) invalidateInCache() {
 	ex.inCache = nil
-	ex.correlated = nil
 }
 
 // valueKey builds a hash key consistent with compare()'s equality:
@@ -90,9 +65,42 @@ func valueKey(v Value) string {
 	return "x" + fmt.Sprint(v)
 }
 
-// execStmt dispatches a single statement. sc carries trigger NEW/OLD
-// bindings when executing trigger bodies, else nil.
-func (ex *executor) execStmt(s Stmt, sc *scope) (Result, error) {
+// execStmt runs one statement of a batch; m memoizes its binding.
+func (ex *executor) execStmt(s Stmt, m *memo[bstmt]) (Result, error) {
+	b, err := ex.bindStmt(s, m)
+	if err != nil {
+		return Result{}, err
+	}
+	return ex.run(s, b, nil)
+}
+
+// run executes statement s under its binding b (nil for statements
+// that run unbound). sc is the NEW/OLD row when s is a trigger body
+// statement, else nil.
+func (ex *executor) run(s Stmt, b bstmt, sc *scope) (Result, error) {
+	switch x := b.(type) {
+	case *boundSelect:
+		rows, err := ex.execSelect(x, sc)
+		if err != nil {
+			return Result{}, err
+		}
+		return Result{RowsAffected: int64(len(rows.Data))}, nil
+	case *boundInsert:
+		if x.tbl != nil {
+			return ex.insertTable(x, sc)
+		}
+		return ex.insertView(x, sc)
+	case *boundUpdate:
+		if x.tbl != nil {
+			return ex.updateTable(x, sc)
+		}
+		return ex.updateView(x, sc)
+	case *boundDelete:
+		if x.tbl != nil {
+			return ex.deleteTable(x, sc)
+		}
+		return ex.deleteView(x, sc)
+	}
 	switch st := s.(type) {
 	case *CreateTableStmt:
 		return Result{}, ex.createTable(st)
@@ -112,18 +120,6 @@ func (ex *executor) execStmt(s Stmt, sc *scope) (Result, error) {
 		return Result{}, ex.drop(st)
 	case *TxnStmt:
 		return Result{}, ex.execTxn(st)
-	case *InsertStmt:
-		return ex.execInsert(st, sc)
-	case *UpdateStmt:
-		return ex.execUpdate(st, sc)
-	case *DeleteStmt:
-		return ex.execDelete(st, sc)
-	case *SelectStmt:
-		rows, err := ex.execSelect(st, sc)
-		if err != nil {
-			return Result{}, err
-		}
-		return Result{RowsAffected: int64(len(rows.Data))}, nil
 	}
 	return Result{}, fmt.Errorf("sqldb: unsupported statement %T", s)
 }
@@ -264,53 +260,33 @@ func (ex *executor) selectColumns(sel *SelectStmt) ([]string, error) {
 	core := sel.Cores[0]
 	var out []string
 	for _, rc := range core.Cols {
-		switch {
-		case rc.Star:
-			bindings, err := ex.fromBindings(core)
+		if !rc.Star && rc.TableStar == "" {
+			out = append(out, exprName(rc))
+			continue
+		}
+		var refs []TableRef
+		if core.From != nil {
+			refs = append(refs, *core.From)
+		}
+		for _, j := range core.Joins {
+			refs = append(refs, j.Ref)
+		}
+		for _, ref := range refs {
+			cols, err := ex.refBindings(ref)
 			if err != nil {
 				return nil, err
 			}
-			for _, b := range bindings {
-				out = append(out, b.name)
-			}
-		case rc.TableStar != "":
-			bindings, err := ex.fromBindings(core)
-			if err != nil {
-				return nil, err
-			}
-			for _, b := range bindings {
-				if strings.EqualFold(b.qual, rc.TableStar) {
-					out = append(out, b.name)
+			for _, c := range cols {
+				if rc.Star || strings.EqualFold(c.qual, rc.TableStar) {
+					out = append(out, c.name)
 				}
 			}
-		default:
-			out = append(out, exprName(rc))
 		}
 	}
 	return out, nil
 }
 
-// fromBindings returns the column bindings a core's FROM clause exposes.
-func (ex *executor) fromBindings(core *SelectCore) ([]colBinding, error) {
-	if core.From == nil {
-		return nil, nil
-	}
-	bindings, err := ex.refBindings(*core.From)
-	if err != nil {
-		return nil, err
-	}
-	for _, j := range core.Joins {
-		more, err := ex.refBindings(j.Ref)
-		if err != nil {
-			return nil, err
-		}
-		bindings = append(bindings, more...)
-	}
-	return bindings, nil
-}
-
 func (ex *executor) refBindings(ref TableRef) ([]colBinding, error) {
-	qual := ref.Alias
 	if ref.Sub != nil {
 		cols, err := ex.selectColumns(ref.Sub)
 		if err != nil {
@@ -318,27 +294,16 @@ func (ex *executor) refBindings(ref TableRef) ([]colBinding, error) {
 		}
 		out := make([]colBinding, len(cols))
 		for i, c := range cols {
-			out[i] = colBinding{qual: qual, name: c}
+			out[i] = colBinding{qual: ref.Alias, name: c}
 		}
 		return out, nil
-	}
-	if qual == "" {
-		qual = ref.Name
 	}
 	key := strings.ToLower(ref.Name)
 	if t, ok := ex.db.tables[key]; ok {
-		out := make([]colBinding, len(t.cols))
-		for i, c := range t.cols {
-			out[i] = colBinding{qual: qual, name: c.Name}
-		}
-		return out, nil
+		return tableCols(t, refQual(ref)), nil
 	}
 	if v, ok := ex.db.views[key]; ok {
-		out := make([]colBinding, len(v.cols))
-		for i, c := range v.cols {
-			out[i] = colBinding{qual: qual, name: c}
-		}
-		return out, nil
+		return viewCols(v, refQual(ref)), nil
 	}
 	return nil, fmt.Errorf("sqldb: no such table: %s", ref.Name)
 }
@@ -425,28 +390,17 @@ func (ex *executor) drop(st *DropStmt) error {
 
 // --- INSERT / UPDATE / DELETE ---
 
-func (ex *executor) execInsert(st *InsertStmt, sc *scope) (Result, error) {
-	key := strings.ToLower(st.Table)
-	if t, ok := ex.db.tables[key]; ok {
-		return ex.insertTable(t, st, sc)
-	}
-	if v, ok := ex.db.views[key]; ok {
-		return ex.insertView(v, st, sc)
-	}
-	return Result{}, fmt.Errorf("sqldb: no such table: %s", st.Table)
-}
-
 // insertRows materializes the value rows of an INSERT.
-func (ex *executor) insertRows(st *InsertStmt, sc *scope) ([][]Value, error) {
-	if st.Select != nil {
-		rows, err := ex.execSelect(st.Select, sc)
+func (ex *executor) insertRows(bi *boundInsert, sc *scope) ([][]Value, error) {
+	if bi.sel != nil {
+		rows, err := ex.execSelect(bi.sel, sc)
 		if err != nil {
 			return nil, err
 		}
 		return rows.Data, nil
 	}
-	out := make([][]Value, 0, len(st.Rows))
-	for _, exprRow := range st.Rows {
+	out := make([][]Value, 0, len(bi.rows))
+	for _, exprRow := range bi.rows {
 		// Arena-backed: insertTable copies these values into the stored
 		// row, so the materialized expression rows die with the statement.
 		row := ex.values(len(exprRow))
@@ -462,50 +416,33 @@ func (ex *executor) insertRows(st *InsertStmt, sc *scope) ([][]Value, error) {
 	return out, nil
 }
 
-func (ex *executor) insertTable(t *table, st *InsertStmt, sc *scope) (Result, error) {
-	valueRows, err := ex.insertRows(st, sc)
+func (ex *executor) insertTable(bi *boundInsert, sc *scope) (Result, error) {
+	t := bi.tbl
+	valueRows, err := ex.insertRows(bi, sc)
 	if err != nil {
 		return Result{}, err
 	}
-	cols := st.Cols
-	if len(cols) == 0 {
-		cols = make([]string, len(t.cols))
-		for i, c := range t.cols {
-			cols[i] = c.Name
-		}
-	}
-	colIdx := ex.intsBuf(len(cols))
-	for i, c := range cols {
-		idx := t.colIndex(c)
-		if idx < 0 {
-			return Result{}, fmt.Errorf("sqldb: table %s has no column %s", t.name, c)
-		}
-		colIdx[i] = idx
-	}
 	var affected int64
 	for _, vr := range valueRows {
-		if len(vr) != len(cols) {
-			return Result{}, fmt.Errorf("sqldb: %d values for %d columns", len(vr), len(cols))
+		if len(vr) != len(bi.cols) {
+			return Result{}, fmt.Errorf("sqldb: %d values for %d columns", len(vr), len(bi.cols))
 		}
 		// The maintenance fault fires before this row touches the table,
 		// so rows already inserted stay consistent with their indexes.
 		if err := t.indexMaintHit(); err != nil {
 			return Result{}, err
 		}
-		// row is stored in the table, so it must be heap-allocated;
-		// provided is statement-scoped bookkeeping.
+		// row is stored in the table, so it must be heap-allocated.
 		row := make([]Value, len(t.cols))
-		provided := ex.boolsBuf(len(t.cols))
-		for i, idx := range colIdx {
+		for i, idx := range bi.cols {
 			row[idx] = normalize(vr[i])
-			provided[idx] = true
 		}
-		// Defaults for unprovided columns.
-		for i, c := range t.cols {
-			if provided[i] || c.Default == nil {
+		// Defaults for the columns the statement gives no value.
+		for i, d := range bi.defaults {
+			if d == nil {
 				continue
 			}
-			v, err := ex.eval(c.Default, nil, nil)
+			v, err := ex.eval(d, nil, nil)
 			if err != nil {
 				return Result{}, err
 			}
@@ -525,7 +462,7 @@ func (ex *executor) insertTable(t *table, st *InsertStmt, sc *scope) (Result, er
 				t.nextID = id + 1
 			}
 			if existing, ok := t.byPK[id]; ok {
-				if !st.OrReplace {
+				if !bi.replace {
 					return Result{}, fmt.Errorf("sqldb: UNIQUE constraint failed: %s.%s", t.name, t.cols[t.pk].Name)
 				}
 				t.indexRemove(existing, t.rows[existing])
@@ -553,33 +490,25 @@ func (ex *executor) insertTable(t *table, st *InsertStmt, sc *scope) (Result, er
 }
 
 // insertView fires INSTEAD OF INSERT triggers with NEW bound per row.
-func (ex *executor) insertView(v *view, st *InsertStmt, sc *scope) (Result, error) {
-	trs := ex.triggersFor(v.name, "INSERT")
-	if len(trs) == 0 {
+func (ex *executor) insertView(bi *boundInsert, sc *scope) (Result, error) {
+	v := bi.view
+	if len(bi.trs) == 0 {
 		return Result{}, fmt.Errorf("sqldb: cannot modify view %s: no INSTEAD OF INSERT trigger", v.name)
 	}
-	valueRows, err := ex.insertRows(st, sc)
+	valueRows, err := ex.insertRows(bi, sc)
 	if err != nil {
 		return Result{}, err
 	}
-	cols := st.Cols
-	if len(cols) == 0 {
-		cols = v.cols
-	}
 	var affected int64
 	for _, vr := range valueRows {
-		if len(vr) != len(cols) {
-			return Result{}, fmt.Errorf("sqldb: %d values for %d columns", len(vr), len(cols))
+		if len(vr) != len(bi.cols) {
+			return Result{}, fmt.Errorf("sqldb: %d values for %d columns", len(vr), len(bi.cols))
 		}
-		newRow := make([]Value, len(v.cols))
-		for i, c := range cols {
-			idx := indexOfFold(v.cols, c)
-			if idx < 0 {
-				return Result{}, fmt.Errorf("sqldb: view %s has no column %s", v.name, c)
-			}
+		newRow := ex.values(len(v.cols))
+		for i, idx := range bi.cols {
 			newRow[idx] = normalize(vr[i])
 		}
-		if err := ex.fireTriggers(trs, v, newRow, nil, sc); err != nil {
+		if err := ex.fireTriggers(bi.trs, v, newRow); err != nil {
 			return Result{}, err
 		}
 		affected++
@@ -587,52 +516,18 @@ func (ex *executor) insertView(v *view, st *InsertStmt, sc *scope) (Result, erro
 	return Result{LastInsertID: ex.db.lastID.Load(), RowsAffected: affected}, nil
 }
 
-func indexOfFold(list []string, s string) int {
-	for i, x := range list {
-		if strings.EqualFold(x, s) {
-			return i
-		}
-	}
-	return -1
-}
-
-func (ex *executor) triggersFor(viewName, event string) []*trigger {
-	var out []*trigger
-	for _, tr := range ex.db.triggers[strings.ToLower(viewName)] {
-		if tr.event == event {
-			out = append(out, tr)
-		}
-	}
-	return out
-}
-
-// fireTriggers runs trigger bodies with NEW/OLD row bindings.
-func (ex *executor) fireTriggers(trs []*trigger, v *view, newRow, oldRow []Value, sc *scope) error {
-	n := 0
-	if newRow != nil {
-		n += len(v.cols)
-	}
-	if oldRow != nil {
-		n += len(v.cols)
-	}
-	bindings := ex.colBindings(n)[:0]
-	row := ex.values(n)[:0]
-	if newRow != nil {
-		for i, c := range v.cols {
-			bindings = append(bindings, colBinding{qual: "new", name: c})
-			row = append(row, newRow[i])
-		}
-	}
-	if oldRow != nil {
-		for i, c := range v.cols {
-			bindings = append(bindings, colBinding{qual: "old", name: c})
-			row = append(row, oldRow[i])
-		}
-	}
-	trigScope := ex.newScope(sc, bindings, row)
+// fireTriggers runs trigger bodies over row, NEW's values then OLD's
+// (the layout triggerBody binds against). A trigger body sees no row of
+// the statement that fired it.
+func (ex *executor) fireTriggers(trs []*trigger, v *view, row []Value) error {
+	trigScope := ex.newScope(nil, row)
 	for _, tr := range trs {
-		for _, s := range tr.body {
-			if _, err := ex.execStmt(s, trigScope); err != nil {
+		body, err := ex.triggerBody(tr, v)
+		if err != nil {
+			return err
+		}
+		for i, s := range tr.body {
+			if _, err := ex.run(s, body[i], trigScope); err != nil {
 				return err
 			}
 		}
@@ -640,34 +535,12 @@ func (ex *executor) fireTriggers(trs []*trigger, v *view, newRow, oldRow []Value
 	return nil
 }
 
-func (ex *executor) execUpdate(st *UpdateStmt, sc *scope) (Result, error) {
-	key := strings.ToLower(st.Table)
-	if t, ok := ex.db.tables[key]; ok {
-		return ex.updateTable(t, st, sc)
-	}
-	if v, ok := ex.db.views[key]; ok {
-		return ex.updateView(v, st, sc)
-	}
-	return Result{}, fmt.Errorf("sqldb: no such table: %s", st.Table)
-}
-
-func (ex *executor) updateTable(t *table, st *UpdateStmt, sc *scope) (Result, error) {
-	bindings := ex.colBindings(len(t.cols))
-	for i, c := range t.cols {
-		bindings[i] = colBinding{qual: t.name, name: c.Name}
-	}
-	setIdx := ex.intsBuf(len(st.Set))
-	for i, a := range st.Set {
-		idx := t.colIndex(a.Col)
-		if idx < 0 {
-			return Result{}, fmt.Errorf("sqldb: table %s has no column %s", t.name, a.Col)
-		}
-		setIdx[i] = idx
-	}
+func (ex *executor) updateTable(bu *boundUpdate, sc *scope) (Result, error) {
+	t := bu.tbl
 	// changed marks the columns any SET clause can touch, so index
 	// maintenance only re-keys indexes covering an assigned column.
 	changed := ex.boolsBuf(len(t.cols))
-	for _, idx := range setIdx {
+	for _, idx := range bu.set {
 		changed[idx] = true
 	}
 	var affected int64
@@ -675,7 +548,7 @@ func (ex *executor) updateTable(t *table, st *UpdateStmt, sc *scope) (Result, er
 	maintain := len(t.indexes) > 0
 	// Access-path layer: probe for candidate positions when an index
 	// covers the WHERE; the full WHERE still runs on every candidate.
-	ap := ex.chooseAccess(t, t.name, st.Where)
+	ap := ex.chooseAccess(t, &bu.shape)
 	ex.db.countAccess(ap.kind)
 	// The plan kind, not the slice, decides probe vs scan: a probe that
 	// found nothing visits no rows.
@@ -689,8 +562,8 @@ func (ex *executor) updateTable(t *table, st *UpdateStmt, sc *scope) (Result, er
 	// One scope and one assignment buffer for the whole row loop: the
 	// scope's row is rebound per candidate, and newVals is fully copied
 	// into the row before the next iteration overwrites it.
-	rowScope := ex.newScope(sc, bindings, nil)
-	newVals := ex.values(len(st.Set))
+	rowScope := ex.newScope(sc, nil)
+	newVals := ex.values(len(bu.set))
 	for ci := 0; ci < n; ci++ {
 		pos := ci
 		if probe {
@@ -698,8 +571,8 @@ func (ex *executor) updateTable(t *table, st *UpdateStmt, sc *scope) (Result, er
 		}
 		row := t.rows[pos]
 		rowScope.row = row
-		if st.Where != nil {
-			match, err := ex.eval(st.Where, rowScope, nil)
+		if bu.where != nil {
+			match, err := ex.eval(bu.where, rowScope, nil)
 			if err != nil {
 				return Result{}, err
 			}
@@ -708,8 +581,8 @@ func (ex *executor) updateTable(t *table, st *UpdateStmt, sc *scope) (Result, er
 			}
 		}
 		// Evaluate all assignments against the pre-update row.
-		for i, a := range st.Set {
-			v, err := ex.eval(a.Expr, rowScope, nil)
+		for i, e := range bu.exprs {
+			v, err := ex.eval(e, rowScope, nil)
 			if err != nil {
 				return Result{}, err
 			}
@@ -724,7 +597,7 @@ func (ex *executor) updateTable(t *table, st *UpdateStmt, sc *scope) (Result, er
 		if maintain {
 			oldRow = append([]Value(nil), row...)
 		}
-		for i, idx := range setIdx {
+		for i, idx := range bu.set {
 			if idx == t.pk {
 				pkChanged = true
 			}
@@ -742,34 +615,34 @@ func (ex *executor) updateTable(t *table, st *UpdateStmt, sc *scope) (Result, er
 	return Result{RowsAffected: affected}, nil
 }
 
-func (ex *executor) updateView(v *view, st *UpdateStmt, sc *scope) (Result, error) {
-	trs := ex.triggersFor(v.name, "UPDATE")
-	if len(trs) == 0 {
+// updateView fires INSTEAD OF UPDATE triggers for each view row the
+// view scan finds, with SET evaluated against the row.
+func (ex *executor) updateView(bu *boundUpdate, sc *scope) (Result, error) {
+	v := bu.view
+	if len(bu.trs) == 0 {
 		return Result{}, fmt.Errorf("sqldb: cannot modify view %s: no INSTEAD OF UPDATE trigger", v.name)
 	}
-	rel, err := ex.viewRowsMatching(v, &st.scan, st.Where, sc)
+	rows, err := ex.execSelect(bu.scan, sc)
 	if err != nil {
 		return Result{}, err
 	}
 	var affected int64
-	rowScope := ex.newScope(sc, rel.cols, nil)
-	for _, row := range rel.rows {
+	n := len(v.cols)
+	rowScope := ex.newScope(sc, nil)
+	for _, row := range rows.Data {
 		rowScope.row = row
-		oldRow := row
-		newRow := make([]Value, len(row))
-		copy(newRow, row)
-		for _, a := range st.Set {
-			idx := indexOfFold(v.cols, a.Col)
-			if idx < 0 {
-				return Result{}, fmt.Errorf("sqldb: view %s has no column %s", v.name, a.Col)
-			}
-			val, err := ex.eval(a.Expr, rowScope, nil)
+		// NEW then OLD; NEW starts as a copy of the row.
+		trow := ex.values(2 * n)
+		copy(trow, row)
+		copy(trow[n:], row)
+		for i, e := range bu.exprs {
+			val, err := ex.eval(e, rowScope, nil)
 			if err != nil {
 				return Result{}, err
 			}
-			newRow[idx] = val
+			trow[bu.set[i]] = val
 		}
-		if err := ex.fireTriggers(trs, v, newRow, oldRow, sc); err != nil {
+		if err := ex.fireTriggers(bu.trs, v, trow); err != nil {
 			return Result{}, err
 		}
 		affected++
@@ -777,22 +650,8 @@ func (ex *executor) updateView(v *view, st *UpdateStmt, sc *scope) (Result, erro
 	return Result{RowsAffected: affected}, nil
 }
 
-func (ex *executor) execDelete(st *DeleteStmt, sc *scope) (Result, error) {
-	key := strings.ToLower(st.Table)
-	if t, ok := ex.db.tables[key]; ok {
-		return ex.deleteTable(t, st, sc)
-	}
-	if v, ok := ex.db.views[key]; ok {
-		return ex.deleteView(v, st, sc)
-	}
-	return Result{}, fmt.Errorf("sqldb: no such table: %s", st.Table)
-}
-
-func (ex *executor) deleteTable(t *table, st *DeleteStmt, sc *scope) (Result, error) {
-	bindings := ex.colBindings(len(t.cols))
-	for i, c := range t.cols {
-		bindings[i] = colBinding{qual: t.name, name: c.Name}
-	}
+func (ex *executor) deleteTable(bd *boundDelete, sc *scope) (Result, error) {
+	t := bd.tbl
 	// Access-path fast path: when a pk or secondary-index probe covers
 	// part of the WHERE, evaluate the full WHERE only on the candidates
 	// and swap-delete the matches. The last row swaps into each hole
@@ -800,15 +659,15 @@ func (ex *executor) deleteTable(t *table, st *DeleteStmt, sc *scope) (Result, er
 	// only one index entry moves per deletion. Deleting from the
 	// highest position down keeps pending positions valid: every slot
 	// filled by a swap came from beyond the remaining matches.
-	ap := ex.chooseAccess(t, t.name, st.Where)
+	ap := ex.chooseAccess(t, &bd.shape)
 	ex.db.countAccess(ap.kind)
+	rowScope := ex.newScope(sc, nil)
 	if ap.kind != accessSeqScan {
 		var matched []int
-		rowScope := ex.newScope(sc, bindings, nil)
 		for _, pos := range ap.sortedPositions() {
-			if st.Where != nil {
+			if bd.where != nil {
 				rowScope.row = t.rows[pos]
-				match, err := ex.eval(st.Where, rowScope, nil)
+				match, err := ex.eval(bd.where, rowScope, nil)
 				if err != nil {
 					return Result{}, err
 				}
@@ -851,11 +710,10 @@ func (ex *executor) deleteTable(t *table, st *DeleteStmt, sc *scope) (Result, er
 	}
 	kept := t.rows[:0:0]
 	var affected int64
-	rowScope := &scope{parent: sc, cols: bindings}
 	for _, row := range t.rows {
-		if st.Where != nil {
+		if bd.where != nil {
 			rowScope.row = row
-			match, err := ex.eval(st.Where, rowScope, nil)
+			match, err := ex.eval(bd.where, rowScope, nil)
 			if err != nil {
 				return Result{}, err
 			}
@@ -877,18 +735,20 @@ func (ex *executor) deleteTable(t *table, st *DeleteStmt, sc *scope) (Result, er
 	return Result{RowsAffected: affected}, nil
 }
 
-func (ex *executor) deleteView(v *view, st *DeleteStmt, sc *scope) (Result, error) {
-	trs := ex.triggersFor(v.name, "DELETE")
-	if len(trs) == 0 {
+// deleteView fires INSTEAD OF DELETE triggers with OLD bound to each
+// view row the view scan finds.
+func (ex *executor) deleteView(bd *boundDelete, sc *scope) (Result, error) {
+	v := bd.view
+	if len(bd.trs) == 0 {
 		return Result{}, fmt.Errorf("sqldb: cannot modify view %s: no INSTEAD OF DELETE trigger", v.name)
 	}
-	rel, err := ex.viewRowsMatching(v, &st.scan, st.Where, sc)
+	rows, err := ex.execSelect(bd.scan, sc)
 	if err != nil {
 		return Result{}, err
 	}
 	var affected int64
-	for _, row := range rel.rows {
-		if err := ex.fireTriggers(trs, v, nil, row, sc); err != nil {
+	for _, row := range rows.Data {
+		if err := ex.fireTriggers(bd.trs, v, row); err != nil {
 			return Result{}, err
 		}
 		affected++
@@ -896,107 +756,48 @@ func (ex *executor) deleteView(v *view, st *DeleteStmt, sc *scope) (Result, erro
 	return Result{RowsAffected: affected}, nil
 }
 
-// viewScan returns the SELECT * FROM <view> WHERE … that finds an
-// UPDATE's or DELETE's target rows on view v. It is built once per
-// statement and catalog generation and memoized in m, so the plan memo
-// on it hits; the executor and EXPLAIN share it.
-func (ex *executor) viewScan(m *memo[*SelectStmt], v *view, where Expr) *SelectStmt {
-	if sel, ok := m.get(ex.db.gen); ok {
-		return sel
-	}
-	sel := &SelectStmt{Cores: []*SelectCore{{
-		Cols:  []ResultCol{{Star: true}},
-		From:  &TableRef{Name: v.name},
-		Where: where,
-	}}}
-	m.put(ex.db.gen, sel)
-	return sel
-}
-
-// viewRowsMatching returns the view rows satisfying where, running the
-// statement's view scan through the planner so the view is merged — the
-// WHERE pushed into its cores or UNION ALL arms, reaching the pk fast
-// path — instead of materialized.
-func (ex *executor) viewRowsMatching(v *view, scan *memo[*SelectStmt], where Expr, sc *scope) (relation, error) {
-	rows, err := ex.execSelect(ex.viewScan(scan, v, where), sc)
-	if err != nil {
-		return relation{}, err
-	}
-	cols := ex.colBindings(len(v.cols))
-	for i, c := range v.cols {
-		cols[i] = colBinding{qual: v.name, name: c}
-	}
-	return relation{cols: cols, rows: rows.Data}, nil
-}
-
 // --- SELECT ---
 
-// coreResult is a projected arm plus, when available, its aligned source
-// rows so ORDER BY can reference non-projected FROM columns.
-type coreResult struct {
-	out     relation
-	srcCols []colBinding // nil when alignment was lost (DISTINCT, agg)
-	srcRows [][]Value    // aligned 1:1 with out.rows when srcCols != nil
-}
-
-// execSelect plans and executes a (possibly compound) select.
-func (ex *executor) execSelect(sel *SelectStmt, sc *scope) (*Rows, error) {
-	planned := ex.plan(sel)
-	var out *Rows
-	var srcCols []colBinding
-	var srcRows [][]Value
-	single := len(planned.Cores) == 1
-	for _, core := range planned.Cores {
-		cr, err := ex.execCore(core, sc)
+// execSelect executes a bound (possibly compound) select.
+func (ex *executor) execSelect(bs *boundSelect, sc *scope) (*Rows, error) {
+	if bs.merged {
+		ex.db.statFlattened.Add(1)
+	}
+	var data, srcRows [][]Value
+	for i, core := range bs.cores {
+		out, src, err := ex.execCore(core, sc)
 		if err != nil {
 			return nil, err
 		}
-		rel := cr.out
-		if single {
-			srcCols, srcRows = cr.srcCols, cr.srcRows
-		}
-		if out == nil {
-			cols := make([]string, len(rel.cols))
-			for i, b := range rel.cols {
-				cols[i] = b.name
-			}
-			out = &Rows{Columns: cols, Data: rel.rows}
+		if i == 0 {
+			data, srcRows = out, src
 			continue
 		}
-		if len(rel.cols) != len(out.Columns) {
-			return nil, fmt.Errorf("sqldb: SELECTs to the left and right of UNION ALL do not have the same number of result columns")
-		}
-		out.Data = append(out.Data, rel.rows...)
+		data = append(data, out...)
 	}
-	if out == nil {
-		out = &Rows{}
-	}
-	if err := ex.orderAndLimit(planned, out, sc, srcCols, srcRows); err != nil {
+	out := &Rows{Columns: slices.Clone(bs.cols), Data: data}
+	if err := ex.orderAndLimit(bs, out, sc, srcRows); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
 // orderAndLimit applies ORDER BY / LIMIT / OFFSET to a result set. For a
-// single-core select, srcCols/srcRows allow ORDER BY terms to reference
-// source columns that were not projected (SQLite permits this).
-func (ex *executor) orderAndLimit(sel *SelectStmt, out *Rows, sc *scope, srcCols []colBinding, srcRows [][]Value) error {
-	if len(sel.OrderBy) > 0 {
-		bindings := ex.colBindings(len(out.Columns))
-		for i, c := range out.Columns {
-			bindings[i] = colBinding{name: c}
-		}
+// single-core select, srcRows (aligned with out.Data) let ORDER BY terms
+// read source columns that were not projected (SQLite permits this).
+func (ex *executor) orderAndLimit(bs *boundSelect, out *Rows, sc *scope, srcRows [][]Value) error {
+	if len(bs.order) > 0 {
 		// Both scopes are rebound per row rather than reallocated.
 		parent := sc
 		var srcScope *scope
-		if srcCols != nil {
-			srcScope = ex.newScope(sc, srcCols, nil)
+		if bs.srcOrder {
+			srcScope = ex.newScope(sc, nil)
 			parent = srcScope
 		}
-		rowScope := ex.newScope(parent, bindings, nil)
+		rowScope := ex.newScope(parent, nil)
 		// Every row's key sits in one statement-scoped array: row ri's
 		// key is keys[ri*nt:(ri+1)*nt].
-		nt := len(sel.OrderBy)
+		nt := len(bs.order)
 		keys := ex.values(len(out.Data) * nt)
 		for ri, row := range out.Data {
 			if srcScope != nil {
@@ -1004,32 +805,33 @@ func (ex *executor) orderAndLimit(sel *SelectStmt, out *Rows, sc *scope, srcCols
 			}
 			rowScope.row = row
 			key := keys[ri*nt : (ri+1)*nt]
-			for ti, term := range sel.OrderBy {
-				// Integer literal means output column index (1-based).
-				if lit, ok := term.Expr.(*Lit); ok {
-					if n, isInt := lit.Val.(int64); isInt && n >= 1 && int(n) <= len(row) {
-						key[ti] = row[n-1]
-						continue
-					}
+			for ti, term := range bs.order {
+				if term.ord >= 0 {
+					key[ti] = row[term.ord]
+					continue
 				}
-				v, err := ex.eval(term.Expr, rowScope, nil)
+				if ref, ok := term.expr.(*slotRef); ok && ref.depth == 0 {
+					key[ti] = row[ref.slot]
+					continue
+				}
+				v, err := ex.eval(term.expr, rowScope, nil)
 				if err != nil {
 					return err
 				}
 				key[ti] = v
 			}
 		}
-		sortRowsByKeys(out.Data, keys, sel.OrderBy)
+		sortRowsByKeys(out.Data, keys, bs.order)
 	}
-	if sel.Limit != nil {
-		limitV, err := ex.eval(sel.Limit, sc, nil)
+	if bs.limit != nil {
+		limitV, err := ex.eval(bs.limit, sc, nil)
 		if err != nil {
 			return err
 		}
 		limit, _ := AsInt(limitV)
 		offset := int64(0)
-		if sel.Offset != nil {
-			offV, err := ex.eval(sel.Offset, sc, nil)
+		if bs.offset != nil {
+			offV, err := ex.eval(bs.offset, sc, nil)
 			if err != nil {
 				return err
 			}
@@ -1054,7 +856,7 @@ func (ex *executor) orderAndLimit(sel *SelectStmt, out *Rows, sc *scope, srcCols
 
 // sortRowsByKeys stably sorts rows by precomputed keys: row i's key
 // is keys[i*len(terms):(i+1)*len(terms)].
-func sortRowsByKeys(rows [][]Value, keys []Value, terms []OrderTerm) {
+func sortRowsByKeys(rows [][]Value, keys []Value, terms []boundOrder) {
 	type pair struct {
 		row []Value
 		key []Value
@@ -1067,7 +869,7 @@ func sortRowsByKeys(rows [][]Value, keys []Value, terms []OrderTerm) {
 	slices.SortStableFunc(pairs, func(a, b pair) int {
 		for ti, term := range terms {
 			if c := compare(a.key[ti], b.key[ti]); c != 0 {
-				if term.Desc {
+				if term.desc {
 					return -c
 				}
 				return c
@@ -1080,85 +882,42 @@ func sortRowsByKeys(rows [][]Value, keys []Value, terms []OrderTerm) {
 	}
 }
 
-// execCore executes one arm of a compound select.
-func (ex *executor) execCore(core *SelectCore, sc *scope) (coreResult, error) {
-	src, err := ex.buildFrom(core, sc)
+// execCore executes one arm of a select, returning its output rows
+// and, when the arm keeps them aligned (no aggregate, no DISTINCT), the
+// source row of each output row for ORDER BY.
+func (ex *executor) execCore(core *boundCore, sc *scope) (out, src [][]Value, err error) {
+	src, err = ex.buildFrom(core, sc)
 	if err != nil {
-		return coreResult{}, err
+		return nil, nil, err
 	}
-	// Validate WHERE and projection references even when the source is
-	// empty, mirroring SQLite's prepare-time name resolution.
-	if len(src.rows) == 0 {
-		if err := ex.validateCore(core, src, sc); err != nil {
-			return coreResult{}, err
-		}
-	}
-	// WHERE
-	if core.Where != nil {
-		filtered := src.rows[:0:0]
-		rowScope := ex.newScope(sc, src.cols, nil)
-		for _, row := range src.rows {
+	if core.where != nil {
+		// Filter in place: every source slice is the statement's own.
+		filtered := src[:0]
+		rowScope := ex.newScope(sc, nil)
+		for _, row := range src {
 			rowScope.row = row
-			match, err := ex.eval(core.Where, rowScope, nil)
+			match, err := ex.eval(core.where, rowScope, nil)
 			if err != nil {
-				return coreResult{}, err
+				return nil, nil, err
 			}
 			if truthy(match) {
 				filtered = append(filtered, row)
 			}
 		}
-		src.rows = filtered
+		src = filtered
 	}
-	// Aggregation or plain projection.
-	if core.GroupBy != nil || ex.hasAggregate(core.Cols) {
-		rel, err := ex.execAggregate(core, src, sc)
-		if err != nil {
-			return coreResult{}, err
-		}
-		return coreResult{out: rel}, nil
+	if core.agg != nil {
+		out, err := ex.execAggregate(core, src, sc)
+		return out, nil, err
 	}
-	out, err := ex.project(core, src, sc)
+	out, err = ex.project(core, src, sc)
 	if err != nil {
-		return coreResult{}, err
+		return nil, nil, err
 	}
-	if core.Distinct {
-		out.rows = dedupeRows(out.rows)
-		return coreResult{out: out}, nil
+	if core.distinct {
+		return dedupeRows(out), nil, nil
 	}
-	return coreResult{out: out, srcCols: src.cols, srcRows: src.rows}, nil
-}
-
-// validateCore checks name resolution of a core's expressions against an
-// all-NULL row so that queries over empty tables still report unknown
-// column errors.
-func (ex *executor) validateCore(core *SelectCore, src relation, sc *scope) error {
-	// A cached AST re-validates identically until the catalog changes,
-	// so a successful check runs once per generation.
-	if m, ok := core.expand.get(ex.db.gen); ok && m.checked {
-		return nil
-	}
-	nullRow := ex.values(len(src.cols))
-	rowScope := ex.newScope(sc, src.cols, nullRow)
-	if core.Where != nil {
-		if _, err := ex.eval(core.Where, rowScope, nil); err != nil {
-			return err
-		}
-	}
-	if core.GroupBy != nil || ex.hasAggregate(core.Cols) {
-		return nil // aggregate path evaluates against a null row anyway
-	}
-	m, err := ex.expansion(core, src)
-	if err != nil {
-		return err
-	}
-	for _, e := range m.exprs {
-		if _, err := ex.eval(e, rowScope, nil); err != nil {
-			return err
-		}
-	}
-	m.checked = true
-	core.expand.put(ex.db.gen, m)
-	return nil
+	return out, src, nil
 }
 
 func dedupeRows(rows [][]Value) [][]Value {
@@ -1178,61 +937,54 @@ func dedupeRows(rows [][]Value) [][]Value {
 	return out
 }
 
-// buildFrom materializes the FROM clause (including joins). For a
-// single base table it asks the access-path layer (access.go) for a
-// primary-key or index probe instead of a scan.
-func (ex *executor) buildFrom(core *SelectCore, sc *scope) (relation, error) {
-	if core.From == nil {
-		return relation{rows: [][]Value{{}}}, nil
-	}
-	if core.From.Sub == nil && len(core.Joins) == 0 {
-		if t, ok := ex.db.tables[strings.ToLower(core.From.Name)]; ok {
-			alias := core.From.Alias
-			if alias == "" {
-				alias = core.From.Name
-			}
-			// Access-path layer: probe an index when the WHERE pins one;
-			// candidates still pass through the full WHERE filter above.
-			if ap := ex.chooseAccess(t, alias, core.Where); ap.kind != accessSeqScan {
-				ex.db.countAccess(ap.kind)
-				cols := ex.colBindings(len(t.cols))
-				for i, c := range t.cols {
-					cols[i] = colBinding{qual: alias, name: c.Name}
-				}
-				return relation{cols: cols, rows: ap.fetchRows()}, nil
-			}
+// buildFrom materializes the FROM clause (including joins). A single
+// base table goes through the access-path layer (access.go), which
+// probes the primary key or an index instead of scanning when the
+// WHERE allows.
+func (ex *executor) buildFrom(core *boundCore, sc *scope) ([][]Value, error) {
+	if t := core.tbl; t != nil {
+		// Candidates still pass through the full WHERE in execCore.
+		if ap := ex.chooseAccess(t, &core.shape); ap.kind != accessSeqScan {
+			ex.db.countAccess(ap.kind)
+			return ap.fetchRows(), nil
 		}
+		return ex.scanTable(t), nil
 	}
-	left, err := ex.scanRef(*core.From, sc)
+	if len(core.srcs) == 0 {
+		return [][]Value{{}}, nil
+	}
+	left, err := ex.scanSource(&core.srcs[0])
 	if err != nil {
-		return relation{}, err
+		return nil, err
 	}
-	for _, j := range core.Joins {
-		right, err := ex.scanRef(j.Ref, sc)
+	rowScope := ex.newScope(sc, nil)
+	for i := 1; i < len(core.srcs); i++ {
+		j := &core.srcs[i]
+		right, err := ex.scanSource(j)
 		if err != nil {
-			return relation{}, err
+			return nil, err
 		}
-		joined := relation{cols: append(append([]colBinding{}, left.cols...), right.cols...)}
-		nullRight := make([]Value, len(right.cols))
-		for _, lrow := range left.rows {
+		var joined [][]Value
+		nullRight := make([]Value, j.width)
+		for _, lrow := range left {
 			matched := false
-			for _, rrow := range right.rows {
+			for _, rrow := range right {
 				combined := append(append([]Value{}, lrow...), rrow...)
-				if j.On != nil {
-					rowScope := &scope{parent: sc, cols: joined.cols, row: combined}
-					ok, err := ex.eval(j.On, rowScope, nil)
+				if j.on != nil {
+					rowScope.row = combined
+					ok, err := ex.eval(j.on, rowScope, nil)
 					if err != nil {
-						return relation{}, err
+						return nil, err
 					}
 					if !truthy(ok) {
 						continue
 					}
 				}
 				matched = true
-				joined.rows = append(joined.rows, combined)
+				joined = append(joined, combined)
 			}
-			if !matched && j.Left {
-				joined.rows = append(joined.rows, append(append([]Value{}, lrow...), nullRight...))
+			if !matched && j.left {
+				joined = append(joined, append(append([]Value{}, lrow...), nullRight...))
 			}
 		}
 		left = joined
@@ -1240,94 +992,76 @@ func (ex *executor) buildFrom(core *SelectCore, sc *scope) (relation, error) {
 	return left, nil
 }
 
-// scanRef materializes a table, view, or subquery reference.
-func (ex *executor) scanRef(ref TableRef, sc *scope) (relation, error) {
-	qual := ref.Alias
-	if ref.Sub != nil {
-		rows, err := ex.execSelect(ref.Sub, sc)
-		if err != nil {
-			return relation{}, err
-		}
-		cols := ex.colBindings(len(rows.Columns))
-		for i, c := range rows.Columns {
-			cols[i] = colBinding{qual: qual, name: c}
-		}
-		return relation{cols: cols, rows: rows.Data}, nil
+// scanSource materializes a table, view or subquery source. A
+// subquery and a view run in their own scope: they bind in it.
+func (ex *executor) scanSource(s *boundSource) ([][]Value, error) {
+	switch {
+	case s.tbl != nil:
+		return ex.scanTable(s.tbl), nil
+	case s.view != nil:
+		return ex.materializeView(s.view)
 	}
-	if qual == "" {
-		qual = ref.Name
+	rows, err := ex.execSelect(s.sub, nil)
+	if err != nil {
+		return nil, err
 	}
-	key := strings.ToLower(ref.Name)
-	if t, ok := ex.db.tables[key]; ok {
-		ex.db.statSeqScan.Add(1)
-		cols := ex.colBindings(len(t.cols))
-		for i, c := range t.cols {
-			cols[i] = colBinding{qual: qual, name: c.Name}
-		}
-		rows := make([][]Value, len(t.rows))
-		copy(rows, t.rows)
-		return relation{cols: cols, rows: rows}, nil
-	}
-	if v, ok := ex.db.views[key]; ok {
-		rel, err := ex.materializeView(v, sc)
-		if err != nil {
-			return relation{}, err
-		}
-		for i := range rel.cols {
-			rel.cols[i].qual = qual
-		}
-		return rel, nil
-	}
-	return relation{}, fmt.Errorf("sqldb: no such table: %s", ref.Name)
+	return rows.Data, nil
+}
+
+// scanTable returns every row of t, sharing row slices with the table.
+func (ex *executor) scanTable(t *table) [][]Value {
+	ex.db.statSeqScan.Add(1)
+	rows := make([][]Value, len(t.rows))
+	copy(rows, t.rows)
+	return rows
 }
 
 // materializeView fully evaluates a view definition.
-func (ex *executor) materializeView(v *view, sc *scope) (relation, error) {
+func (ex *executor) materializeView(v *view) ([][]Value, error) {
 	ex.db.statMaterialize.Add(1)
-	rows, err := ex.execSelect(v.def, sc)
+	body, err := ex.viewBody(v)
 	if err != nil {
-		return relation{}, err
+		return nil, err
 	}
-	cols := ex.colBindings(len(v.cols))
-	for i, c := range v.cols {
-		cols[i] = colBinding{qual: v.name, name: c}
+	rows, err := ex.execSelect(body, nil)
+	if err != nil {
+		return nil, err
 	}
-	return relation{cols: cols, rows: rows.Data}, nil
+	return rows.Data, nil
 }
 
 // project applies the select list to each source row.
-func (ex *executor) project(core *SelectCore, src relation, sc *scope) (relation, error) {
-	outCols, exprs, err := ex.expandCols(core, src)
-	if err != nil {
-		return relation{}, err
-	}
+func (ex *executor) project(core *boundCore, src [][]Value, sc *scope) ([][]Value, error) {
 	// One backing array holds every projected row. Each row is a capped
 	// sub-slice of it, so an append to one row cannot write into the next.
-	n := len(exprs)
-	flat := make([]Value, len(src.rows)*n)
-	out := relation{cols: outCols, rows: make([][]Value, len(src.rows))}
-	for ri := range out.rows {
-		out.rows[ri] = flat[ri*n : (ri+1)*n : (ri+1)*n]
+	n := len(core.exprs)
+	flat := make([]Value, len(src)*n)
+	out := make([][]Value, len(src))
+	for ri := range out {
+		out[ri] = flat[ri*n : (ri+1)*n : (ri+1)*n]
 	}
-	// Fast path: a projection of plain column references compiles to
-	// index copies, avoiding per-row scope lookups.
-	if idxs, ok := columnIndexes(exprs, src.cols, ex.intsBuf(n)); ok {
-		for ri, row := range src.rows {
-			projected := out.rows[ri]
-			for i, idx := range idxs {
-				projected[i] = row[idx]
+	// A list of plain source columns copies by slot.
+	if core.plain {
+		slots := ex.intsBuf(n)
+		for i, e := range core.exprs {
+			slots[i] = e.(*slotRef).slot
+		}
+		for ri, row := range src {
+			projected := out[ri]
+			for i, slot := range slots {
+				projected[i] = row[slot]
 			}
 		}
 		return out, nil
 	}
-	rowScope := ex.newScope(sc, src.cols, nil)
-	for ri, row := range src.rows {
+	rowScope := ex.newScope(sc, nil)
+	for ri, row := range src {
 		rowScope.row = row
-		projected := out.rows[ri]
-		for i, e := range exprs {
+		projected := out[ri]
+		for i, e := range core.exprs {
 			v, err := ex.eval(e, rowScope, nil)
 			if err != nil {
-				return relation{}, err
+				return nil, err
 			}
 			projected[i] = v
 		}
@@ -1335,108 +1069,8 @@ func (ex *executor) project(core *SelectCore, src relation, sc *scope) (relation
 	return out, nil
 }
 
-// columnIndexes resolves a projection made purely of column references
-// to source column indexes, filling the caller-provided buffer (sized
-// len(exprs)). It fails (ok=false) if any expression is not a plain
-// reference or any name is ambiguous/unresolved locally.
-func columnIndexes(exprs []Expr, cols []colBinding, idxs []int) ([]int, bool) {
-	for i, e := range exprs {
-		ref, isRef := e.(*ColRef)
-		if !isRef {
-			return nil, false
-		}
-		found := -1
-		for j, b := range cols {
-			if ref.Table != "" && !strings.EqualFold(b.qual, ref.Table) {
-				continue
-			}
-			if strings.EqualFold(b.name, ref.Col) {
-				if found >= 0 {
-					return nil, false // ambiguous
-				}
-				found = j
-			}
-		}
-		if found < 0 {
-			return nil, false // may resolve in an outer scope
-		}
-		idxs[i] = found
-	}
-	return idxs, true
-}
-
-// coreMemo is a core's select-list expansion (* and t.* resolved
-// against its FROM clause) and whether validateCore has checked the
-// core's names. exprs are shared (evaluation never mutates ASTs); cols
-// are copied out on every use because FROM-subquery aliasing rewrites
-// quals in place.
-type coreMemo struct {
-	cols    []colBinding
-	exprs   []Expr
-	checked bool
-}
-
-// expansion returns the core's memoized select-list expansion,
-// computing it on a miss.
-func (ex *executor) expansion(core *SelectCore, src relation) (coreMemo, error) {
-	if m, ok := core.expand.get(ex.db.gen); ok {
-		return m, nil
-	}
-	cols, exprs, err := ex.expandColsUncached(core, src)
-	if err != nil {
-		return coreMemo{}, err
-	}
-	m := coreMemo{cols: cols, exprs: exprs}
-	core.expand.put(ex.db.gen, m)
-	return m, nil
-}
-
-// expandCols expands * and t.* into concrete expressions. The column
-// bindings come from the arena: they are statement-scoped, and the
-// memoized pristine copy must survive FROM aliasing.
-func (ex *executor) expandCols(core *SelectCore, src relation) ([]colBinding, []Expr, error) {
-	m, err := ex.expansion(core, src)
-	if err != nil {
-		return nil, nil, err
-	}
-	cols := ex.colBindings(len(m.cols))
-	copy(cols, m.cols)
-	return cols, m.exprs, nil
-}
-
-func (ex *executor) expandColsUncached(core *SelectCore, src relation) ([]colBinding, []Expr, error) {
-	var outCols []colBinding
-	var exprs []Expr
-	for _, rc := range core.Cols {
-		switch {
-		case rc.Star:
-			for _, b := range src.cols {
-				outCols = append(outCols, colBinding{name: b.name})
-				exprs = append(exprs, &ColRef{Table: b.qual, Col: b.name})
-			}
-		case rc.TableStar != "":
-			found := false
-			for _, b := range src.cols {
-				if strings.EqualFold(b.qual, rc.TableStar) {
-					outCols = append(outCols, colBinding{name: b.name})
-					exprs = append(exprs, &ColRef{Table: b.qual, Col: b.name})
-					found = true
-				}
-			}
-			if !found {
-				return nil, nil, fmt.Errorf("sqldb: no such table: %s", rc.TableStar)
-			}
-		default:
-			outCols = append(outCols, colBinding{name: exprName(rc)})
-			exprs = append(exprs, rc.Expr)
-		}
-	}
-	return outCols, exprs, nil
-}
-
 // groupData carries the rows of one aggregation group.
 type groupData struct {
-	cols []colBinding
 	rows [][]Value
 }
 
@@ -1476,19 +1110,21 @@ func exprHasAggregate(e Expr) bool {
 }
 
 // execAggregate evaluates an aggregate (optionally grouped) core.
-func (ex *executor) execAggregate(core *SelectCore, src relation, sc *scope) (relation, error) {
+func (ex *executor) execAggregate(core *boundCore, src [][]Value, sc *scope) ([][]Value, error) {
+	agg := core.agg
 	groups := []groupData{}
-	if core.GroupBy == nil {
-		groups = append(groups, groupData{cols: src.cols, rows: src.rows})
+	rowScope := ex.newScope(sc, nil)
+	if len(agg.groupBy) == 0 {
+		groups = append(groups, groupData{rows: src})
 	} else {
 		index := map[string]int{}
-		for _, row := range src.rows {
-			rowScope := &scope{parent: sc, cols: src.cols, row: row}
+		for _, row := range src {
+			rowScope.row = row
 			var keyBuf strings.Builder
-			for _, g := range core.GroupBy {
+			for _, g := range agg.groupBy {
 				v, err := ex.eval(g, rowScope, nil)
 				if err != nil {
-					return relation{}, err
+					return nil, err
 				}
 				fmt.Fprintf(&keyBuf, "%T|%v|", v, v)
 			}
@@ -1497,46 +1133,40 @@ func (ex *executor) execAggregate(core *SelectCore, src relation, sc *scope) (re
 			if !ok {
 				gi = len(groups)
 				index[k] = gi
-				groups = append(groups, groupData{cols: src.cols})
+				groups = append(groups, groupData{})
 			}
 			groups[gi].rows = append(groups[gi].rows, row)
 		}
 	}
-	var outCols []colBinding
-	for _, rc := range core.Cols {
-		outCols = append(outCols, colBinding{name: exprName(rc)})
-	}
-	out := relation{cols: outCols}
-	for _, g := range groups {
-		var first []Value
+	var out [][]Value
+	for gi := range groups {
+		g := &groups[gi]
 		if len(g.rows) > 0 {
-			first = g.rows[0]
+			rowScope.row = g.rows[0]
 		} else {
-			first = make([]Value, len(src.cols))
+			rowScope.row = make([]Value, core.width)
 		}
-		rowScope := &scope{parent: sc, cols: src.cols, row: first}
-		g := g
-		if core.Having != nil {
-			keep, err := ex.eval(core.Having, rowScope, &g)
+		if agg.having != nil {
+			keep, err := ex.eval(agg.having, rowScope, g)
 			if err != nil {
-				return relation{}, err
+				return nil, err
 			}
 			if !truthy(keep) {
 				continue
 			}
 		}
-		projected := make([]Value, len(core.Cols))
-		for i, rc := range core.Cols {
-			if rc.Star || rc.TableStar != "" {
-				return relation{}, fmt.Errorf("sqldb: * not allowed with aggregates")
-			}
-			v, err := ex.eval(rc.Expr, rowScope, &g)
+		if agg.star {
+			return nil, fmt.Errorf("sqldb: * not allowed with aggregates")
+		}
+		projected := make([]Value, len(core.exprs))
+		for i, e := range core.exprs {
+			v, err := ex.eval(e, rowScope, g)
 			if err != nil {
-				return relation{}, err
+				return nil, err
 			}
 			projected[i] = v
 		}
-		out.rows = append(out.rows, projected)
+		out = append(out, projected)
 	}
 	return out, nil
 }

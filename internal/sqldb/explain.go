@@ -1,9 +1,6 @@
 package sqldb
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // EXPLAIN runs the planner only: the target statement is planned (view
 // merging included), each table reference's access path is chosen,
@@ -33,9 +30,9 @@ func (ex *executor) explainStmt(s Stmt, out *Rows) error {
 		}
 		return nil
 	case *UpdateStmt:
-		return ex.explainWrite(st.Table, "UPDATE", st.Where, &st.scan, out)
+		return ex.explainWrite(st, "UPDATE", st.Where, out)
 	case *DeleteStmt:
-		return ex.explainWrite(st.Table, "DELETE", st.Where, &st.scan, out)
+		return ex.explainWrite(st, "DELETE", st.Where, out)
 	case *ExplainStmt:
 		return ex.explainStmt(st.Target, out)
 	default:
@@ -46,24 +43,34 @@ func (ex *executor) explainStmt(s Stmt, out *Rows) error {
 
 // explainWrite reports the access path an UPDATE or DELETE would use to
 // find its target rows; on a view it reports the trigger redirection.
-func (ex *executor) explainWrite(target, verb string, where Expr, scan *memo[*SelectStmt], out *Rows) error {
-	key := strings.ToLower(target)
-	if t, ok := ex.db.tables[key]; ok {
-		ap := ex.chooseAccess(t, t.name, where)
+func (ex *executor) explainWrite(s Stmt, verb string, where Expr, out *Rows) error {
+	bind := &binder{ex: ex}
+	b := bind.stmt(s)
+	if bind.err != nil {
+		return bind.err
+	}
+	var t *table
+	var v *view
+	var shape *accessShape
+	switch x := b.(type) {
+	case *boundUpdate:
+		t, v, shape = x.tbl, x.view, &x.shape
+	case *boundDelete:
+		t, v, shape = x.tbl, x.view, &x.shape
+	}
+	if t != nil {
+		ap := ex.chooseAccess(t, shape)
 		out.Data = append(out.Data, []Value{t.name, verb + " " + ap.describe()})
 		return nil
 	}
-	if v, ok := ex.db.views[key]; ok {
-		out.Data = append(out.Data, []Value{v.name, fmt.Sprintf("%s VIEW %s VIA INSTEAD OF TRIGGERS", verb, v.name)})
-		// The row lookup on the view is the executor's own view scan.
-		return ex.explainSelect(ex.viewScan(scan, v, where), out)
-	}
-	return fmt.Errorf("sqldb: no such table: %s", target)
+	out.Data = append(out.Data, []Value{v.name, fmt.Sprintf("%s VIEW %s VIA INSTEAD OF TRIGGERS", verb, v.name)})
+	// The row lookup on the view is the executor's own view scan.
+	return ex.explainSelect(viewScan(v, where), out)
 }
 
 // explainSelect plans a select (applying the same view merging the
-// executor uses), names each merged view, and reports each core's
-// access path.
+// executor uses), names each merged view, binds the plan and reports
+// each core's access path.
 func (ex *executor) explainSelect(sel *SelectStmt, out *Rows) error {
 	planned := ex.mergeViews(sel, func(v *view, cores int) {
 		detail := "MERGE VIEW " + v.name
@@ -72,56 +79,49 @@ func (ex *executor) explainSelect(sel *SelectStmt, out *Rows) error {
 		}
 		out.Data = append(out.Data, []Value{v.name, detail})
 	})
-	for _, core := range planned.Cores {
-		if err := ex.explainCore(core, out); err != nil {
+	bind := &binder{ex: ex}
+	bound := bind.planned(planned, planned != sel)
+	if bind.err != nil {
+		return bind.err
+	}
+	for i, core := range planned.Cores {
+		if err := ex.explainCore(core, bound.cores[i], out); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (ex *executor) explainCore(core *SelectCore, out *Rows) error {
+// explainCore reports one core's sources. Only a single-table FROM
+// consults the access-path layer (matching buildFrom); join sources
+// and subqueries scan.
+func (ex *executor) explainCore(core *SelectCore, bc *boundCore, out *Rows) error {
 	if core.From == nil {
 		out.Data = append(out.Data, []Value{"", "NO TABLE (constant select)"})
+		return nil
+	}
+	if t := bc.tbl; t != nil {
+		out.Data = append(out.Data, []Value{t.name, ex.chooseAccess(t, &bc.shape).describe()})
 		return nil
 	}
 	refs := []TableRef{*core.From}
 	for _, j := range core.Joins {
 		refs = append(refs, j.Ref)
 	}
-	// Only a single-table FROM consults the access-path layer today
-	// (matching buildFrom); join sources and subqueries scan.
-	single := core.From.Sub == nil && len(core.Joins) == 0
 	for i, ref := range refs {
-		switch {
-		case ref.Sub != nil:
+		switch src := bc.srcs[i]; {
+		case src.sub != nil:
 			out.Data = append(out.Data, []Value{ref.Alias, "SCAN SUBQUERY"})
 			if err := ex.explainSelect(ref.Sub, out); err != nil {
 				return err
 			}
+		case src.tbl != nil:
+			out.Data = append(out.Data, []Value{src.tbl.name, fmt.Sprintf("SCAN %s (~%d rows)", src.tbl.name, len(src.tbl.rows))})
 		default:
-			key := strings.ToLower(ref.Name)
-			if t, ok := ex.db.tables[key]; ok {
-				alias := ref.Alias
-				if alias == "" {
-					alias = ref.Name
-				}
-				if single && i == 0 {
-					ap := ex.chooseAccess(t, alias, core.Where)
-					out.Data = append(out.Data, []Value{t.name, ap.describe()})
-				} else {
-					out.Data = append(out.Data, []Value{t.name, fmt.Sprintf("SCAN %s (~%d rows)", t.name, len(t.rows))})
-				}
-				continue
+			out.Data = append(out.Data, []Value{src.view.name, "MATERIALIZE VIEW " + src.view.name})
+			if err := ex.explainSelect(src.view.def, out); err != nil {
+				return err
 			}
-			if v, ok := ex.db.views[key]; ok {
-				out.Data = append(out.Data, []Value{v.name, "MATERIALIZE VIEW " + v.name})
-				if err := ex.explainSelect(v.def, out); err != nil {
-					return err
-				}
-				continue
-			}
-			return fmt.Errorf("sqldb: no such table: %s", ref.Name)
 		}
 	}
 	return nil

@@ -188,7 +188,7 @@ func (db *DB) ReplayUnit(sql string, args []Value, n int, errored bool) error {
 	ex.args = ex.argsBuf
 	for i := 0; i < n; i++ {
 		ex.sc.reset()
-		if _, err := ex.execStmt(p.stmts[i], nil); err != nil {
+		if _, err := ex.execStmt(p.stmts[i], &p.binds[i]); err != nil {
 			if i == n-1 && errored {
 				return nil
 			}

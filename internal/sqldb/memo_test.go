@@ -79,6 +79,57 @@ func TestMemosFollowCatalogChanges(t *testing.T) {
 			writes: "base2",
 		},
 		{
+			name: "table recreated with its columns reordered",
+			before: `CREATE TABLE s (_id INTEGER PRIMARY KEY, a TEXT, b TEXT);
+				INSERT INTO s VALUES (1, 'old a', 'old b')`,
+			after: []string{"DROP TABLE s", `CREATE TABLE s (_id INTEGER PRIMARY KEY, b TEXT, a TEXT);
+				INSERT INTO s VALUES (1, 'new b', 'new a')`},
+			stmt: "SELECT a FROM s WHERE _id = 1",
+			want: "new a",
+		},
+		{
+			name: "view redefined under a warm trigger",
+			before: `CREATE TABLE base (_id INTEGER PRIMARY KEY, v TEXT);
+				CREATE TABLE src1 (_id INTEGER PRIMARY KEY, note TEXT);
+				CREATE TABLE src2 (_id INTEGER PRIMARY KEY, note TEXT);
+				CREATE TABLE audit (_id INTEGER PRIMARY KEY, note TEXT);
+				INSERT INTO base VALUES (1, 'one');
+				INSERT INTO src1 VALUES (1, 'from src1');
+				INSERT INTO src2 VALUES (1, 'from src2');
+				CREATE VIEW notes AS SELECT _id, note FROM src1;
+				CREATE VIEW tv AS SELECT _id, v FROM base;
+				CREATE TRIGGER tr INSTEAD OF UPDATE ON tv BEGIN
+					INSERT INTO audit (note) SELECT note FROM notes WHERE _id = OLD._id; END`,
+			after:  []string{"DROP VIEW notes", "CREATE VIEW notes AS SELECT _id, note FROM src2"},
+			stmt:   "UPDATE tv SET v = 'x' WHERE _id = 1",
+			check:  "SELECT note FROM audit ORDER BY _id DESC LIMIT 1",
+			want:   "from src2",
+			writes: "audit",
+		},
+		{
+			name: "IN subquery target changed from a table to a view",
+			before: `CREATE TABLE m (_id INTEGER PRIMARY KEY, v TEXT);
+				CREATE TABLE d (_id INTEGER PRIMARY KEY);
+				CREATE TABLE d2 (_id INTEGER PRIMARY KEY);
+				INSERT INTO m VALUES (1, 'one'), (2, 'two');
+				INSERT INTO d VALUES (1);
+				INSERT INTO d2 VALUES (2)`,
+			after: []string{"DROP TABLE d", "CREATE VIEW d AS SELECT _id FROM d2"},
+			stmt:  "SELECT v FROM m WHERE _id NOT IN (SELECT _id FROM d)",
+			want:  "one",
+		},
+		{
+			// Inside the transaction x is the third column; ROLLBACK must
+			// take the binding back to the second.
+			name: "CREATE TABLE rolled back",
+			before: `CREATE TABLE q (_id INTEGER PRIMARY KEY, x TEXT);
+				INSERT INTO q VALUES (1, 'old')`,
+			after: []string{`BEGIN; DROP TABLE q; CREATE TABLE q (_id INTEGER PRIMARY KEY, pad TEXT, x TEXT);
+				INSERT INTO q VALUES (1, 'pad', 'in txn')`, "ROLLBACK", "UPDATE q SET x = 'after' WHERE _id = 1"},
+			stmt: "SELECT x FROM q WHERE _id = 1",
+			want: "after",
+		},
+		{
 			name:   "index created",
 			before: indexSetup,
 			after:  []string{"CREATE INDEX t_a ON t (a)"},
@@ -297,4 +348,96 @@ func TestMemosUnderConcurrentDDL(t *testing.T) {
 		t.Error("no DDL round ran alongside the workers")
 	}
 	t.Logf("%d DDL rounds ran alongside the workers", rounds)
+}
+
+// TestBindingsUnderConcurrentDDL runs one prepared range read from four
+// goroutines while a fifth keeps dropping and recreating its table with
+// the two text columns in the other order. Generation k stores
+// a = "a<k>-<id>" and b = "b<k>-<id>" whatever the column order, so a
+// read through a binding of the wrong generation returns a and b
+// swapped, and a read that mixed generations returns two values of k.
+func TestBindingsUnderConcurrentDDL(t *testing.T) {
+	const readers, rowsPer, iters = 4, 16, 150
+	create := func(k int) string {
+		cols := "a TEXT, b TEXT"
+		if k%2 == 1 {
+			cols = "b TEXT, a TEXT"
+		}
+		var sb strings.Builder
+		fmt.Fprintf(&sb, "CREATE TABLE r (_id INTEGER PRIMARY KEY, %s);", cols)
+		for id := 1; id <= rowsPer; id++ {
+			fmt.Fprintf(&sb, "INSERT INTO r (_id, a, b) VALUES (%d, 'a%d-%d', 'b%d-%d');", id, k, id, k, id)
+		}
+		return sb.String()
+	}
+	db := Open()
+	mustExec(t, db, create(0))
+	ps, err := db.Prepare("SELECT _id, a, b FROM r WHERE _id >= ? AND _id < ? ORDER BY _id")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	done := make(chan struct{})
+	ddl := make(chan int)
+	go func() {
+		k := 0
+		defer func() { ddl <- k }()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			k++
+			if _, err := db.Exec("DROP TABLE r; " + create(k)); err != nil {
+				t.Errorf("generation %d: %v", k, err)
+				return
+			}
+		}
+	}()
+
+	var wg sync.WaitGroup
+	for w := 0; w < readers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < iters; i++ {
+				lo := 1 + (w+i)%(rowsPer-4)
+				rows, err := ps.Query(int64(lo), int64(lo+4))
+				if err != nil {
+					t.Errorf("read: %v", err)
+					return
+				}
+				if len(rows.Data) != 4 {
+					t.Errorf("read from %d returned %d rows, want 4", lo, len(rows.Data))
+					return
+				}
+				gen := -1
+				for j, row := range rows.Data {
+					var k, id int
+					if _, err := fmt.Sscanf(AsString(row[1]), "a%d-%d", &k, &id); err != nil || id != lo+j ||
+						row[0] != int64(lo+j) || row[2] != fmt.Sprintf("b%d-%d", k, id) {
+						t.Errorf("row %d of a read from %d = %v", j, lo, row)
+						return
+					}
+					if gen >= 0 && k != gen {
+						t.Errorf("a read from %d mixed generations %d and %d", lo, gen, k)
+						return
+					}
+					gen = k
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(done)
+	k := <-ddl
+	if k == 0 {
+		t.Error("no DDL ran alongside the readers")
+	}
+	// Once the DDL stops, the held statement reads the last generation.
+	rows, err := ps.Query(int64(1), int64(2))
+	if err != nil || len(rows.Data) != 1 || rows.Data[0][1] != fmt.Sprintf("a%d-1", k) {
+		t.Errorf("read after generation %d: %v, %v", k, rows, err)
+	}
 }

@@ -9,8 +9,7 @@ import (
 // statement layer. Literals in a statement are replaced by ?
 // parameters and extracted as bind values, so "WHERE v = 1" and
 // "WHERE v = 2" share one canonical text, one compiled batch, and
-// therefore every memo hung off it and its AST (plans, lock plans,
-// view scans, select-list expansions). This is the moral equivalent of
+// therefore every memo hung off it (bindings, lock plans). This is the moral equivalent of
 // what SQLite callers get by writing ? themselves — content providers
 // that interpolate literals (common in real apps) now reuse plans
 // instead of defeating every cache.

@@ -22,23 +22,11 @@ import (
 //   - Every column the outer query names must be an output column of
 //     the view. A merged query would resolve any other name against the
 //     view's sources, exposing columns the view hides; materializing
-//     reports "no such column" instead.
-func (ex *executor) plan(sel *SelectStmt) *SelectStmt {
-	db := ex.db
-	planned, ok := sel.plan.get(db.gen)
-	if ok {
-		db.statPlanHit.Add(1)
-	} else {
-		db.statPlanMiss.Add(1)
-		planned = ex.mergeViews(sel, nil)
-		sel.plan.put(db.gen, planned)
-	}
-	if planned != sel {
-		db.statFlattened.Add(1)
-	}
-	return planned
-}
-
+//     reports "no such column" instead. So a merged core holds only the
+//     view's own expressions, and binds in the view's scope (bind.go).
+//
+// The binder plans every select it binds; EXPLAIN plans again to name
+// the merges.
 // mergeViews merges views into sel until none is left to merge,
 // calling step (when non-nil) with each merged view and the number of
 // cores the merge produced. A chain of merges names each view at most

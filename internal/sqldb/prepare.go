@@ -8,15 +8,20 @@ import (
 	"maxoid/internal/fault"
 )
 
-// compiled is a parsed (and usually normalized) statement batch and
-// the batch's lock-plan memo. It is shared by every raw text that
-// normalizes to the same canonical form, so the memos on it and on its
-// AST nodes hit regardless of the literals the caller wrote.
+// compiled is a parsed (and usually normalized) statement batch with
+// its memos: the batch's lock plan and each statement's binding. It is
+// shared by every raw text that normalizes to the same canonical form,
+// so the memos hit regardless of the literals the caller wrote.
 type compiled struct {
 	stmts []Stmt
 	text  string          // canonical text: normalized form, or the raw SQL
 	norm  bool            // true if this batch went through normalization
 	lock  memo[*lockPlan] // nil plan: the batch takes the exclusive path
+	binds []memo[bstmt]   // per statement: its binding (bind.go)
+}
+
+func newCompiled(stmts []Stmt, text string, norm bool) *compiled {
+	return &compiled{stmts: stmts, text: text, norm: norm, binds: make([]memo[bstmt], len(stmts))}
 }
 
 // prepared is a compiled batch plus one text's extracted literals.
@@ -67,7 +72,7 @@ func (db *DB) prepare(sql string) (*prepared, error) {
 		if hit {
 			p = &prepared{compiled: shared, lits: n.lits}
 		} else if stmts, perr := parseTokens(n.toks); perr == nil {
-			p = &prepared{compiled: &compiled{stmts: stmts, text: n.text, norm: true}, lits: n.lits}
+			p = &prepared{compiled: newCompiled(stmts, n.text, true), lits: n.lits}
 		} else {
 			// The normalized stream should parse exactly when the raw
 			// one does; if it somehow doesn't, the raw parse below owns
@@ -80,7 +85,7 @@ func (db *DB) prepare(sql string) (*prepared, error) {
 		if perr != nil {
 			return nil, perr
 		}
-		p = &prepared{compiled: &compiled{stmts: stmts, text: sql}}
+		p = &prepared{compiled: newCompiled(stmts, sql, false)}
 	}
 	if changesCatalog(p.stmts) {
 		return p, nil
@@ -151,7 +156,7 @@ func (db *DB) execPreparedLocked(p *prepared, args []Value) (Result, func() erro
 	var res Result
 	var execErr error
 	executed := 0
-	for _, s := range p.stmts {
+	for i, s := range p.stmts {
 		if err := fault.Hit(faultExec); err != nil {
 			// Pre-execution fault: the statement never ran, so it is not
 			// part of the journaled prefix.
@@ -162,7 +167,7 @@ func (db *DB) execPreparedLocked(p *prepared, args []Value) (Result, func() erro
 		// so the arenas recycle here.
 		ex.sc.reset()
 		executed++
-		r, err := ex.execStmt(s, nil)
+		r, err := ex.execStmt(s, &p.binds[i])
 		if err != nil {
 			execErr = err
 			break
@@ -199,7 +204,11 @@ func (db *DB) queryPrepared(p *prepared, args []Value) (*Rows, error) {
 		defer putExecutor(ex)
 		ex.argsBuf = p.bindArgsInto(ex.argsBuf, args)
 		ex.args = ex.argsBuf
-		return ex.execSelect(st, nil)
+		b, err := ex.bindStmt(st, &p.binds[0])
+		if err != nil {
+			return nil, err
+		}
+		return ex.execSelect(b.(*boundSelect), nil)
 	case *ExplainStmt:
 		lock := db.lockForBatch(p.compiled)
 		defer db.unlockBatch(lock)
@@ -213,8 +222,8 @@ func (db *DB) queryPrepared(p *prepared, args []Value) (*Rows, error) {
 }
 
 // PreparedStmt is a reusable handle to a prepared batch. It skips the
-// text-level cache lookup on every call; name resolution still happens
-// at execution time, so DDL between calls behaves as if the SQL were
+// text-level cache lookup on every call; its names bind once per
+// catalog generation, so DDL between calls behaves as if the SQL were
 // re-issued.
 type PreparedStmt struct {
 	db *DB
@@ -357,8 +366,8 @@ func indexableColumns(stmts []Stmt) (table string, eqCols, rangeCols []string) {
 }
 
 // whereColumns walks the top-level AND conjuncts collecting columns
-// compared against constants — the static mirror of the executor's
-// collectConstraints, without needing the table to exist.
+// compared against constants — the static mirror of the access shape
+// the binder finds (accessShapeOf), without needing the table to exist.
 func whereColumns(where Expr, table, alias string) (eqCols, rangeCols []string) {
 	var walk func(e Expr)
 	colOf := func(e Expr) (string, bool) {

@@ -3,6 +3,8 @@ package sqldb
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -175,5 +177,72 @@ func TestPropFlatteningEquivalence(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestPropInListProbe checks the primary-key IN-list probe against a
+// predicate no probe can serve: random lists of duplicates, NULL, the
+// text '5', 2.0, 2.5, ±2^53 and out-of-range keys must select the same
+// rows in the same (storage) order, and UPDATE must count the same
+// rows. _id + 0 is that reference where every key is numeric; where an
+// UPDATE stored a text key it would turn the key into a number, so
+// NOT NOT (…) serves instead. The tables have deleted rows (storage
+// order differs from key order), a float key, a digit-string key that
+// byPK still reaches, and a text key that breaks byPK (scan only).
+func TestPropInListProbe(t *testing.T) {
+	tables := []struct {
+		name, mutate string
+		textKeys     bool // the reference must not do arithmetic on _id
+		exact        bool // byPK reaches every row, so the probe may run
+	}{
+		{"deleted rows", "", false, true},
+		{"float key", "UPDATE t SET _id = 150.5 WHERE _id = 50", false, true},
+		{"digit-string key", "UPDATE t SET _id = '500' WHERE _id = 60", true, true},
+		{"text key", "UPDATE t SET _id = 'abc' WHERE _id = 50", true, false},
+	}
+	pool := []Value{nil, int64(1), int64(2), int64(5), int64(7), int64(10), int64(42), int64(99),
+		int64(-3), int64(150), int64(500), int64(1000), "5", "500", "abc", []byte("5"),
+		2.0, 2.5, 150.5, float64(1 << 53), -float64(1 << 53), int64(1<<53 + 1)}
+	r := rand.New(rand.NewSource(24))
+	for _, tb := range tables {
+		db := pkRangeTable(t, tb.mutate)
+		for iter := 0; iter < 150; iter++ {
+			n := 1 + r.Intn(8)
+			args := make([]Value, n)
+			for i := range args {
+				args[i] = pool[r.Intn(len(pool))]
+			}
+			marks := "?" + strings.Repeat(", ?", n-1)
+			where := "_id IN (" + marks + ")"
+			ref := "_id + 0 IN (" + marks + ")"
+			if tb.textKeys {
+				ref = "NOT NOT (" + where + ")"
+			}
+			before := db.Stats()
+			got := mustQuery(t, db, "SELECT _id, v FROM t WHERE "+where, args...)
+			probes := db.Stats().PKProbes - before.PKProbes
+			want := mustQuery(t, db, "SELECT _id, v FROM t WHERE "+ref, args...)
+			if !reflect.DeepEqual(got.Data, want.Data) {
+				t.Fatalf("%s: IN %v: rows %v, want %v", tb.name, args, got.Data, want.Data)
+			}
+			// Every numeric element must lie inside ±2^53 for the probe.
+			probe := tb.exact
+			for _, a := range args {
+				if f, ok := a.(float64); ok && !(f > -(1<<53) && f < 1<<53) {
+					probe = false
+				}
+				if i, ok := a.(int64); ok && (i <= -(1<<53) || i >= 1<<53) {
+					probe = false
+				}
+			}
+			if wantProbes := map[bool]int64{true: 1, false: 0}[probe]; probes != wantProbes {
+				t.Fatalf("%s: IN %v: PKProbes += %d, want %d", tb.name, args, probes, wantProbes)
+			}
+			gotRes := mustExec(t, db, "UPDATE t SET v = v WHERE "+where, args...)
+			wantRes := mustExec(t, db, "UPDATE t SET v = v WHERE "+ref, args...)
+			if gotRes.RowsAffected != wantRes.RowsAffected {
+				t.Fatalf("%s: IN %v: UPDATE affected %d, want %d", tb.name, args, gotRes.RowsAffected, wantRes.RowsAffected)
+			}
+		}
 	}
 }

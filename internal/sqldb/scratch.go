@@ -5,37 +5,33 @@ import "sync"
 // Executor pooling and scratch arenas: the allocation layer of the
 // fleet-scale load work (ROADMAP item 3). A statement execution makes
 // dozens of small, strictly statement-scoped allocations — access
-// plans, column-binding relations, evaluation scopes, constraint
-// records, index buffers. The executor owns fixed-capacity arenas for
-// exactly the objects the profiler proved transient, and the executor
-// itself is recycled through a sync.Pool across calls.
+// plans, evaluation scopes, constraint records, index buffers. The
+// executor owns fixed-capacity arenas for exactly the objects the
+// profiler proved transient, and the executor itself is recycled
+// through a sync.Pool across calls.
 //
 // Ownership rule (see DESIGN.md): arena-backed memory must never
 // escape into anything that outlives the statement — not the returned
 // *Rows (Columns and Data are always freshly allocated), not table
 // storage (inserted/updated rows stay heap-allocated), and not the
-// DB-level plan caches (cached entries are copied out of arenas before
-// caching). Arenas reset at top-level statement boundaries only, so
+// statement bindings (bind.go builds them on the heap). Arenas reset at top-level statement boundaries only, so
 // nested execution (subqueries, trigger bodies, view materialization)
 // allocates monotonically within a statement and every live pointer
 // stays valid. When an arena fills, allocation falls back to the heap:
 // pooling is a fast path, never a capacity limit.
 const (
-	scratchBindings = 64 // colBinding arena capacity
-	scratchValues   = 64 // Value arena capacity
-	scratchScopes   = 32 // scope arena capacity (fixed: parent pointers)
-	scratchCons     = 16 // colConstraint arena capacity (fixed: map holds pointers)
-	scratchInts     = 32 // int arena capacity
-	scratchPlans    = 8  // accessPlan arena capacity (fixed: returned as pointers)
+	scratchValues = 64 // Value arena capacity
+	scratchScopes = 32 // scope arena capacity (fixed: parent pointers)
+	scratchCons   = 16 // colConstraint arena capacity
+	scratchInts   = 32 // int arena capacity
+	scratchPlans  = 8  // accessPlan arena capacity (fixed: returned as pointers)
 )
 
-// scratch holds the executor's per-statement arenas. Scopes and
-// constraints are handed out as pointers into fixed arrays (never
-// resized, so the pointers stay valid); bindings, values, and ints are
-// handed out as sub-slices of lazily allocated backing slices.
+// scratch holds the executor's per-statement arenas. Scopes, plans and
+// constraints are handed out from fixed arrays (never resized, so the
+// pointers stay valid); values, ints and bools are handed out as
+// sub-slices of lazily allocated backing slices.
 type scratch struct {
-	bindings []colBinding
-	bUsed    int
 	values   []Value
 	vUsed    int
 	ints     []int
@@ -48,7 +44,6 @@ type scratch struct {
 
 	cons     [scratchCons]colConstraint
 	consUsed int
-	consMap  map[int]*colConstraint
 
 	plans [scratchPlans]accessPlan
 	pUsed int
@@ -57,25 +52,7 @@ type scratch struct {
 // reset recycles all arena space. Called only at top-level statement
 // boundaries, when nothing statement-scoped can still be live.
 func (s *scratch) reset() {
-	s.bUsed, s.vUsed, s.iUsed, s.boolUsed, s.sUsed, s.consUsed, s.pUsed = 0, 0, 0, 0, 0, 0, 0
-}
-
-// colBindings returns an n-element colBinding slice from the arena
-// (zeroed), falling back to the heap when the arena is exhausted.
-func (ex *executor) colBindings(n int) []colBinding {
-	s := &ex.sc
-	if s.bindings == nil {
-		s.bindings = make([]colBinding, scratchBindings)
-	}
-	if s.bUsed+n <= len(s.bindings) {
-		out := s.bindings[s.bUsed : s.bUsed+n : s.bUsed+n]
-		s.bUsed += n
-		for i := range out {
-			out[i] = colBinding{}
-		}
-		return out
-	}
-	return make([]colBinding, n)
+	s.vUsed, s.iUsed, s.boolUsed, s.sUsed, s.consUsed, s.pUsed = 0, 0, 0, 0, 0, 0
 }
 
 // values returns an n-element Value slice from the arena (zeroed).
@@ -130,15 +107,15 @@ func (ex *executor) boolsBuf(n int) []bool {
 // newScope returns a scope from the fixed arena. The arena is an array,
 // so handed-out pointers (including parent links between arena scopes)
 // remain valid across later allocations.
-func (ex *executor) newScope(parent *scope, cols []colBinding, row []Value) *scope {
+func (ex *executor) newScope(parent *scope, row []Value) *scope {
 	s := &ex.sc
 	if s.sUsed < len(s.scopes) {
 		sc := &s.scopes[s.sUsed]
 		s.sUsed++
-		sc.parent, sc.cols, sc.row = parent, cols, row
+		sc.parent, sc.row = parent, row
 		return sc
 	}
-	return &scope{parent: parent, cols: cols, row: row}
+	return &scope{parent: parent, row: row}
 }
 
 // newPlan returns a zeroed accessPlan from the fixed plan arena. Plans
@@ -155,31 +132,16 @@ func (ex *executor) newPlan() *accessPlan {
 	return &accessPlan{}
 }
 
-// constraintMap returns the reusable constraint map, cleared. Only
-// chooseAccess uses it, and constraint collection never re-enters
-// chooseAccess (constant operands only), so one map per executor
-// suffices even with nested statements.
-func (ex *executor) constraintMap() map[int]*colConstraint {
+// constraints returns n zeroed colConstraints from the fixed arena.
+func (ex *executor) constraints(n int) []colConstraint {
 	s := &ex.sc
-	if s.consMap == nil {
-		s.consMap = make(map[int]*colConstraint, scratchCons)
-	} else {
-		clear(s.consMap)
+	if s.consUsed+n <= len(s.cons) {
+		out := s.cons[s.consUsed : s.consUsed+n : s.consUsed+n]
+		s.consUsed += n
+		clear(out)
+		return out
 	}
-	s.consUsed = 0
-	return s.consMap
-}
-
-// newConstraint returns a zeroed colConstraint from the fixed arena.
-func (ex *executor) newConstraint() *colConstraint {
-	s := &ex.sc
-	if s.consUsed < len(s.cons) {
-		c := &s.cons[s.consUsed]
-		s.consUsed++
-		*c = colConstraint{}
-		return c
-	}
-	return &colConstraint{}
+	return make([]colConstraint, n)
 }
 
 // executorPool recycles executors (with their arenas and argument
@@ -201,7 +163,6 @@ func putExecutor(ex *executor) {
 	ex.db = nil
 	ex.args = nil
 	ex.inCache = nil
-	ex.correlated = nil
 	ex.sc.reset()
 	executorPool.Put(ex)
 }
