@@ -336,3 +336,62 @@ func TestGatewayDegradedStore503(t *testing.T) {
 		t.Fatalf("degraded read: %v %d %s — reads must keep serving", err, resp.Status, resp.Body)
 	}
 }
+
+// TestGatewayRequestAllocs guards the remote request path's allocation
+// count, end to end through System.GatewayRequest: a point GET and a
+// 3-row arg= range scan, as a detached initiator and as its delegate
+// reading through the COW view. Decoding the target, rendering the
+// content URI and the binder round trip together stay within a bound
+// that the url.Parse decoder and the re-parsed URI strings exceeded by
+// about 20 objects.
+func TestGatewayRequestAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("the race detector drops pooled executors")
+	}
+	s := boot(t)
+	defer s.Shutdown()
+	installScript(t, s, "appA", ams.Manifest{})
+	installScript(t, s, "editor", ams.Manifest{Filters: viewFilter()})
+	if _, err := s.StartGateway(GatewayOptions{AllowDetached: true}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 10; i++ {
+		body := fmt.Sprintf(`{"word":"w%d","frequency":%d}`, i, i)
+		if resp, err := s.GatewayRequest("u0:appA", "POST", "/v1/user_dictionary/words", []byte(body)); err != nil || resp.Status != 201 {
+			t.Fatalf("insert %d: %v %d %s", i, err, resp.Status, resp.Body)
+		}
+	}
+	const cols = "?columns=_id,word,frequency"
+	for _, tc := range []struct {
+		name, path string
+		rows       int
+		max        float64
+	}{
+		{"point GET", "/v1/user_dictionary/words/3" + cols, 1, 22},
+		{"3-row arg= scan", "/v1/user_dictionary/words" + cols + "&order=_id&where=" +
+			url.QueryEscape("_id >= ? AND _id < ?") + "&arg=3&arg=6", 3, 30},
+	} {
+		for _, token := range []string{"u0:appA", "u0:editor^appA"} {
+			get := func() {
+				resp, err := s.GatewayRequest(token, "GET", tc.path, nil)
+				if err != nil || resp.Status != 200 {
+					t.Fatalf("%s as %s: %v %d %s", tc.name, token, err, resp.Status, resp.Body)
+				}
+				var body struct{ Rows [][]any }
+				if err := json.Unmarshal(resp.Body, &body); err != nil || len(body.Rows) != tc.rows {
+					t.Fatalf("%s as %s: %v, %d rows, want %d", tc.name, token, err, len(body.Rows), tc.rows)
+				}
+			}
+			get()
+			got := testing.AllocsPerRun(200, func() {
+				if resp, err := s.GatewayRequest(token, "GET", tc.path, nil); err != nil || resp.Status != 200 {
+					t.Fatalf("%s as %s: %v %d", tc.name, token, err, resp.Status)
+				}
+			})
+			t.Logf("%s as %s: %.0f allocs", tc.name, token, got)
+			if got > tc.max {
+				t.Errorf("%s as %s: %.0f allocs per request, want <= %.0f", tc.name, token, got, tc.max)
+			}
+		}
+	}
+}

@@ -32,7 +32,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"net/url"
 	"sort"
 	"strconv"
 	"strings"
@@ -88,6 +87,7 @@ type Gateway struct {
 	opts   Options
 	routes map[string]map[string]string // authority -> path -> table
 	hooks  hookChain
+	met    *gwMetrics // nil when Options.Metrics is
 
 	slots     chan struct{} // one token per request being served
 	done      chan struct{} // closed when Close begins
@@ -118,6 +118,9 @@ func New(opts Options) *Gateway {
 			m[r.Path] = r.Table
 		}
 		g.routes[authority] = m
+	}
+	if opts.Metrics != nil {
+		g.met = newGWMetrics(opts.Metrics, g.routes)
 	}
 	return g
 }
@@ -179,96 +182,84 @@ func (g *Gateway) handle(req netstack.Request) netstack.Response {
 	start := time.Now()
 	info := &RequestInfo{Method: methodOf(req), Path: req.Path}
 	resp := g.dispatch(req, info)
-	if reg := g.opts.Metrics; reg != nil {
-		route := info.Provider
-		if route == "" {
-			route = "_none"
-		}
-		reg.Histogram("gw.latency." + route + "." + info.Method).Observe(time.Since(start))
-		reg.Counter(fmt.Sprintf("gw.status.%dxx", resp.Status/100)).Inc()
-		if resp.Status == 429 {
-			reg.Counter("gw.overloaded").Inc()
-		}
-		if resp.Status == 503 {
-			reg.Counter("gw.readonly").Inc()
-		}
+	if g.met != nil {
+		g.met.record(info, resp.Status, time.Since(start))
 	}
 	g.hooks.runPost(info, resp.Status)
 	return resp
 }
 
-// routeKind classifies a parsed path.
-type routeKind int
+// methodLabels are the methods a latency histogram is named by; any
+// other method is recorded as "_other".
+var methodLabels = [...]string{"GET", "POST", "PUT", "DELETE", "_other"}
 
-const (
-	routeTable   routeKind = iota // /v1/{provider}/{table}[/{pk}]
-	routeSchema                   // /v1/{provider}/_schema
-	routeExplain                  // /v1/{provider}/{table}/_explain
-	routeFS                       // /v1/_fs/{path...}
-	routeGrant                    // /v1/_grant?uri=...
-)
+// methodHists are one provider label's latency histograms, indexed
+// like methodLabels.
+type methodHists [len(methodLabels)]*metrics.Histogram
 
-// route is a decoded request path — what FuzzGatewayPath exercises.
-type route struct {
-	kind      routeKind
-	authority string
-	table     string // URI path segment ("" for _fs/_grant)
-	pk        int64  // 0 when the path has no trailing id
-	hasPK     bool
-	fsPath    []string
-	query     url.Values
+// gwMetrics are the gateway's instruments, resolved once in New so the
+// epilogue builds no name and does no registry lookup. Every label set
+// is closed, so no request can add a metric:
+// gw.latency.{provider}.{method}, where provider is one the gateway
+// routes, "_fs", "_grant" or "_none" and method is a methodLabels
+// entry; gw.status.{2,4,5}xx; gw.overloaded; gw.readonly.
+type gwMetrics struct {
+	latency    map[string]*methodHists // by RequestInfo.Provider; "" is "_none"
+	status     [6]*metrics.Counter     // by status class; the gateway sends 2xx, 4xx and 5xx
+	overloaded *metrics.Counter
+	readonly   *metrics.Counter
 }
 
-// parseRoute decodes a raw request path into a route. Pure function of
-// the path: provider/table existence is checked by the dispatcher.
-func parseRoute(rawPath string) (route, error) {
-	u, err := url.Parse(rawPath)
-	if err != nil {
-		return route{}, fmt.Errorf("%w: %s", errBadRequest, rawPath)
+func newGWMetrics(reg *metrics.Registry, routes map[string]map[string]string) *gwMetrics {
+	m := &gwMetrics{
+		latency:    make(map[string]*methodHists, len(routes)+3),
+		overloaded: reg.Counter("gw.overloaded"),
+		readonly:   reg.Counter("gw.readonly"),
 	}
-	segs := pathSegments(u.Path)
-	if len(segs) < 2 || segs[0] != "v1" {
-		return route{}, fmt.Errorf("%w: unknown route %s", errBadRequest, u.Path)
-	}
-	rt := route{query: u.Query()}
-	segs = segs[1:]
-	switch segs[0] {
-	case "_fs":
-		rt.kind = routeFS
-		rt.fsPath = segs[1:]
-		return rt, nil
-	case "_grant":
-		if len(segs) != 1 {
-			return route{}, fmt.Errorf("%w: unknown route %s", errBadRequest, u.Path)
+	label := func(key, provider string) {
+		var hs methodHists
+		for i, method := range methodLabels {
+			hs[i] = reg.Histogram("gw.latency." + provider + "." + method)
 		}
-		rt.kind = routeGrant
-		return rt, nil
+		m.latency[key] = &hs
 	}
-	rt.authority = segs[0]
-	if len(segs) == 2 && segs[1] == "_schema" {
-		rt.kind = routeSchema
-		return rt, nil
+	for provider := range routes {
+		label(provider, provider)
 	}
-	if len(segs) < 2 || len(segs) > 3 {
-		return route{}, fmt.Errorf("%w: unknown route %s", errBadRequest, u.Path)
+	label("_fs", "_fs")
+	label("_grant", "_grant")
+	label("", "_none")
+	for _, class := range []int{2, 4, 5} {
+		m.status[class] = reg.Counter("gw.status." + strconv.Itoa(class) + "xx")
 	}
-	rt.kind = routeTable
-	rt.table = segs[1]
-	if strings.HasPrefix(rt.table, "_") {
-		return route{}, fmt.Errorf("%w: unknown route %s", errBadRequest, u.Path)
+	return m
+}
+
+// record is the metrics epilogue of one request. dispatch names a
+// provider only once the gateway routes it, so any other request is
+// "_none".
+func (m *gwMetrics) record(info *RequestInfo, status int, d time.Duration) {
+	hs := m.latency[info.Provider]
+	if hs == nil { // a pre-hook rewrote Provider
+		hs = m.latency[""]
 	}
-	if len(segs) == 3 {
-		if segs[2] == "_explain" {
-			rt.kind = routeExplain
-		} else {
-			pk, err := strconv.ParseInt(segs[2], 10, 64)
-			if err != nil {
-				return route{}, fmt.Errorf("%w: bad id %q", errBadRequest, segs[2])
-			}
-			rt.pk, rt.hasPK = pk, true
+	method := len(methodLabels) - 1
+	for i, label := range methodLabels[:method] {
+		if info.Method == label {
+			method = i
+			break
 		}
 	}
-	return rt, nil
+	hs[method].Observe(d)
+	if class := status / 100; class >= 0 && class < len(m.status) && m.status[class] != nil {
+		m.status[class].Inc()
+	}
+	switch status {
+	case 429:
+		m.overloaded.Inc()
+	case 503:
+		m.readonly.Inc()
+	}
 }
 
 // dispatch decodes and routes; split from handle so every return path
@@ -286,7 +277,9 @@ func (g *Gateway) dispatch(req netstack.Request, info *RequestInfo) netstack.Res
 	if err != nil {
 		return errResponse(err)
 	}
-	info.Identity = id.task.String()
+	if len(g.hooks.pre) > 0 || len(g.hooks.post) > 0 {
+		info.Identity = id.task.String()
+	}
 
 	if err := g.hooks.runPre(info); err != nil {
 		return errResponse(err)
@@ -301,13 +294,13 @@ func (g *Gateway) dispatch(req netstack.Request, info *RequestInfo) netstack.Res
 		return g.handleFS(id, methodOf(req), rt.fsPath)
 	case routeGrant:
 		info.Provider = "_grant"
-		return g.handleGrant(id, methodOf(req), rt.query)
+		return g.handleGrant(id, methodOf(req), rt.uri)
 	}
-	info.Provider = rt.authority
 	tables, ok := g.routes[rt.authority]
 	if !ok {
 		return errResponse(fmt.Errorf("%w: provider %s", errNotFound, rt.authority))
 	}
+	info.Provider = rt.authority
 	if rt.kind == routeSchema {
 		return g.handleSchema(rt.authority, tables)
 	}
@@ -315,17 +308,14 @@ func (g *Gateway) dispatch(req netstack.Request, info *RequestInfo) netstack.Res
 		return errResponse(fmt.Errorf("%w: %s/%s", errNotFound, rt.authority, rt.table))
 	}
 
-	uri := provider.URI{Authority: rt.authority, Segments: []string{rt.table}}
-	if rt.hasPK {
-		uri = uri.WithID(rt.pk)
-	}
+	uri := rt.contentURI()
 	res := provider.NewResolver(g.opts.Router, id.caller)
 	switch methodOf(req) {
 	case "GET":
 		if rt.kind == routeExplain {
-			return g.handleExplain(id, rt.authority, tables[rt.table], rt.query)
+			return g.handleExplain(id, rt.authority, tables[rt.table], &rt)
 		}
-		return handleQuery(res, uri, rt.query)
+		return handleQuery(res, uri, &rt)
 	case "POST":
 		if rt.hasPK || rt.kind == routeExplain {
 			return errResponse(fmt.Errorf("%w: POST", errMethod))
@@ -421,12 +411,12 @@ func (g *Gateway) proxyFor(authority string) (*cowproxy.Proxy, bool) {
 // planner only, via cowproxy's own renderer — so the reported access
 // path is for the view the caller actually gets (a delegate's COW
 // view), not the primary table.
-func (g *Gateway) handleExplain(id identity, authority, table string, q url.Values) netstack.Response {
+func (g *Gateway) handleExplain(id identity, authority, table string, rt *route) netstack.Response {
 	proxy, ok := g.proxyFor(authority)
 	if !ok {
 		return errResponse(fmt.Errorf("%w: _explain on %s", provider.ErrNotSupported, authority))
 	}
-	where, columns, orderBy, args := queryParams(q)
+	where, columns, orderBy, args := queryParams(rt)
 	conn := proxy.For(provider.InitiatorOf(id.caller))
 	rows, err := conn.Explain(table, columns, where, orderBy, args...)
 	if err != nil {
@@ -456,14 +446,13 @@ func (g *Gateway) handleFS(id identity, method string, segs []string) netstack.R
 // handleGrant opens a URI-granted file via the AMS grant table — the
 // remote equivalent of Context.OpenGrantedURI, so a grant revoked
 // mid-flight fails with the typed ams.ErrNoGrant (403).
-func (g *Gateway) handleGrant(id identity, method string, q url.Values) netstack.Response {
+func (g *Gateway) handleGrant(id identity, method, uri string) netstack.Response {
 	if method != "GET" {
 		return errResponse(fmt.Errorf("%w: %s on _grant", errMethod, method))
 	}
 	if id.ctx == nil {
 		return errResponse(fmt.Errorf("%w: _grant requires a live instance", errForbidden))
 	}
-	uri := q.Get("uri")
 	if uri == "" {
 		return errResponse(fmt.Errorf("%w: missing uri parameter", errBadRequest))
 	}
@@ -475,25 +464,25 @@ func (g *Gateway) handleGrant(id identity, method string, q url.Values) netstack
 }
 
 // handleQuery serves GET on a table or a /{pk} row.
-func handleQuery(res *provider.Resolver, uri provider.URI, q url.Values) netstack.Response {
-	where, columns, orderBy, args := queryParams(q)
-	rows, err := res.Query(uri.String(), columns, where, orderBy, args...)
+func handleQuery(res *provider.Resolver, uri string, rt *route) netstack.Response {
+	where, columns, orderBy, args := queryParams(rt)
+	rows, err := res.Query(uri, columns, where, orderBy, args...)
 	if err != nil {
 		return errResponse(err)
 	}
-	if _, isPK := uri.ID(); isPK && len(rows.Data) == 0 {
-		return errResponse(fmt.Errorf("%w: %s", provider.ErrNotFound, uri.String()))
+	if rt.hasPK && len(rows.Data) == 0 {
+		return errResponse(fmt.Errorf("%w: %s", provider.ErrNotFound, uri))
 	}
 	return rowsResponse(rows)
 }
 
 // handleInsert serves POST: the JSON body is the ContentValues map.
-func handleInsert(res *provider.Resolver, uri provider.URI, body []byte) netstack.Response {
+func handleInsert(res *provider.Resolver, uri string, body []byte) netstack.Response {
 	values, err := decodeValues(body)
 	if err != nil {
 		return errResponse(err)
 	}
-	out, err := res.Insert(uri.String(), values)
+	out, err := res.Insert(uri, values)
 	if err != nil {
 		return errResponse(err)
 	}
@@ -503,54 +492,59 @@ func handleInsert(res *provider.Resolver, uri provider.URI, body []byte) netstac
 }
 
 // handleUpdate serves PUT on a /{pk} row.
-func handleUpdate(res *provider.Resolver, uri provider.URI, body []byte) netstack.Response {
+func handleUpdate(res *provider.Resolver, uri string, body []byte) netstack.Response {
 	values, err := decodeValues(body)
 	if err != nil {
 		return errResponse(err)
 	}
-	n, err := res.Update(uri.String(), values, "")
+	n, err := res.Update(uri, values, "")
 	if err != nil {
 		return errResponse(err)
 	}
 	if n == 0 {
-		return errResponse(fmt.Errorf("%w: %s", provider.ErrNotFound, uri.String()))
+		return errResponse(fmt.Errorf("%w: %s", provider.ErrNotFound, uri))
 	}
 	return jsonResponse(200, map[string]any{"count": n})
 }
 
 // handleDelete serves DELETE on a /{pk} row.
-func handleDelete(res *provider.Resolver, uri provider.URI) netstack.Response {
-	n, err := res.Delete(uri.String(), "")
+func handleDelete(res *provider.Resolver, uri string) netstack.Response {
+	n, err := res.Delete(uri, "")
 	if err != nil {
 		return errResponse(err)
 	}
 	if n == 0 {
-		return errResponse(fmt.Errorf("%w: %s", provider.ErrNotFound, uri.String()))
+		return errResponse(fmt.Errorf("%w: %s", provider.ErrNotFound, uri))
 	}
 	return jsonResponse(200, map[string]any{"count": n})
 }
 
-// queryParams decodes the query-string knobs shared by GET and
-// _explain: where, columns (comma-separated), order, and repeated arg=
-// placeholder values (int64 when the literal parses as one).
-func queryParams(q url.Values) (where string, columns []string, orderBy string, args []sqldb.Value) {
-	where = q.Get("where")
-	orderBy = q.Get("order")
-	if cs := q.Get("columns"); cs != "" {
-		for _, c := range strings.Split(cs, ",") {
+// queryParams converts the query-string knobs shared by GET and
+// _explain: where, columns (comma-separated, blanks dropped), order,
+// and the repeated arg= placeholder values (int64 when the literal
+// parses as one).
+func queryParams(rt *route) (where string, columns []string, orderBy string, args []sqldb.Value) {
+	if rt.columns != "" {
+		columns = make([]string, 0, strings.Count(rt.columns, ",")+1)
+		for rest, more := rt.columns, true; more; {
+			var c string
+			c, rest, more = strings.Cut(rest, ",")
 			if c = strings.TrimSpace(c); c != "" {
 				columns = append(columns, c)
 			}
 		}
 	}
-	for _, a := range q["arg"] {
-		if n, err := strconv.ParseInt(a, 10, 64); err == nil {
-			args = append(args, n)
-		} else {
-			args = append(args, a)
+	if len(rt.args) > 0 {
+		args = make([]sqldb.Value, len(rt.args))
+		for i, a := range rt.args {
+			if n, err := strconv.ParseInt(a, 10, 64); err == nil {
+				args[i] = n
+			} else {
+				args[i] = a
+			}
 		}
 	}
-	return where, columns, orderBy, args
+	return rt.where, columns, rt.order, args
 }
 
 // decodeValues parses a JSON object body into ContentValues. JSON
@@ -706,15 +700,4 @@ func methodOf(req netstack.Request) string {
 		return "GET"
 	}
 	return req.Method
-}
-
-// pathSegments splits a URL path into non-empty segments.
-func pathSegments(p string) []string {
-	var out []string
-	for _, s := range strings.Split(p, "/") {
-		if s != "" {
-			out = append(out, s)
-		}
-	}
-	return out
 }

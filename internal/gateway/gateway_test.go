@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/rand"
 	"net/url"
 	"runtime"
 	"strings"
@@ -19,6 +20,7 @@ import (
 	"maxoid/internal/gateway"
 	"maxoid/internal/intent"
 	"maxoid/internal/kernel"
+	"maxoid/internal/metrics"
 	"maxoid/internal/netstack"
 	"maxoid/internal/testutil"
 	"maxoid/internal/vfs"
@@ -573,5 +575,82 @@ func TestWorkersBoundsConcurrency(t *testing.T) {
 	}
 	if peak != 2 {
 		t.Fatalf("peak concurrent requests %d, want 2", peak)
+	}
+}
+
+// TestGatewayMetricNamesBounded: no request can add a metric name.
+// 20,000 junk requests from 4 goroutines, with random methods and
+// random authorities, from an authorised identity and from rejected
+// ones, leave the registry with the histograms and counters the gateway
+// created when it started, and every request is counted.
+func TestGatewayMetricNamesBounded(t *testing.T) {
+	defer testutil.LeakCheck(t)()
+	reg := metrics.NewRegistry()
+	s, err := core.Boot(core.Options{Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Shutdown()
+	for _, pkg := range []string{"appA", "viewer"} {
+		if err := s.Install(nullApp{pkg: pkg}, ams.Manifest{Package: pkg}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.Launch("appA", intent.Intent{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.StartGateway(core.GatewayOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	hists, counters := len(reg.Snapshots()), len(reg.Totals())
+
+	const clients, perClient = 4, 5000
+	tokens := []string{"u0:appA", "u0:viewer", "u0:nosuch", "u1:appA", ""}
+	methods := []string{"GET", "POST", "PUT", "DELETE", "PATCH", ""}
+	var wg sync.WaitGroup
+	errs := make(chan error, clients)
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			r := rand.New(rand.NewSource(seed))
+			for i := 0; i < perClient; i++ {
+				method := methods[r.Intn(len(methods))]
+				if r.Intn(2) == 0 {
+					method = fmt.Sprintf("M%d", r.Int63())
+				}
+				path := fmt.Sprintf("/v1/p%d/files", r.Int63())
+				switch r.Intn(4) {
+				case 0:
+					path = "/v1/user_dictionary/words"
+				case 1:
+					path = fmt.Sprintf("/v1/_fs/f%d", r.Int63())
+				}
+				if _, err := s.GatewayRequest(tokens[r.Intn(len(tokens))], method, path, nil); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(int64(c) + 1)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if got := len(reg.Snapshots()); got != hists {
+		t.Errorf("%d latency histograms after junk requests, %d at start", got, hists)
+	}
+	if got := len(reg.Totals()); got != counters {
+		t.Errorf("%d counters after junk requests, %d at start", got, counters)
+	}
+	var observed int64
+	for _, snap := range reg.Snapshots() {
+		if strings.HasPrefix(snap.Name, "gw.latency.") {
+			observed += snap.Count
+		}
+	}
+	if observed != clients*perClient {
+		t.Errorf("latency histograms observed %d requests, want %d", observed, clients*perClient)
 	}
 }

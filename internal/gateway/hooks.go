@@ -7,10 +7,13 @@ package gateway
 
 // RequestInfo is the per-request record handed to hooks.
 type RequestInfo struct {
-	Method   string
-	Path     string
-	Identity string // resolved task notation ("" before/without auth)
-	Provider string // routed authority, or "_fs"/"_grant"
+	Method string
+	Path   string
+	// Identity is the resolved task notation ("" before or without
+	// auth). Hooks are its only readers, so it is filled only when a
+	// hook is installed.
+	Identity string
+	Provider string // routed authority ("" until routed), or "_fs"/"_grant"
 }
 
 // PreHook runs before dispatch; a non-nil error rejects the request.

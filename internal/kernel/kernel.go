@@ -54,7 +54,7 @@ func (t Task) IsDelegate() bool { return t.Initiator != "" && t.Initiator != t.A
 // String renders B^A notation for delegates.
 func (t Task) String() string {
 	if t.IsDelegate() {
-		return fmt.Sprintf("%s^%s", t.App, t.Initiator)
+		return t.App + "^" + t.Initiator
 	}
 	return t.App
 }

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"maxoid/internal/fault"
@@ -76,7 +77,7 @@ type Network struct {
 	hosts    map[string]Handler
 	perKB    time.Duration
 	baseRTT  time.Duration
-	requests int64
+	requests atomic.Int64
 }
 
 // New creates a network with the given base round-trip latency and
@@ -121,9 +122,7 @@ func (n *Network) Bind(host string, h Handler) (unbind func(), err error) {
 // Requests returns the total number of requests served, for asserting
 // in tests that confined apps generated no network traffic.
 func (n *Network) Requests() int64 {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.requests
+	return n.requests.Load()
 }
 
 // RoundTrip delivers a request to its host and simulates transfer time.
@@ -145,9 +144,7 @@ func (n *Network) RoundTrip(req Request) (Response, error) {
 		kb := (len(req.Body) + len(resp.Body)) / 1024
 		time.Sleep(n.baseRTT + time.Duration(kb)*n.perKB)
 	}
-	n.mu.Lock()
-	n.requests++
-	n.mu.Unlock()
+	n.requests.Add(1)
 	return resp, nil
 }
 

@@ -12,6 +12,7 @@ package provider
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -52,24 +53,36 @@ type URI struct {
 	Segments  []string
 }
 
-// ParseURI parses "content://authority/seg/seg...".
+// ParseURI parses "content://authority/seg/seg...". Empty segments are
+// dropped; the segments share one slice (nil when there are none).
 func ParseURI(s string) (URI, error) {
-	const prefix = "content://"
-	if !strings.HasPrefix(s, prefix) {
-		return URI{}, fmt.Errorf("%w: %s", ErrBadURI, s)
+	authority, path, err := splitURI(s)
+	if err != nil {
+		return URI{}, err
 	}
-	rest := strings.TrimPrefix(s, prefix)
-	parts := strings.Split(rest, "/")
-	if parts[0] == "" {
-		return URI{}, fmt.Errorf("%w: %s", ErrBadURI, s)
+	path = strings.Trim(path, "/")
+	if path == "" {
+		return URI{Authority: authority}, nil
 	}
-	var segs []string
-	for _, p := range parts[1:] {
-		if p != "" {
-			segs = append(segs, p)
+	segs := make([]string, 0, strings.Count(path, "/")+1)
+	for rest := path; rest != ""; {
+		var seg string
+		if seg, rest, _ = strings.Cut(rest, "/"); seg != "" {
+			segs = append(segs, seg)
 		}
 	}
-	return URI{Authority: parts[0], Segments: segs}, nil
+	return URI{Authority: authority, Segments: segs}, nil
+}
+
+// splitURI checks that s is "content://authority[/path]" with a
+// non-empty authority, and splits it there without parsing the path.
+func splitURI(s string) (authority, path string, err error) {
+	rest, ok := strings.CutPrefix(s, "content://")
+	authority, path, _ = strings.Cut(rest, "/")
+	if !ok || authority == "" {
+		return "", "", fmt.Errorf("%w: %s", ErrBadURI, s)
+	}
+	return authority, path, nil
 }
 
 // String renders the URI back to content:// form.
@@ -107,18 +120,21 @@ func (u URI) IsVolatile() bool {
 }
 
 // Path returns the path segments with any "tmp" component and trailing
-// numeric ID removed: the provider-level table path.
+// numeric ID removed: the provider-level table path. Without a "tmp"
+// component it is Segments itself, capacity-clipped so an append copies.
 func (u URI) Path() []string {
-	var out []string
 	segs := u.Segments
 	if _, ok := u.ID(); ok {
 		segs = segs[:len(segs)-1]
 	}
+	if !slices.Contains(segs, "tmp") {
+		return segs[:len(segs):len(segs)]
+	}
+	out := make([]string, 0, len(segs)-1)
 	for _, s := range segs {
-		if s == "tmp" {
-			continue
+		if s != "tmp" {
+			out = append(out, s)
 		}
-		out = append(out, s)
 	}
 	return out
 }
@@ -279,11 +295,11 @@ func NewResolver(router *binder.Router, caller binder.Caller) *Resolver {
 
 // Insert inserts values at the URI, returning the new record's URI.
 func (r *Resolver) Insert(uri string, values Values) (string, error) {
-	u, err := ParseURI(uri)
+	authority, _, err := splitURI(uri)
 	if err != nil {
 		return "", err
 	}
-	reply, err := r.router.Call(r.caller, endpointName(u.Authority), "insert",
+	reply, err := r.router.Call(r.caller, endpointName(authority), "insert",
 		binder.Parcel{"uri": uri, "values": values})
 	if err != nil {
 		return "", err
@@ -293,11 +309,11 @@ func (r *Resolver) Insert(uri string, values Values) (string, error) {
 
 // Update updates records matching where at the URI.
 func (r *Resolver) Update(uri string, values Values, where string, args ...sqldb.Value) (int64, error) {
-	u, err := ParseURI(uri)
+	authority, _, err := splitURI(uri)
 	if err != nil {
 		return 0, err
 	}
-	reply, err := r.router.Call(r.caller, endpointName(u.Authority), "update",
+	reply, err := r.router.Call(r.caller, endpointName(authority), "update",
 		binder.Parcel{"uri": uri, "values": values, "where": where, "args": args})
 	if err != nil {
 		return 0, err
@@ -307,11 +323,11 @@ func (r *Resolver) Update(uri string, values Values, where string, args ...sqldb
 
 // Delete deletes records matching where at the URI.
 func (r *Resolver) Delete(uri string, where string, args ...sqldb.Value) (int64, error) {
-	u, err := ParseURI(uri)
+	authority, _, err := splitURI(uri)
 	if err != nil {
 		return 0, err
 	}
-	reply, err := r.router.Call(r.caller, endpointName(u.Authority), "delete",
+	reply, err := r.router.Call(r.caller, endpointName(authority), "delete",
 		binder.Parcel{"uri": uri, "where": where, "args": args})
 	if err != nil {
 		return 0, err
@@ -321,11 +337,11 @@ func (r *Resolver) Delete(uri string, where string, args ...sqldb.Value) (int64,
 
 // Query queries records at the URI.
 func (r *Resolver) Query(uri string, columns []string, where string, orderBy string, args ...sqldb.Value) (*sqldb.Rows, error) {
-	u, err := ParseURI(uri)
+	authority, _, err := splitURI(uri)
 	if err != nil {
 		return nil, err
 	}
-	reply, err := r.router.Call(r.caller, endpointName(u.Authority), "query",
+	reply, err := r.router.Call(r.caller, endpointName(authority), "query",
 		binder.Parcel{"uri": uri, "columns": columns, "where": where, "orderBy": orderBy, "args": args})
 	if err != nil {
 		return nil, err

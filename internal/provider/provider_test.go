@@ -155,6 +155,33 @@ func TestRegistryAndResolver(t *testing.T) {
 	if _, ok := reg.Provider("fake"); !ok {
 		t.Error("registry lookup failed")
 	}
+	// The resolver takes the authority without parsing the path, but
+	// rejects what ParseURI rejects, with the same error.
+	for _, bad := range []string{"http://fake/things", "content://", "content:///things"} {
+		_, want := ParseURI(bad)
+		if _, err := res.Query(bad, nil, "", ""); !errors.Is(err, ErrBadURI) || err.Error() != want.Error() {
+			t.Errorf("Query(%q): %v, want %v", bad, err, want)
+		}
+	}
+}
+
+// TestURIAllocs: ParseURI allocates one segment slice, and Path shares
+// it unless a "tmp" segment has to be dropped.
+func TestURIAllocs(t *testing.T) {
+	if n := testing.AllocsPerRun(100, func() { _, _ = ParseURI("content://media/files/42") }); n > 1 {
+		t.Errorf("ParseURI: %.0f allocs, want <= 1", n)
+	}
+	u, _ := ParseURI("content://media/files/42")
+	if n := testing.AllocsPerRun(100, func() { _ = u.Path() }); n != 0 {
+		t.Errorf("Path without tmp: %.0f allocs, want 0", n)
+	}
+	p := u.Path()
+	if len(p) != 1 || cap(p) != 1 || &p[0] != &u.Segments[0] {
+		t.Errorf("Path = %q (cap %d), want a clipped view of %q", p, cap(p), u.Segments)
+	}
+	if p = append(p, "x"); u.Segments[1] != "42" {
+		t.Errorf("appending to Path overwrote Segments: %q", u.Segments)
+	}
 }
 
 // TestResolverReachableByDelegates checks providers register as system

@@ -54,8 +54,8 @@ type boundSub struct {
 }
 
 // boundIn is a bound "x [NOT] IN (subquery)". A subquery of the shape
-// "SELECT pk FROM t" is answered from t's primary-key map (pk set),
-// the COW views' NOT IN; any other is run (sel set).
+// "SELECT pk FROM t" (pk set), the COW views' NOT IN, is answered from
+// t itself (pkProbe, pkKeySet); any other is run (sel set).
 type boundIn struct {
 	x   Expr
 	not bool

@@ -54,6 +54,7 @@ type table struct {
 	pk      int // index of PRIMARY KEY column, -1 if none
 	rows    [][]Value
 	byPK    map[int64]int // pk value -> index into rows
+	intKeys bool          // every pk value is an int64 (INSERT stores only those; see pkProbe)
 	nextID  int64
 	indexes []*index // secondary indexes (see index.go)
 }
@@ -71,12 +72,13 @@ func (t *table) colIndex(name string) int {
 // are copied because UPDATE mutates them in place.
 func (t *table) clone() *table {
 	out := &table{
-		name:   t.name,
-		cols:   t.cols,
-		pk:     t.pk,
-		rows:   make([][]Value, len(t.rows)),
-		byPK:   make(map[int64]int, len(t.byPK)),
-		nextID: t.nextID,
+		name:    t.name,
+		cols:    t.cols,
+		pk:      t.pk,
+		rows:    make([][]Value, len(t.rows)),
+		byPK:    make(map[int64]int, len(t.byPK)),
+		intKeys: t.intKeys,
+		nextID:  t.nextID,
 	}
 	for i, r := range t.rows {
 		row := make([]Value, len(r))
@@ -97,9 +99,13 @@ func (t *table) clone() *table {
 func (t *table) reindex() {
 	if t.pk >= 0 {
 		t.byPK = make(map[int64]int, len(t.rows))
+		t.intKeys = true
 		for i, r := range t.rows {
 			if id, ok := AsInt(r[t.pk]); ok {
 				t.byPK[id] = i
+			}
+			if _, ok := r[t.pk].(int64); !ok {
+				t.intKeys = false
 			}
 		}
 	}

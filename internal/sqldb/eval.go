@@ -295,12 +295,11 @@ func (ex *executor) evalInSub(x *boundIn, sc *scope, grp *groupData) (Value, err
 	if err != nil || v == nil {
 		return nil, err
 	}
-	found := false
+	var found bool
 	if x.pk != nil {
-		// "pk IN (SELECT pk FROM table)" answers straight from the
-		// primary-key map: the COW views' NOT IN shape.
-		if id, isInt := AsInt(v); isInt {
-			_, found = x.pk.byPK[id]
+		var exact bool
+		if found, exact = pkProbe(x.pk, v); !exact {
+			found = ex.pkKeySet(x)[valueKey(v)]
 		}
 	} else {
 		set, err := ex.inSubquerySet(x, sc)
@@ -310,6 +309,80 @@ func (ex *executor) evalInSub(x *boundIn, sc *scope, grp *groupData) (Value, err
 		found = set[valueKey(v)]
 	}
 	return boolVal(found != x.not), nil
+}
+
+// pkProbe answers "v IN (SELECT pk FROM t)" from t's primary-key map
+// under the rule the IN-list probe keeps (pkInPlan): byPK must reach
+// every row, and a numeric v must lie inside ±2^53. A key equal to v
+// under the subquery set's valueKey equality then sits at AsInt(v), so
+// comparing that one stored key decides. exact is false when the probe
+// cannot decide; pkKeySet then answers.
+func pkProbe(t *table, v Value) (found, exact bool) {
+	if len(t.byPK) != len(t.rows) {
+		return false, false
+	}
+	var id int64
+	switch x := v.(type) {
+	case int64:
+		if x <= -maxExactKey || x >= maxExactKey {
+			return false, false
+		}
+		if t.intKeys {
+			// The key byPK holds under x is x itself: the COW views'
+			// case, decided without reading the row.
+			_, found = t.byPK[x]
+			return found, true
+		}
+		id = x
+	case float64:
+		if !(x > -maxExactKey && x < maxExactKey) {
+			return false, false
+		}
+		id = int64(x)
+	case string:
+		var ok bool
+		if id, ok = AsInt(x); !ok {
+			return false, true // text no key parses to
+		}
+	default: // blobs: byPK holds none
+		return false, true
+	}
+	pos, ok := t.byPK[id]
+	return ok && sameKey(t.rows[pos][t.pk], v), true
+}
+
+// sameKey reports valueKey(a) == valueKey(b) without building either
+// key, for a text or numeric b that is not NaN.
+func sameKey(a, b Value) bool {
+	if x, ok := b.(string); ok {
+		y, ok := a.(string)
+		return ok && y == x
+	}
+	if !isNumeric(a) || !isNumeric(b) {
+		return false
+	}
+	fa, fb := asFloat(a), asFloat(b)
+	return fa == fb && math.Signbit(fa) == math.Signbit(fb)
+}
+
+// pkKeySet returns the value set of "SELECT pk FROM t", built from t's
+// rows once per statement like any other uncorrelated IN subquery's.
+func (ex *executor) pkKeySet(x *boundIn) map[string]bool {
+	if set, ok := ex.inCache[x]; ok {
+		return set
+	}
+	t := x.pk
+	set := make(map[string]bool, len(t.rows))
+	for _, row := range t.rows {
+		if key := row[t.pk]; key != nil {
+			set[valueKey(key)] = true
+		}
+	}
+	if ex.inCache == nil {
+		ex.inCache = make(map[*boundIn]map[string]bool)
+	}
+	ex.inCache[x] = set
+	return set
 }
 
 // inSubquerySet returns the value set of an IN subquery. A subquery

@@ -224,11 +224,12 @@ func (ex *executor) createTable(st *CreateTableStmt) error {
 		}
 	}
 	ex.db.tables[key] = &table{
-		name:   st.Name,
-		cols:   st.Cols,
-		pk:     pk,
-		byPK:   make(map[int64]int),
-		nextID: 1,
+		name:    st.Name,
+		cols:    st.Cols,
+		pk:      pk,
+		byPK:    make(map[int64]int),
+		intKeys: true,
+		nextID:  1,
 	}
 	ex.db.gen++
 	return nil
@@ -599,7 +600,8 @@ func (ex *executor) updateTable(bu *boundUpdate, sc *scope) (Result, error) {
 		}
 		for i, idx := range bu.set {
 			if idx == t.pk {
-				pkChanged = true
+				// Until reindex recounts them, even if a later row fails.
+				pkChanged, t.intKeys = true, false
 			}
 			row[idx] = newVals[i]
 		}

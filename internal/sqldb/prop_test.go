@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -242,6 +243,44 @@ func TestPropInListProbe(t *testing.T) {
 			wantRes := mustExec(t, db, "UPDATE t SET v = v WHERE "+ref, args...)
 			if gotRes.RowsAffected != wantRes.RowsAffected {
 				t.Fatalf("%s: IN %v: UPDATE affected %d, want %d", tb.name, args, gotRes.RowsAffected, wantRes.RowsAffected)
+			}
+		}
+	}
+}
+
+// TestPropInSubqueryProbe: "v IN (SELECT _id FROM t)", which answers
+// from t's primary-key map, must agree with the same subquery under
+// WHERE 1, which no probe shapes and which always builds the value set.
+// The values mix ints, floats at ±2^53, 2.0, 2.5, -0.0, numeric and
+// non-numeric text, NULL and blobs; the tables have deleted rows, a
+// float key, a digit-string key, a key beyond 2^53, a text key that
+// breaks byPK, the same key set back to an integer, and a duplicate
+// key.
+func TestPropInSubqueryProbe(t *testing.T) {
+	tables := []struct{ name, mutate string }{
+		{"deleted rows", ""},
+		{"float key", "UPDATE t SET _id = 150.5 WHERE _id = 50"},
+		{"digit-string key", "UPDATE t SET _id = '500' WHERE _id = 60"},
+		{"big key", "UPDATE t SET _id = 9007199254740993 WHERE _id = 70"},
+		{"text key", "UPDATE t SET _id = 'abc' WHERE _id = 50"},
+		{"text key restored", "UPDATE t SET _id = 'abc' WHERE _id = 50; UPDATE t SET _id = 50 WHERE _id = 'abc'"},
+		{"duplicate key", "UPDATE t SET _id = 1 WHERE _id = 2"},
+	}
+	pool := []Value{nil, int64(0), int64(1), int64(2), int64(5), int64(10), int64(50), int64(-3),
+		int64(100), int64(150), int64(500), int64(1<<53 + 1), int64(-(1 << 53)),
+		2.0, 2.5, 150.5, math.Copysign(0, -1), float64(1 << 53), -float64(1 << 53),
+		"2", "5", " 5", "500", "abc", "", []byte("5"), []byte("abc")}
+	r := rand.New(rand.NewSource(25))
+	for _, tb := range tables {
+		db := pkRangeTable(t, tb.mutate)
+		for iter := 0; iter < 100; iter++ {
+			v := pool[r.Intn(len(pool))]
+			const probe = "SELECT ? IN (SELECT _id FROM t), ? NOT IN (SELECT _id FROM t)"
+			const ref = "SELECT ? IN (SELECT _id FROM t WHERE 1), ? NOT IN (SELECT _id FROM t WHERE 1)"
+			got := mustQuery(t, db, probe, v, v)
+			want := mustQuery(t, db, ref, v, v)
+			if !reflect.DeepEqual(got.Data, want.Data) {
+				t.Fatalf("%s: %#v IN (SELECT _id FROM t) = %v, want %v", tb.name, v, got.Data, want.Data)
 			}
 		}
 	}
