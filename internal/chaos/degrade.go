@@ -461,12 +461,15 @@ func degradeStore(seed int64, ops int, r *Report) {
 				r.failf("op %d: scrub: %v", r.Ops, err)
 			}
 		case p < 0.08 && windowLeft == 0 && env.Store.LastSynced() > env.Store.RecoveredLSN():
-			// Byte-level corruption: chop the WAL's tail behind the
-			// store's back. The next scrub must poison (durable record
+			// Byte-level corruption: chop the live log inside its records
+			// past the snapshot's cut, behind the store's back (the file's
+			// last bytes may be stale frames of an earlier pass, whose loss
+			// loses nothing). The next scrub must poison (durable record
 			// lost); recovery then comes up legitimately short.
-			data, err := st.ReadFile("wal")
-			if err == nil && len(data) > 8 {
-				rewrite2(st, "wal", data[:len(data)-1-rngCrash.Intn(len(data)/2)])
+			from, to, err := wal.LiveTail(st)
+			data, rerr := st.ReadFile("wal")
+			if err == nil && rerr == nil && to-from > 8 {
+				rewrite2(st, "wal", data[:to-1-rngCrash.Intn((to-from)/2)])
 				dataLost = true
 				if err := env.Store.ScrubOnce(); !errors.Is(err, wal.ErrBroken) {
 					r.failf("op %d: scrub after WAL corruption = %v, want ErrBroken", r.Ops, err)

@@ -4,12 +4,13 @@
 // mutations and SQL batches over a durable environment (internal/wal
 // over MemStorage), with faults armed on the WAL's append, fsync, and
 // snapshot paths — including the window between a snapshot's rename
-// and the WAL truncation, where the forced crash finds a published
+// and the WAL rewind, where the forced crash finds a published
 // snapshot whose WAL still holds the records it carries. Crashes come
 // from three directions: spontaneous seeded kills between operations,
 // forced kills after an injected fault poisons the log (fail-stop),
 // and torn tails — the crash model keeps a seeded prefix of each
-// file's unsynced bytes, exactly the freedom a real kernel has.
+// file's unsynced bytes and reverts the rest to their durable value,
+// so a crash in a rewound WAL leaves stale frames after a torn pass.
 //
 // After every crash the engine reopens from snapshot+WAL and diffs the
 // recovered state row-for-row and file-for-file against a reference
@@ -209,7 +210,7 @@ func runRecover(seed int64, ops int, r *Report) {
 				return
 			}
 			ensure()
-		case p < 0.08: // compact: snapshot + WAL truncation
+		case p < 0.08: // compact: snapshot + WAL rewind
 			if err := env.Store.Snapshot(); err != nil && !isOneOf(err, recoverErrors) {
 				r.failf("op %d: snapshot: %v", r.Ops, err)
 			}

@@ -455,7 +455,7 @@ func (ex *executor) planForIndex(is *ixShape, t *table, cons []colConstraint) *a
 	plan := ex.newPlan()
 	plan.kind, plan.tbl, plan.ix, plan.eqCols = accessIndexEq, t, ix, ix.colNames[:k]
 	if ix.kind == indexHash {
-		bucket := ix.buckets[hashKey(eqVals)]
+		bucket := ix.buckets[rowKey(eqVals)]
 		plan.positions, plan.est = append([]int(nil), bucket...), len(bucket)
 		return plan
 	}

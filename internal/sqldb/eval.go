@@ -361,8 +361,7 @@ func sameKey(a, b Value) bool {
 	if !isNumeric(a) || !isNumeric(b) {
 		return false
 	}
-	fa, fb := asFloat(a), asFloat(b)
-	return fa == fb && math.Signbit(fa) == math.Signbit(fb)
+	return asFloat(a) == asFloat(b)
 }
 
 // pkKeySet returns the value set of "SELECT pk FROM t", built from t's

@@ -48,7 +48,8 @@ func (ex *executor) invalidateInCache() {
 }
 
 // valueKey builds a hash key consistent with compare()'s equality:
-// numerics collapse to their float value, other types are tag-prefixed.
+// numerics collapse to their float value (-0.0 to 0), other types are
+// tag-prefixed.
 func valueKey(v Value) string {
 	switch x := v.(type) {
 	case nil:
@@ -56,6 +57,9 @@ func valueKey(v Value) string {
 	case int64:
 		return "f" + strconv.FormatFloat(float64(x), 'g', -1, 64)
 	case float64:
+		if x == 0 {
+			x = 0 // -0.0 == 0 under compare
+		}
 		return "f" + strconv.FormatFloat(x, 'g', -1, 64)
 	case string:
 		return "s" + x
@@ -63,6 +67,28 @@ func valueKey(v Value) string {
 		return "b" + string(x)
 	}
 	return "x" + fmt.Sprint(v)
+}
+
+// rowKey builds one key for a tuple of values from their valueKeys,
+// every component but the last behind its length, so that two tuples
+// of one arity share a key exactly when their values are pairwise
+// equal under compare(). It keys hash index buckets, DISTINCT and
+// GROUP BY; a one-column key is the value's valueKey.
+func rowKey(vals []Value) string {
+	if len(vals) == 1 {
+		return valueKey(vals[0])
+	}
+	var buf [64]byte
+	b := buf[:0]
+	for i, v := range vals {
+		k := valueKey(v)
+		if i < len(vals)-1 {
+			b = strconv.AppendInt(b, int64(len(k)), 10)
+			b = append(b, ':')
+		}
+		b = append(b, k...)
+	}
+	return string(b)
 }
 
 // execStmt runs one statement of a batch; m memoizes its binding.
@@ -926,11 +952,7 @@ func dedupeRows(rows [][]Value) [][]Value {
 	seen := make(map[string]bool, len(rows))
 	out := rows[:0:0]
 	for _, row := range rows {
-		var b strings.Builder
-		for _, v := range row {
-			b.WriteString(fmt.Sprintf("%T|%v|", v, v))
-		}
-		k := b.String()
+		k := rowKey(row)
 		if !seen[k] {
 			seen[k] = true
 			out = append(out, row)
@@ -1120,17 +1142,17 @@ func (ex *executor) execAggregate(core *boundCore, src [][]Value, sc *scope) ([]
 		groups = append(groups, groupData{rows: src})
 	} else {
 		index := map[string]int{}
+		key := make([]Value, len(agg.groupBy))
 		for _, row := range src {
 			rowScope.row = row
-			var keyBuf strings.Builder
-			for _, g := range agg.groupBy {
+			for i, g := range agg.groupBy {
 				v, err := ex.eval(g, rowScope, nil)
 				if err != nil {
 					return nil, err
 				}
-				fmt.Fprintf(&keyBuf, "%T|%v|", v, v)
+				key[i] = v
 			}
-			k := keyBuf.String()
+			k := rowKey(key)
 			gi, ok := index[k]
 			if !ok {
 				gi = len(groups)

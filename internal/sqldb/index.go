@@ -70,7 +70,7 @@ type index struct {
 	colNames []string // display names, parallel to cols
 
 	entries  []idxEntry       // ordered: sorted by (key, row)
-	buckets  map[string][]int // hash: composite valueKey -> row positions
+	buckets  map[string][]int // hash: rowKey -> row positions
 	distinct int              // distinct keys (selectivity stats)
 }
 
@@ -83,17 +83,6 @@ func (ix *index) keyFor(row []Value) []Value {
 		key[i] = row[c]
 	}
 	return key
-}
-
-// hashKey renders a composite key for the hash buckets, consistent with
-// compare() equality (numerics collapse to their float value).
-func hashKey(key []Value) string {
-	var b strings.Builder
-	for _, v := range key {
-		b.WriteString(valueKey(v))
-		b.WriteByte(0)
-	}
-	return b.String()
 }
 
 // compareKeys orders composite keys lexicographically in compare() order.
@@ -121,7 +110,7 @@ func (ix *index) search(key []Value, row int) int {
 func (ix *index) insertRow(pos int, row []Value) {
 	key := ix.keyFor(row)
 	if ix.kind == indexHash {
-		hk := hashKey(key)
+		hk := rowKey(key)
 		if _, exists := ix.buckets[hk]; !exists {
 			ix.distinct++
 		}
@@ -149,7 +138,7 @@ func (ix *index) insertRow(pos int, row []Value) {
 func (ix *index) removeRow(pos int, row []Value) {
 	key := ix.keyFor(row)
 	if ix.kind == indexHash {
-		hk := hashKey(key)
+		hk := rowKey(key)
 		bucket := ix.buckets[hk]
 		for i, p := range bucket {
 			if p == pos {
@@ -189,7 +178,7 @@ func (ix *index) removeRow(pos int, row []Value) {
 func (ix *index) moveRow(from, to int, row []Value) {
 	key := ix.keyFor(row)
 	if ix.kind == indexHash {
-		bucket := ix.buckets[hashKey(key)]
+		bucket := ix.buckets[rowKey(key)]
 		for i, p := range bucket {
 			if p == from {
 				bucket[i] = to
@@ -217,7 +206,7 @@ func (ix *index) rebuild(rows [][]Value) {
 	if ix.kind == indexHash {
 		ix.buckets = make(map[string][]int)
 		for pos, row := range rows {
-			hk := hashKey(ix.keyFor(row))
+			hk := rowKey(ix.keyFor(row))
 			ix.buckets[hk] = append(ix.buckets[hk], pos)
 		}
 		ix.distinct = len(ix.buckets)
@@ -267,7 +256,7 @@ func (ix *index) clone() *index {
 // lookupEq returns the positions of rows whose key equals key exactly.
 func (ix *index) lookupEq(key []Value) []int {
 	if ix.kind == indexHash {
-		return ix.buckets[hashKey(key)]
+		return ix.buckets[rowKey(key)]
 	}
 	lo, hi := ix.eqRange(key)
 	if lo >= hi {

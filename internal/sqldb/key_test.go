@@ -1,0 +1,126 @@
+package sqldb
+
+import (
+	"math"
+	"reflect"
+	"testing"
+)
+
+// Sets, groups and hash buckets key values with rowKey over valueKey.
+// These tests pin that key to compare()'s equality: two tuples share a
+// key exactly when their values are pairwise equal under compare().
+
+// TestKeyNegativeZero: -0.0 equals 0 under compare, so an IN subquery's
+// set, DISTINCT, GROUP BY and every access path must treat them as one
+// value, whether -0.0 arrives as a literal or a bound argument.
+func TestKeyNegativeZero(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	db := Open()
+	mustExec(t, db, "CREATE TABLE z (_id INTEGER PRIMARY KEY)")
+	mustExec(t, db, "INSERT INTO z (_id) VALUES (0)")
+	for _, q := range []string{
+		"SELECT -0.0 IN (SELECT _id FROM z WHERE 1)",
+		"SELECT -0.0 IN (0)",
+		"SELECT -0.0 = 0",
+	} {
+		if got := mustQuery(t, db, q).Data[0][0]; got != int64(1) {
+			t.Errorf("%s = %v, want 1", q, got)
+		}
+	}
+	if got := mustQuery(t, db, "SELECT ? IN (SELECT _id FROM z WHERE 1)", negZero).Data[0][0]; got != int64(1) {
+		t.Errorf("bound -0.0 IN (SELECT _id FROM z WHERE 1) = %v, want 1", got)
+	}
+
+	paths := []struct {
+		name, ddl string
+		probe     bool // the equality must go through the index
+	}{
+		{"scan", "", false},
+		{"ordered index", "CREATE INDEX t_a ON t (a)", true},
+		{"hash index", "CREATE INDEX t_a ON t (a) USING HASH", true},
+	}
+	for _, p := range paths {
+		t.Run(p.name, func(t *testing.T) {
+			db := Open()
+			mustExec(t, db, "CREATE TABLE t (_id INTEGER PRIMARY KEY, a REAL)")
+			if p.ddl != "" {
+				mustExec(t, db, p.ddl)
+			}
+			for i := 1; i <= 50; i++ { // enough rows that the planner probes
+				mustExec(t, db, "INSERT INTO t (a) VALUES (?)", int64(i))
+			}
+			mustExec(t, db, "INSERT INTO t (a) VALUES (0)")
+			mustExec(t, db, "INSERT INTO t (a) VALUES (?)", negZero)
+			for _, arg := range []Value{int64(0), negZero} {
+				before := db.Stats().IndexProbes
+				if got := mustQuery(t, db, "SELECT count(*) FROM t WHERE a = ?", arg).Data[0][0]; got != int64(2) {
+					t.Errorf("count(*) WHERE a = %v: %v, want 2", arg, got)
+				}
+				if probed := db.Stats().IndexProbes > before; probed != p.probe {
+					t.Errorf("WHERE a = %v probed the index: %v, want %v", arg, probed, p.probe)
+				}
+			}
+			if got := mustQuery(t, db, "SELECT count(*) FROM t WHERE a = 0").Data[0][0]; got != int64(2) {
+				t.Errorf("count(*) WHERE a = 0: %v, want 2", got)
+			}
+			if got := mustQuery(t, db, "SELECT DISTINCT a FROM t WHERE a < 1").Data; len(got) != 1 {
+				t.Errorf("DISTINCT over 0 and -0.0 = %v, want one row", got)
+			}
+			if got := mustQuery(t, db, "SELECT count(*) FROM t WHERE a < 1 GROUP BY a").Data; !reflect.DeepEqual(got, [][]Value{{int64(2)}}) {
+				t.Errorf("GROUP BY over 0 and -0.0 = %v, want one group of 2", got)
+			}
+		})
+	}
+}
+
+// TestKeyTuplesDoNotCollide: a tuple key must not be ambiguous in how
+// its components split. The rows below rendered alike under the old
+// "%T|%v|" DISTINCT and GROUP BY key, and under the old NUL-separated
+// hash key.
+func TestKeyTuplesDoNotCollide(t *testing.T) {
+	pairs := [][2]Value{
+		{"x|string|y", "z"}, {"x", "y|string|z"},
+		{"a", "b\x00sc"}, {"a\x00sb", "c"},
+	}
+	for _, ddl := range []string{"", "CREATE INDEX t_ab ON t (a, b) USING HASH"} {
+		db := Open()
+		mustExec(t, db, "CREATE TABLE t (_id INTEGER PRIMARY KEY, a TEXT, b TEXT)")
+		if ddl != "" {
+			mustExec(t, db, ddl)
+		}
+		for _, p := range pairs {
+			mustExec(t, db, "INSERT INTO t (a, b) VALUES (?, ?)", p[0], p[1])
+		}
+		if got := mustQuery(t, db, "SELECT DISTINCT a, b FROM t").Data; len(got) != len(pairs) {
+			t.Errorf("%q: DISTINCT a, b = %q, want %d rows", ddl, got, len(pairs))
+		}
+		for _, row := range mustQuery(t, db, "SELECT count(*) FROM t GROUP BY a, b").Data {
+			if row[0] != int64(1) {
+				t.Errorf("%q: GROUP BY a, b merged distinct rows: %v", ddl, row)
+			}
+		}
+		for _, p := range pairs {
+			if got := mustQuery(t, db, "SELECT count(*) FROM t WHERE a = ? AND b = ?", p[0], p[1]).Data[0][0]; got != int64(1) {
+				t.Errorf("%q: count(*) WHERE (a, b) = %q: %v, want 1", ddl, p, got)
+			}
+		}
+	}
+}
+
+// TestKeyIntegralFloat: 1 and 1.0 are equal under compare, as "a = 1"
+// shows by matching both, so DISTINCT keeps one row and GROUP BY forms
+// one group.
+func TestKeyIntegralFloat(t *testing.T) {
+	db := Open()
+	mustExec(t, db, "CREATE TABLE t (_id INTEGER PRIMARY KEY, a)")
+	mustExec(t, db, "INSERT INTO t (a) VALUES (?), (?)", int64(1), 1.0)
+	if got := mustQuery(t, db, "SELECT count(*) FROM t WHERE a = 1").Data[0][0]; got != int64(2) {
+		t.Fatalf("count(*) WHERE a = 1: %v, want 2", got)
+	}
+	if got := mustQuery(t, db, "SELECT DISTINCT a FROM t").Data; len(got) != 1 {
+		t.Errorf("DISTINCT over 1 and 1.0 = %v, want one row", got)
+	}
+	if got := mustQuery(t, db, "SELECT count(*) FROM t GROUP BY a").Data; !reflect.DeepEqual(got, [][]Value{{int64(2)}}) {
+		t.Errorf("GROUP BY over 1 and 1.0 = %v, want one group of 2", got)
+	}
+}

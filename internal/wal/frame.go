@@ -7,8 +7,9 @@
 // encoding each mutation as a logical record (record.go), framing it
 // (frame.go), and appending it to a Log with group commit (log.go) on
 // a pluggable Storage (storage.go). Recovery replays the snapshot and
-// then every WAL record past the snapshot's cut LSN, truncating any
-// torn tail left by a crash.
+// then every record of the live log past the snapshot's cut LSN,
+// truncating whatever follows the live log: a torn tail left by a
+// crash, or stale frames left by an earlier pass over the file.
 package wal
 
 import (
@@ -114,9 +115,7 @@ func DecodeFrame(b []byte) (Record, int, error) {
 
 // scanFrames decodes consecutive frames from b, calling fn for each,
 // and returns the byte length of the valid prefix. Decoding stops at
-// the first torn frame — everything after a torn write is garbage by
-// the log's append-only discipline. A non-nil error from fn aborts
-// the scan.
+// the first torn frame. A non-nil error from fn aborts the scan.
 func scanFrames(b []byte, fn func(Record) error) (int, error) {
 	off := 0
 	for off < len(b) {
@@ -130,4 +129,29 @@ func scanFrames(b []byte, fn func(Record) error) (int, error) {
 		off += n
 	}
 	return off, nil
+}
+
+// scanChain decodes the live log at the front of a WAL image: the
+// frames from offset 0 whose LSNs run consecutively, the first at most
+// cut+1. It calls fn (when non-nil) for each and returns the chain's
+// byte length and last LSN (0 for an empty chain). A checkpoint rewinds
+// the file instead of truncating it, so frames of earlier passes lie
+// past the live log; their LSNs are at or below the cut, so the first
+// of them breaks the chain, as a torn frame does. A non-nil error from
+// fn aborts the scan.
+func scanChain(b []byte, cut uint64, fn func(Record) error) (n int, last uint64, err error) {
+	for n < len(b) {
+		rec, size, derr := DecodeFrame(b[n:])
+		if derr != nil || (n == 0 && rec.LSN > cut+1) || (n > 0 && rec.LSN != last+1) {
+			break
+		}
+		if fn != nil {
+			if err := fn(rec); err != nil {
+				return n, last, err
+			}
+		}
+		n += size
+		last = rec.LSN
+	}
+	return n, last, nil
 }

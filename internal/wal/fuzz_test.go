@@ -5,31 +5,52 @@ import (
 	"testing"
 )
 
-// FuzzWALDecode feeds arbitrary bytes through the frame decoder and
-// the prefix scanner. The contract under fuzz: never panic, never
-// report a valid prefix longer than the input, and stop cleanly at the
-// first bad frame (decoding the reported prefix again must succeed
-// frame for frame).
+// FuzzWALDecode feeds arbitrary bytes through the frame decoder, the
+// prefix scanner and the chain scanner recovery uses. The contract
+// under fuzz: never panic, never report a valid prefix longer than the
+// input, and stop cleanly at the first bad frame (decoding the reported
+// prefix again must succeed frame for frame). The chain is a prefix of
+// those frames whose LSNs run consecutively from at most cut+1, the
+// frame after it (if any) breaks that rule, and rescanning the chain
+// gives the same chain.
 func FuzzWALDecode(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{0, 0, 0, 0})
-	f.Add(bytes.Repeat([]byte{0xFF}, 64))
+	frames := func(first, last uint64, payload string) []byte {
+		var b []byte
+		for lsn := first; lsn <= last; lsn++ {
+			b = appendFrame(b, Record{LSN: lsn, Stream: "db:main", Payload: []byte(payload)})
+		}
+		return b
+	}
+	f.Add([]byte{}, uint64(0))
+	f.Add([]byte{0, 0, 0, 0}, uint64(0))
+	f.Add(bytes.Repeat([]byte{0xFF}, 64), uint64(0))
 	one := appendFrame(nil, Record{LSN: 1, Stream: "fs", Payload: []byte("seed payload")})
-	f.Add(one)
+	f.Add(one, uint64(0))
 	two := appendFrame(append([]byte(nil), one...), Record{LSN: 2, Stream: "db:main", Payload: []byte{1, 2, 3}})
-	f.Add(two)
-	f.Add(two[:len(two)-5]) // torn tail
+	f.Add(two, uint64(0))
+	f.Add(two[:len(two)-5], uint64(0)) // torn tail
 	flipped := append([]byte(nil), two...)
 	flipped[9] ^= 0x40
-	f.Add(flipped)
+	f.Add(flipped, uint64(0))
+	// A rewound pass (LSNs 5, 6 past the cut 4) overwrote the front of
+	// the first (1..4): aligned stale frames, then misaligned ones.
+	pass1 := frames(1, 4, "first pass")
+	f.Add(pass1, uint64(4)) // a crash between the rename and the rewind
+	pass2 := frames(5, 6, "second!!!!")
+	f.Add(append(append([]byte(nil), pass2...), pass1[len(pass2):]...), uint64(4))
+	short := frames(5, 6, "2nd")
+	f.Add(append(append([]byte(nil), short...), pass1[len(short):]...), uint64(4))
+	torn := append([]byte(nil), pass1...)
+	copy(torn, pass2[:len(pass2)-3]) // the second pass's last frame torn
+	f.Add(torn, uint64(4))
 
-	f.Fuzz(func(t *testing.T, b []byte) {
-		count := 0
+	f.Fuzz(func(t *testing.T, b []byte, cut uint64) {
+		var recs []Record
 		n, err := scanFrames(b, func(rec Record) error {
 			if len(rec.Payload) > maxPayload {
 				t.Fatalf("decoded payload of %d bytes exceeds maxPayload", len(rec.Payload))
 			}
-			count++
+			recs = append(recs, rec)
 			return nil
 		})
 		if err != nil {
@@ -41,8 +62,38 @@ func FuzzWALDecode(f *testing.F) {
 		// Rescanning the valid prefix must decode the same frames.
 		recount := 0
 		n2, _ := scanFrames(b[:n], func(Record) error { recount++; return nil })
-		if n2 != n || recount != count {
-			t.Fatalf("rescan of valid prefix: got %d bytes %d frames, want %d bytes %d frames", n2, recount, n, count)
+		if n2 != n || recount != len(recs) {
+			t.Fatalf("rescan of valid prefix: got %d bytes %d frames, want %d bytes %d frames", n2, recount, n, len(recs))
+		}
+
+		var chain []uint64
+		cn, last, err := scanChain(b, cut, func(rec Record) error {
+			chain = append(chain, rec.LSN)
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("scanChain returned error without fn error: %v", err)
+		}
+		if cn > n || len(chain) > len(recs) {
+			t.Fatalf("chain of %d frames over %d bytes exceeds the valid prefix of %d frames over %d bytes", len(chain), cn, len(recs), n)
+		}
+		for i, lsn := range chain {
+			if lsn != recs[i].LSN {
+				t.Fatalf("chain frame %d has LSN %d, the prefix's has %d", i, lsn, recs[i].LSN)
+			}
+			if i == 0 && lsn > cut+1 || i > 0 && lsn != chain[i-1]+1 {
+				t.Fatalf("chain LSNs %v do not run consecutively from at most %d", chain, cut+1)
+			}
+		}
+		if len(chain) > 0 && last != chain[len(chain)-1] || len(chain) == 0 && (last != 0 || cn != 0) {
+			t.Fatalf("chain %v reported as %d bytes ending at LSN %d", chain, cn, last)
+		}
+		if k := len(chain); k < len(recs) && (k == 0 && recs[0].LSN <= cut+1 || k > 0 && recs[k].LSN == last+1) {
+			t.Fatalf("chain %v stopped before frame %d (LSN %d), which continues it", chain, k, recs[k].LSN)
+		}
+		cn2, last2, _ := scanChain(b[:cn], cut, nil)
+		if cn2 != cn || last2 != last {
+			t.Fatalf("rescan of the chain: got %d bytes to LSN %d, want %d bytes to LSN %d", cn2, last2, cn, last)
 		}
 	})
 }

@@ -3,6 +3,7 @@ package wal
 import (
 	"errors"
 	"fmt"
+	"io"
 	"sync"
 	"time"
 
@@ -14,7 +15,7 @@ import (
 // Fault points on the durability-critical paths (see internal/fault).
 // The permanent points model corruption: an append fault tears a frame
 // mid-write, an fsync fault loses the acknowledgment, a truncate fault
-// strikes between publishing a snapshot and truncating the log — all
+// strikes between publishing a snapshot and rewinding the log — all
 // of which poison the log (fail-stop) so no acknowledged write can
 // ever land after a hole. A snapshot fault aborts a checkpoint before
 // anything is published, leaving the old snapshot and the log intact.
@@ -25,7 +26,7 @@ var (
 	faultAppend          = fault.Declare("wal.append", "WAL frame append: tear the frame with a partial write")
 	faultFsync           = fault.Declare("wal.fsync", "WAL group-commit fsync: fail before acknowledging")
 	faultSnapshot        = fault.Declare("wal.snapshot", "snapshot write: fail before the atomic rename publishes it")
-	faultTruncate        = fault.Declare("wal.truncate", "checkpoint: fail after the snapshot rename, before the WAL truncation")
+	faultTruncate        = fault.Declare("wal.truncate", "checkpoint: fail after the snapshot rename, before the WAL rewind")
 	faultAppendTransient = fault.Declare("wal.append.transient", "WAL frame append: transient EIO-style fault before any byte is written")
 	faultFsyncTransient  = fault.Declare("wal.fsync.transient", "WAL fsync: transient EIO-style fault; the fsync may be retried")
 )
@@ -35,7 +36,7 @@ var (
 // suspect and the only safe continuation is a crash-and-recover cycle.
 var ErrBroken = errors.New("wal: log poisoned by an earlier write failure")
 
-// Log is the append-only record log with group commit.
+// Log is the record log with group commit.
 //
 // Append assigns the next LSN and buffers the frame into the OS file
 // without syncing; Sync(lsn) makes everything up to lsn durable. Many
@@ -57,7 +58,7 @@ type Log struct {
 	f        File
 	appended uint64 // last LSN appended
 	synced   uint64 // last LSN known durable
-	size     int64  // bytes of whole frames in f: where the next frame starts
+	size     int64  // bytes of whole frames in f since the last rewind: where the next frame starts
 	lastFS   uint64 // LSN of the last record on the file-system stream
 	broken   error
 	buf      []byte
@@ -275,15 +276,18 @@ func (l *Log) lastFSLSN() uint64 {
 // carry ends a checkpoint whose image, cut at byte offset from of the
 // log file, sits written and synced in snap (snapshot.tmp). Holding
 // syncMu, then mu — the order Sync takes them in, so no fsync runs on
-// a file being replaced — it appends to snap the frames the log gained
-// past from, syncs snap and renames it over the snapshot. Every
-// appended record is then durable in the snapshot, so the log file is
-// truncated in place and synced moves up to the last appended LSN,
-// which carry returns. LSNs keep counting from there: they are never
-// reused, which is what lets recovery skip the records a snapshot
-// carries. A failure before the rename leaves the log as it was; a
-// failure after it poisons the log (fail-stop), as the state of its
-// file is then unknown.
+// a file being rewound — it appends to snap the frames the log gained
+// past from, read back through the log's own handle, syncs snap and
+// renames it over the snapshot. Every appended record is then durable
+// in the snapshot, so the log rewinds its handle to offset 0 and synced
+// moves up to the last appended LSN, which carry returns. The file
+// keeps its size: the next pass overwrites it in place, so a commit's
+// fsync does not grow it, and the frames left past the new pass carry
+// LSNs at or below the cut, which end the live log (scanChain). LSNs
+// keep counting from there: they are never reused, which is what lets
+// recovery skip the records a snapshot carries. A failure before the
+// rename leaves the log as it was; a failure after it poisons the log
+// (fail-stop), as the state of its file is then unknown.
 func (l *Log) carry(st Storage, from int64, snap File) (uint64, error) {
 	l.syncMu.Lock()
 	defer l.syncMu.Unlock()
@@ -294,12 +298,15 @@ func (l *Log) carry(st Storage, from int64, snap File) (uint64, error) {
 		return 0, l.broken
 	}
 	if l.size > from {
-		data, err := st.ReadFile(walFile)
-		if err == nil && int64(len(data)) < l.size {
-			err = fmt.Errorf("%w: log file holds %d bytes, %d were appended", ErrCorrupt, len(data), l.size)
+		tail := make([]byte, l.size-from)
+		n, err := l.f.ReadAt(tail, from)
+		if n == len(tail) {
+			err = nil
+		} else if err == nil || errors.Is(err, io.EOF) {
+			err = fmt.Errorf("%w: log file holds %d bytes, %d were appended", ErrCorrupt, from+int64(n), l.size)
 		}
 		if err == nil {
-			_, err = snap.Write(data[from:l.size])
+			_, err = snap.Write(tail)
 		}
 		if err == nil {
 			err = snap.Sync()
@@ -319,13 +326,10 @@ func (l *Log) carry(st Storage, from int64, snap File) (uint64, error) {
 		l.poisonLocked(err)
 		return 0, err
 	}
-	f, err := st.Create(walFile)
-	if err != nil {
+	if _, err := l.f.Seek(0, io.SeekStart); err != nil {
 		l.poisonLocked(err)
 		return 0, err
 	}
-	l.f.Close()
-	l.f = f
 	l.size = 0
 	l.synced = l.appended
 	return l.appended, nil

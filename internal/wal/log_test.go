@@ -201,8 +201,8 @@ func (slowSyncFile) Sync() error {
 }
 
 // TestSyncRacesCarry: a Sync leader fsyncs the log file outside mu,
-// holding only syncMu, so carry, which truncates and replaces that
-// file, must hold syncMu too. Under -race, an Append+Sync loop against
+// holding only syncMu, so carry, which rewinds that file, must hold
+// syncMu too. Under -race, an Append+Sync loop against
 // a carry loop must report nothing, and no Sync may fail. One writer
 // has nobody to coalesce with, so each Sync fsyncs unless a carry
 // already made its record durable.

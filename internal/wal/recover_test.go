@@ -1,6 +1,9 @@
 package wal_test
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -89,7 +92,7 @@ func rewrite(t *testing.T, st *wal.MemStorage, name string, b []byte) {
 	f.Close()
 }
 
-func readFile(t *testing.T, st *wal.MemStorage, name string) []byte {
+func readFile(t *testing.T, st wal.Storage, name string) []byte {
 	t.Helper()
 	data, err := st.ReadFile(name)
 	if err != nil {
@@ -144,8 +147,8 @@ func TestRecoverEdgeCases(t *testing.T) {
 				if err := env.Store.Snapshot(); err != nil {
 					t.Fatalf("snapshot: %v", err)
 				}
-				if data := readFile(t, st, "wal"); len(data) != 0 {
-					t.Fatalf("wal not reset after quiescent snapshot: %d bytes", len(data))
+				if got := liveLSNs(t, st); len(got) != 0 {
+					t.Fatalf("wal holds live LSNs %v after a quiescent snapshot, want none", got)
 				}
 				return wantKV(3), 4
 			},
@@ -159,7 +162,7 @@ func TestRecoverEdgeCases(t *testing.T) {
 					t.Fatalf("snapshot: %v", err)
 				}
 				mustExec(t, env.DB, "INSERT INTO kv (v) VALUES (?)", "v3")
-				post := readFile(t, st, "wal") // frame 4 only
+				post := liveBytes(t, st) // frame 4 only
 				// Splice the pre-snapshot frames back in front: recovery
 				// must skip every record at or below the snapshot's cut
 				// LSN instead of double-applying it.
@@ -176,9 +179,14 @@ func TestRecoverEdgeCases(t *testing.T) {
 				if err := env.Store.Snapshot(); err != nil {
 					t.Fatalf("snapshot: %v", err)
 				}
-				// Resurrect the stale pre-snapshot wal: every record sits
-				// at or below the cut, so recovery applies none of them —
-				// and must still resume LSNs from the cut, not the tail.
+				// The state a crash between the snapshot's rename and the
+				// WAL rewind leaves when it loses the last carried frame
+				// from the wal: every record sits at or below the cut (4),
+				// so recovery applies none of them — and must still resume
+				// LSNs from the cut, not the tail. It must also restart the
+				// log at offset 0: the runner's next insert (LSN 5)
+				// appended after frame 3 would not continue the chain, and
+				// the second recovery would lose it.
 				rewrite(t, st, "wal", stale)
 				return wantKV(3), 4
 			},
@@ -218,6 +226,129 @@ func TestRecoverEdgeCases(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// splitFrames cuts a run of whole frames into one slice per frame.
+func splitFrames(t *testing.T, data []byte) [][]byte {
+	t.Helper()
+	var out [][]byte
+	for len(data) > 0 {
+		_, n, err := wal.DecodeFrame(data)
+		if err != nil {
+			t.Fatalf("split frames: %v", err)
+		}
+		out = append(out, data[:n])
+		data = data[n:]
+	}
+	return out
+}
+
+// TestRecoverStaleFrameEndsChain: a frame left by an earlier pass over
+// the file has a valid CRC, but its LSN is at or below the cut, so it
+// ends the live log. Nothing after it is replayed, not even a frame
+// whose LSN lies past the cut, and the log resumes after the chain.
+func TestRecoverStaleFrameEndsChain(t *testing.T) {
+	env, st := openMem(t)
+	seedKV(t, env, 2)                               // LSNs 1..3
+	stale := splitFrames(t, readFile(t, st, "wal")) // from before the snapshot
+	if err := env.Store.Snapshot(); err != nil {
+		t.Fatalf("snapshot: %v", err)
+	}
+	for _, v := range []string{"v3", "v4", "v5"} { // LSNs 4..6
+		mustExec(t, env.DB, "INSERT INTO kv (v) VALUES (?)", v)
+	}
+	live := splitFrames(t, liveBytes(t, st))
+	if len(live) != 3 {
+		t.Fatalf("live log holds %d frames, want 3", len(live))
+	}
+	var img []byte
+	for _, f := range [][]byte{live[0], stale[0], live[2]} { // LSNs 4, 1, 6
+		img = append(img, f...)
+	}
+	rewrite(t, st, "wal", img)
+	st.Crash(nil)
+	reopen(t, env)
+	if got := env.Store.RecoveredLSN(); got != 4 {
+		t.Fatalf("RecoveredLSN = %d, want 4", got)
+	}
+	if got := kvRows(t, env.DB); !reflect.DeepEqual(got, wantKV(3)) {
+		t.Fatalf("recovered rows = %v, want %v", got, wantKV(3))
+	}
+	mustExec(t, env.DB, "INSERT INTO kv (v) VALUES (?)", "v4")
+	st.Crash(nil)
+	reopen(t, env)
+	if got := kvRows(t, env.DB); !reflect.DeepEqual(got, wantKV(4)) {
+		t.Fatalf("rows after a write and a second crash = %v, want %v", got, wantKV(4))
+	}
+}
+
+// TestRewindOverDirStorage: over a real directory, each of three
+// checkpoints between runs of writes rewinds the WAL in place. The file
+// never shrinks, the next frame starts at offset 0, and a reopen
+// replays exactly the records past the last cut although the passes
+// shrink, so stale frames of the longer ones lie past the live log.
+func TestRewindOverDirStorage(t *testing.T) {
+	dir := t.TempDir()
+	st, err := wal.NewDirStorage(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, err := testutil.OpenDurable(st, "main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { env.Close() }()
+	walSize := func() int64 {
+		t.Helper()
+		fi, err := os.Stat(filepath.Join(dir, "wal"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+	mustExec(t, env.DB, "CREATE TABLE kv (k INTEGER PRIMARY KEY, v TEXT)")
+	var size int64
+	var cut uint64
+	for pass, writes := range []int{30, 20, 10} {
+		for i := 0; i < writes; i++ {
+			mustExec(t, env.DB, "INSERT INTO kv (v) VALUES (?)", fmt.Sprintf("p%d-%d", pass, i))
+		}
+		if got := walSize(); got < size {
+			t.Fatalf("pass %d: wal shrank from %d to %d bytes", pass, size, got)
+		}
+		size = walSize()
+		if err := env.Store.Snapshot(); err != nil {
+			t.Fatalf("checkpoint %d: %v", pass, err)
+		}
+		if got := walSize(); got != size {
+			t.Fatalf("checkpoint %d changed the wal from %d to %d bytes", pass, size, got)
+		}
+		cut = env.Store.LastLSN()
+		mustExec(t, env.DB, "INSERT INTO kv (v) VALUES (?)", fmt.Sprintf("after-%d", pass))
+		rec, _, err := wal.DecodeFrame(readFile(t, st, "wal"))
+		if err != nil || rec.LSN != cut+1 {
+			t.Fatalf("checkpoint %d: frame at offset 0 = LSN %d (%v), want %d", pass, rec.LSN, err, cut+1)
+		}
+	}
+	mustExec(t, env.DB, "UPDATE kv SET v = 'last' WHERE k = 1")
+	last := env.Store.LastLSN()
+	if got, want := liveLSNs(t, st), []uint64{cut + 1, cut + 2}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("live log holds LSNs %v, want %v", got, want)
+	}
+	if got := frameLSNs(t, st, "snapshot"); maxLSN(got) != cut {
+		t.Fatalf("snapshot ends at LSN %d, want %d", maxLSN(got), cut)
+	}
+	want := kvRows(t, env.DB)
+	if err := env.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopen(t, env)
+	if got := env.Store.RecoveredLSN(); got != last {
+		t.Fatalf("RecoveredLSN = %d, want %d", got, last)
+	}
+	if got := kvRows(t, env.DB); !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered %d rows, want %d: %v", len(got), len(want), got)
 	}
 }
 

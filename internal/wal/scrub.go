@@ -70,7 +70,7 @@ func verifySnapshot(data []byte) (uint64, error) { return scanSnapshot(data, nil
 // store acknowledged as durable. Corruption poisons the store
 // (fail-stop — the disk lied about an acknowledged write); a transient
 // read fault only degrades it, to be retried next cycle. Runs under
-// snapMu so it never races a snapshot/heal truncating the WAL file
+// snapMu so it never races a snapshot/heal rewinding the WAL file
 // beneath the read.
 func (s *Store) ScrubOnce() error {
 	s.snapMu.Lock()
@@ -109,10 +109,10 @@ func (s *Store) ScrubOnce() error {
 	}
 
 	// WAL: appends may race the read, so the check is coverage, not
-	// strictness — the valid frame prefix must reach at least the LSN
-	// that was already durable before the read started. A torn or
-	// garbage tail is legitimate (in-flight append, crash leftovers);
-	// a synced record that scanning cannot reach is corruption.
+	// strictness — the live log must reach at least the LSN that was
+	// already durable before the read started. A torn or stale tail is
+	// legitimate (in-flight append, crash leftovers, frames of an earlier
+	// pass); a synced record that the chain cannot reach is corruption.
 	syncedBefore := s.log.LastSynced()
 	wal, err := s.cfg.Storage.ReadFile(walFile)
 	if err != nil && !errors.Is(err, fs.ErrNotExist) {
@@ -123,15 +123,11 @@ func (s *Store) ScrubOnce() error {
 		s.log.poison(fmt.Errorf("wal: scrub cannot read log: %v", err))
 		return s.log.Broken()
 	}
-	maxLSN := s.walBase // a truncated (empty) WAL file starts after the snapshot
-	scanFrames(wal, func(rec Record) error {
-		if rec.LSN > maxLSN {
-			maxLSN = rec.LSN
-		}
-		return nil
-	})
-	if maxLSN < syncedBefore {
-		s.log.poison(fmt.Errorf("%w: scrub: durable record lost: log covers LSN %d, %d was acknowledged", ErrCorrupt, maxLSN, syncedBefore))
+	// A live log with nothing past the snapshot covers its cut.
+	_, last, _ := scanChain(wal, s.walBase, nil)
+	covered := max(last, s.walBase)
+	if covered < syncedBefore {
+		s.log.poison(fmt.Errorf("%w: scrub: durable record lost: log covers LSN %d, %d was acknowledged", ErrCorrupt, covered, syncedBefore))
 		return s.log.Broken()
 	}
 	return nil
@@ -143,8 +139,8 @@ func (s *Store) ScrubOnce() error {
 // in-memory state ahead of the log (none of them were acknowledged, so
 // no durability promise is at stake — but memory and log disagree).
 // Heal folds the current memory image into a snapshot through the
-// same path as Snapshot, which publishes it atomically and truncates
-// the WAL, making memory and disk agree again before accepting writes.
+// same path as Snapshot, which publishes it atomically and rewinds the
+// WAL, making memory and disk agree again before accepting writes.
 // Open transactions are aborted first — their half-applied state
 // cannot be imaged. A poisoned store cannot heal; it returns
 // ErrBroken.

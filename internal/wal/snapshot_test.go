@@ -57,6 +57,38 @@ func frameLSNs(t *testing.T, st wal.Storage, name string) []uint64 {
 	if err != nil {
 		t.Fatalf("read %s: %v", name, err)
 	}
+	return decodeLSNs(t, name, data)
+}
+
+// liveLSNs returns the LSNs of the live WAL records past the snapshot's
+// cut: the records the next recovery would replay.
+func liveLSNs(t *testing.T, st wal.Storage) []uint64 {
+	t.Helper()
+	return decodeLSNs(t, "wal", liveBytes(t, st))
+}
+
+// liveBytes returns the frames of the live WAL records past the
+// snapshot's cut. A rewound file may hold stale frames of an earlier
+// pass after them.
+func liveBytes(t *testing.T, st wal.Storage) []byte {
+	t.Helper()
+	from, to, err := wal.LiveTail(st)
+	if err != nil {
+		t.Fatalf("live tail: %v", err)
+	}
+	if from == to {
+		return nil
+	}
+	data, err := st.ReadFile("wal")
+	if err != nil {
+		t.Fatalf("read wal: %v", err)
+	}
+	return data[from:to]
+}
+
+// decodeLSNs decodes every frame in data strictly.
+func decodeLSNs(t *testing.T, name string, data []byte) []uint64 {
+	t.Helper()
 	var lsns []uint64
 	for len(data) > 0 {
 		rec, n, err := wal.DecodeFrame(data)
@@ -108,10 +140,10 @@ func (f *hookFile) Sync() error {
 
 // TestSnapshotUnderConcurrentWriters: one writer per database runs
 // autocommit INSERT/UPDATE/DELETE, with occasional file writes, while
-// 50 snapshots are taken. Every snapshot must succeed, the WAL must
-// end up holding only what was appended after the last snapshot's
-// carried tail, and a crash must recover exactly the acknowledged
-// state.
+// 50 snapshots are taken. Every snapshot must succeed, the live log
+// must end up holding exactly what was appended after the last
+// snapshot's carried tail, and a crash must recover exactly the
+// acknowledged state.
 func TestSnapshotUnderConcurrentWriters(t *testing.T) {
 	st := wal.NewMemStorage()
 	env := openTwoDB(t, st, nil)
@@ -196,13 +228,17 @@ func TestSnapshotUnderConcurrentWriters(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The WAL holds exactly the records appended after the snapshot's
-	// last one, in LSN order with no gap.
+	// The live log holds exactly the records appended after the
+	// snapshot's last one, in LSN order with no gap.
 	cut := maxLSN(frameLSNs(t, st, "snapshot"))
-	for i, lsn := range frameLSNs(t, st, "wal") {
+	live := liveLSNs(t, st)
+	for i, lsn := range live {
 		if want := cut + 1 + uint64(i); lsn != want {
-			t.Fatalf("wal frame %d has LSN %d, want %d (snapshot ends at %d)", i, lsn, want, cut)
+			t.Fatalf("live wal frame %d has LSN %d, want %d (snapshot ends at %d)", i, lsn, want, cut)
 		}
+	}
+	if end := cut + uint64(len(live)); end != env.store.LastLSN() {
+		t.Fatalf("snapshot and live log end at LSN %d, want the last appended %d", end, env.store.LastLSN())
 	}
 
 	st.Crash(nil)
@@ -278,7 +314,7 @@ func seedTwo(t *testing.T, env *twoDBEnv) {
 
 // TestSnapshotCarriesWALTail: writes landing between the cut and the
 // publish travel inside the snapshot, after its image, and the WAL is
-// truncated anyway. Recovery must apply them exactly once: the cut is
+// rewound anyway. Recovery must apply them exactly once: the cut is
 // the highest LSN the snapshot holds, not its header's.
 func TestSnapshotCarriesWALTail(t *testing.T) {
 	st := &hookStorage{MemStorage: wal.NewMemStorage()}
@@ -303,8 +339,8 @@ func TestSnapshotCarriesWALTail(t *testing.T) {
 			t.Fatalf("snapshot ends with LSNs %v, want the carried tail %d..%d", tail, hdrCut+1, last)
 		}
 	}
-	if got := frameLSNs(t, st, "wal"); len(got) != 0 {
-		t.Fatalf("wal holds LSNs %v after the snapshot, want none", got)
+	if got := liveLSNs(t, st); len(got) != 0 {
+		t.Fatalf("wal holds live LSNs %v after the snapshot, want none", got)
 	}
 	if env.store.LastSynced() != last {
 		t.Fatalf("synced = %d, want %d: the snapshot made the tail durable", env.store.LastSynced(), last)
@@ -320,7 +356,7 @@ func TestSnapshotCarriesWALTail(t *testing.T) {
 }
 
 // TestCrashBetweenRenameAndTruncation: a failure after the snapshot
-// rename and before the WAL truncation poisons the log; the crash that
+// rename and before the WAL rewind poisons the log; the crash that
 // follows finds a published snapshot whose WAL still holds every
 // record it carries, and recovers the same state once.
 func TestCrashBetweenRenameAndTruncation(t *testing.T) {
@@ -342,7 +378,7 @@ func TestCrashBetweenRenameAndTruncation(t *testing.T) {
 		t.Fatalf("published snapshot ends at LSN %d, want %d", got, last)
 	}
 	if got := maxLSN(frameLSNs(t, st, "wal")); got != last {
-		t.Fatalf("untruncated wal ends at LSN %d, want %d", got, last)
+		t.Fatalf("unrewound wal ends at LSN %d, want %d", got, last)
 	}
 
 	st.Crash(nil)
@@ -375,8 +411,8 @@ func TestSnapshotBusyWhileTxnOpen(t *testing.T) {
 	if err := env.Store.Snapshot(); err != nil {
 		t.Fatalf("snapshot after commit: %v", err)
 	}
-	if got := frameLSNs(t, st, "wal"); len(got) != 0 {
-		t.Fatalf("wal holds LSNs %v after the snapshot, want none", got)
+	if got := liveLSNs(t, st); len(got) != 0 {
+		t.Fatalf("wal holds live LSNs %v after the snapshot, want none", got)
 	}
 	st.Crash(nil)
 	reopen(t, env)
@@ -414,10 +450,10 @@ func TestSnapshotMetrics(t *testing.T) {
 }
 
 // TestSyncRacesSnapshotTruncation: group-commit writers on two streams
-// run against a loop of snapshots, each of which truncates the WAL
-// file under them. Under -race nothing may be reported, the log must
-// never be poisoned (on a real directory, a file closed under a
-// leader's fsync fails it permanently), and every write must sync.
+// run against a loop of snapshots, each of which rewinds the WAL file
+// under them. Under -race nothing may be reported, the log must
+// never be poisoned (on a real directory, a failed fsync or rewind
+// poisons it permanently), and every write must sync.
 func TestSyncRacesSnapshotTruncation(t *testing.T) {
 	st, err := wal.NewDirStorage(t.TempDir())
 	if err != nil {

@@ -1,6 +1,8 @@
 package wal
 
 import (
+	"errors"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -8,20 +10,21 @@ import (
 	"sync"
 )
 
-// Storage is the byte store beneath the WAL: a flat namespace of
-// append-only files with explicit sync. Two implementations ship:
-// DirStorage over a real directory (production durability) and
-// MemStorage with an explicit crash model (tests and the recover
-// chaos engine).
+// Storage is the byte store beneath the WAL: a flat namespace of files
+// with explicit sync, written sequentially from a handle's offset. Two
+// implementations ship: DirStorage over a real directory (production
+// durability) and MemStorage with an explicit crash model (tests and
+// the recover chaos engine).
 type Storage interface {
 	// ReadFile returns the full durable content of a file, or an error
 	// satisfying fs.ErrNotExist.
 	ReadFile(name string) ([]byte, error)
-	// Create truncates-or-creates a file and opens it for appending.
+	// Create truncates-or-creates a file and opens it for writing at
+	// offset 0.
 	Create(name string) (File, error)
-	// Append opens a file for appending after truncating it to
-	// validLen bytes (torn-tail removal). The file is created empty if
-	// missing.
+	// Append opens a file for writing at offset validLen after
+	// truncating it to validLen bytes (torn-tail removal). The file is
+	// created empty if missing.
 	Append(name string, validLen int64) (File, error)
 	// Rename atomically replaces newname with oldname.
 	Rename(oldname, newname string) error
@@ -29,9 +32,15 @@ type Storage interface {
 	Remove(name string) error
 }
 
-// File is an open WAL or snapshot file.
+// File is an open WAL or snapshot file. Write writes at the handle's
+// offset and advances it, overwriting any bytes already there.
 type File interface {
 	Write(p []byte) (int, error)
+	// ReadAt reads len(p) bytes at offset off; fewer come back with a
+	// non-nil error.
+	ReadAt(p []byte, off int64) (int, error)
+	// Seek moves the offset the next Write starts at (io.Seeker).
+	Seek(offset int64, whence int) (int64, error)
 	// Sync makes everything written so far durable.
 	Sync() error
 	Close() error
@@ -102,19 +111,66 @@ func (s *DirStorage) Remove(name string) error {
 
 // MemStorage is an in-memory Storage with an explicit crash model:
 // every file tracks its durable image (what Sync has pinned) apart
-// from its written image (what the "page cache" holds). Crash throws
-// away an arbitrary, caller-chosen suffix of the unsynced bytes —
-// exactly the freedom a real kernel has — while metadata operations
-// (Create/Remove/Rename) are modeled as immediately durable and
-// atomic, matching DirStorage's directory-fsync discipline.
+// from its written image (what the "page cache" holds). A handle
+// writes at its offset and overwrites bytes in place, so a file's
+// unsynced bytes run from the lowest offset written since its last
+// sync to its end. Crash keeps an arbitrary, caller-chosen prefix of
+// them, and every byte past that prefix reverts to its durable value,
+// or vanishes past the durable image's end: a rewound log can come
+// back from a crash with stale frames after a torn new pass. Metadata
+// operations (Create/Remove/Rename) are modeled as immediately durable
+// and atomic, matching DirStorage's directory-fsync discipline.
 type MemStorage struct {
 	mu    sync.Mutex
 	files map[string]*memFile
 }
 
+// memFile holds a file's two images. They never share a backing array,
+// as written is overwritten in place. [lo, hi) spans every byte written
+// since the last sync (hi is 0 when there is none): all that Sync must
+// copy, and where the unsynced bytes start.
 type memFile struct {
 	durable []byte
 	written []byte
+	lo, hi  int
+}
+
+// writeAt writes p at offset off, zero-filling any gap past the end.
+func (f *memFile) writeAt(p []byte, off int) {
+	if len(p) == 0 {
+		return
+	}
+	start, end := min(off, len(f.written)), off+len(p)
+	if end > len(f.written) {
+		f.written = append(f.written, make([]byte, end-len(f.written))...)
+	}
+	copy(f.written[off:], p)
+	if f.hi == 0 {
+		f.lo, f.hi = start, end
+		return
+	}
+	f.lo, f.hi = min(f.lo, start), max(f.hi, end)
+}
+
+// sync pins the bytes written since the last sync.
+func (f *memFile) sync() {
+	if f.hi == 0 {
+		return
+	}
+	if len(f.durable) < f.hi {
+		f.durable = append(f.durable, make([]byte, f.hi-len(f.durable))...)
+	}
+	copy(f.durable[f.lo:f.hi], f.written[f.lo:f.hi])
+	f.lo, f.hi = 0, 0
+}
+
+// truncate cuts both images to n bytes.
+func (f *memFile) truncate(n int) {
+	f.written = f.written[:min(n, len(f.written))]
+	f.durable = f.durable[:min(n, len(f.durable))]
+	if f.hi = min(f.hi, n); f.lo >= f.hi {
+		f.lo, f.hi = 0, 0
+	}
 }
 
 // NewMemStorage returns an empty in-memory storage.
@@ -150,13 +206,8 @@ func (s *MemStorage) Append(name string, validLen int64) (File, error) {
 		f = &memFile{}
 		s.files[name] = f
 	}
-	if int(validLen) < len(f.written) {
-		f.written = f.written[:validLen]
-	}
-	if int(validLen) < len(f.durable) {
-		f.durable = f.durable[:validLen]
-	}
-	return &memHandle{s: s, f: f}, nil
+	f.truncate(int(validLen))
+	return &memHandle{s: s, f: f, off: validLen}, nil
 }
 
 func (s *MemStorage) Rename(oldname, newname string) error {
@@ -169,7 +220,8 @@ func (s *MemStorage) Rename(oldname, newname string) error {
 	delete(s.files, oldname)
 	s.files[newname] = f
 	// The rename is durable: pin the written image.
-	f.durable = append([]byte(nil), f.written...)
+	f.durable = append(f.durable[:0], f.written...)
+	f.lo, f.hi = 0, 0
 	return nil
 }
 
@@ -180,11 +232,12 @@ func (s *MemStorage) Remove(name string) error {
 	return nil
 }
 
-// Crash simulates a machine crash: for every file, the durable image
-// survives and keep decides how many of the unsynced trailing bytes
-// survive with it (0 ≤ kept ≤ unsynced, chosen per file — a seeded
-// caller explores torn tails deterministically). A nil keep drops all
-// unsynced bytes. Open handles become useless; reopen with Append.
+// Crash simulates a machine crash. For every file, keep decides how
+// many of its unsynced bytes survive, counted from the lowest offset
+// written since its last sync (0 ≤ kept ≤ unsynced, chosen per file: a
+// seeded caller explores torn tails deterministically); every byte past
+// them reverts to its durable value. A nil keep drops all unsynced
+// bytes. Open handles become useless; reopen with Append.
 func (s *MemStorage) Crash(keep func(name string, unsynced int) int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -195,39 +248,67 @@ func (s *MemStorage) Crash(keep func(name string, unsynced int) int) {
 	sort.Strings(names) // deterministic keep() order
 	for _, name := range names {
 		f := s.files[name]
-		unsynced := len(f.written) - len(f.durable)
+		lo := len(f.written)
+		if f.hi != 0 {
+			lo = f.lo
+		}
+		unsynced := len(f.written) - lo
 		k := 0
 		if keep != nil && unsynced > 0 {
-			k = keep(name, unsynced)
-			if k < 0 {
-				k = 0
-			}
-			if k > unsynced {
-				k = unsynced
-			}
+			k = min(max(keep(name, unsynced), 0), unsynced)
 		}
-		f.written = f.written[:len(f.durable)+k]
-		f.durable = f.written
+		f.written = f.written[:lo+k]
+		if len(f.durable) > lo+k {
+			f.written = append(f.written, f.durable[lo+k:]...)
+		}
+		f.durable = append(f.durable[:0], f.written...)
+		f.lo, f.hi = 0, 0
 	}
 }
 
 type memHandle struct {
 	s      *MemStorage
 	f      *memFile
+	off    int64
 	closed bool
 }
 
 func (h *memHandle) Write(p []byte) (int, error) {
 	h.s.mu.Lock()
 	defer h.s.mu.Unlock()
-	h.f.written = append(h.f.written, p...)
+	h.f.writeAt(p, int(h.off))
+	h.off += int64(len(p))
 	return len(p), nil
+}
+
+func (h *memHandle) ReadAt(p []byte, off int64) (int, error) {
+	h.s.mu.Lock()
+	defer h.s.mu.Unlock()
+	if off >= int64(len(h.f.written)) {
+		return 0, io.EOF
+	}
+	n := copy(p, h.f.written[off:])
+	if n < len(p) {
+		return n, io.EOF
+	}
+	return n, nil
+}
+
+// Seek supports only io.SeekStart, the one whence the log uses.
+func (h *memHandle) Seek(offset int64, whence int) (int64, error) {
+	h.s.mu.Lock()
+	defer h.s.mu.Unlock()
+	if whence != io.SeekStart || offset < 0 {
+		return 0, errors.New("wal: MemStorage seeks only to an offset from the start")
+	}
+	h.off = offset
+	return offset, nil
 }
 
 func (h *memHandle) Sync() error {
 	h.s.mu.Lock()
 	defer h.s.mu.Unlock()
-	h.f.durable = h.f.written[:len(h.f.written):len(h.f.written)]
+	h.f.sync()
 	return nil
 }
 

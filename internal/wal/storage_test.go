@@ -3,6 +3,7 @@ package wal
 import (
 	"bytes"
 	"errors"
+	"io"
 	"io/fs"
 	"testing"
 )
@@ -11,10 +12,10 @@ import (
 // its edge cases table-style: each case builds file state through the
 // public API, crashes with a per-file keep decision, and checks the
 // surviving bytes. The model under test is the contract the recover
-// and degrade chaos engines rely on: Sync pins a durable prefix,
-// Crash keeps that prefix plus a caller-chosen run of unsynced bytes,
-// and metadata operations (Create/Remove/Rename) are immediately
-// durable and atomic.
+// and degrade chaos engines rely on: Sync pins what was written, Crash
+// keeps a caller-chosen prefix of the bytes written since and reverts
+// the rest to their durable value, and metadata operations
+// (Create/Remove/Rename) are immediately durable and atomic.
 func TestMemStorageCrashModel(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -129,6 +130,47 @@ func TestMemStorageCrashModel(t *testing.T) {
 			want: map[string][]byte{"wal": []byte("good")},
 		},
 		{
+			name: "rewound overwrite keeps a prefix, the rest reverts",
+			build: func(t *testing.T, s *MemStorage) {
+				// A checkpoint's rewind: the next pass overwrites the file
+				// from offset 0. Its unsynced bytes run from there to the
+				// end of the file (10), so keep sees all ten; the two it
+				// keeps are new, the rest revert to the durable pass.
+				f, _ := s.Create("wal")
+				f.Write([]byte("AAAAAAAAAA"))
+				f.Sync()
+				f.Seek(0, io.SeekStart)
+				f.Write([]byte("BBBB"))
+			},
+			keep: func(_ string, unsynced int) int { return unsynced - 8 },
+			want: map[string][]byte{"wal": []byte("BBAAAAAAAA")},
+		},
+		{
+			name: "rewound overwrite past the durable end vanishes",
+			build: func(t *testing.T, s *MemStorage) {
+				f, _ := s.Create("wal")
+				f.Write([]byte("AAAA"))
+				f.Sync()
+				f.Seek(0, io.SeekStart)
+				f.Write([]byte("BBBBBBBB"))
+			},
+			keep: func(string, int) int { return 3 },
+			want: map[string][]byte{"wal": []byte("BBBA")},
+		},
+		{
+			name: "sync after a rewind pins the overwrite",
+			build: func(t *testing.T, s *MemStorage) {
+				f, _ := s.Create("wal")
+				f.Write([]byte("AAAAAA"))
+				f.Sync()
+				f.Seek(0, io.SeekStart)
+				f.Write([]byte("BB"))
+				f.Sync()
+				f.Write([]byte("CC"))
+			},
+			want: map[string][]byte{"wal": []byte("BBAAAA")},
+		},
+		{
 			name: "double close is harmless",
 			build: func(t *testing.T, s *MemStorage) {
 				f, _ := s.Create("wal")
@@ -151,6 +193,11 @@ func TestMemStorageCrashModel(t *testing.T) {
 			s := NewMemStorage()
 			tc.build(t, s)
 			s.Crash(tc.keep)
+			// A second crash finds nothing unsynced and changes nothing.
+			s.Crash(func(name string, unsynced int) int {
+				t.Fatalf("second crash: %s has %d unsynced bytes", name, unsynced)
+				return 0
+			})
 			for name, want := range tc.want {
 				got, err := s.ReadFile(name)
 				if err != nil {
@@ -170,6 +217,29 @@ func TestMemStorageCrashModel(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestMemHandleReadAtSeek: a handle reads the written image at any
+// offset, a read past the end comes back short with io.EOF, and a Seek
+// moves where the next write lands.
+func TestMemHandleReadAtSeek(t *testing.T) {
+	s := NewMemStorage()
+	f, _ := s.Create("wal")
+	f.Write([]byte("abcdef"))
+	p := make([]byte, 3)
+	if n, err := f.ReadAt(p, 2); n != 3 || err != nil || string(p) != "cde" {
+		t.Fatalf("ReadAt(2) = %d %q %v, want 3 \"cde\" nil", n, p, err)
+	}
+	if n, err := f.ReadAt(p, 4); n != 2 || !errors.Is(err, io.EOF) {
+		t.Fatalf("ReadAt(4) = %d %v, want a short read with io.EOF", n, err)
+	}
+	if off, err := f.Seek(1, io.SeekStart); off != 1 || err != nil {
+		t.Fatalf("Seek(1) = %d %v", off, err)
+	}
+	f.Write([]byte("XY"))
+	if got, _ := s.ReadFile("wal"); string(got) != "aXYdef" {
+		t.Fatalf("after an overwrite at offset 1 the file holds %q, want \"aXYdef\"", got)
 	}
 }
 

@@ -19,16 +19,21 @@ import (
 
 // On-disk layout, inside one Storage namespace:
 //
-//	wal           append-only frame log (log.go); may end in a torn frame
+//	wal           frame log (log.go), rewound to offset 0 at each
+//	              checkpoint and overwritten in place; the live log is
+//	              the chain of frames from offset 0 whose LSNs run
+//	              consecutively, and may be followed by a torn frame or
+//	              by stale frames of an earlier pass
 //	snapshot      compacted state: a "snap" header frame carrying the
 //	              image's cut LSN, the full state at that cut as framed
 //	              fs/db records, then the WAL frames appended after the
 //	              cut, carried over unchanged
 //	snapshot.tmp  in-flight snapshot; removed at open, renamed on success
 //
-// Recovery applies the snapshot (if any), then every WAL record with
-// LSN greater than the highest LSN the snapshot holds, then truncates
-// the torn tail.
+// Recovery applies the snapshot (if any), then every record of the
+// live log with LSN greater than the highest LSN the snapshot holds,
+// then truncates the file to the live log's end — or to 0 when the live
+// log holds nothing past the snapshot.
 const (
 	walFile     = "wal"
 	snapFile    = "snapshot"
@@ -86,7 +91,7 @@ type Store struct {
 	recovered uint64 // LSN recovered state corresponds to at Open
 
 	snapMu    sync.Mutex // one snapshot/heal/scrub at a time; guards walBase, imageSize
-	walBase   uint64     // LSN the current WAL file starts after (last truncation)
+	walBase   uint64     // LSN the live log starts after (the snapshot's cut)
 	imageSize int        // bytes of the last snapshot image, to size the next
 
 	histSnapshot *metrics.Histogram // successful Snapshot calls
@@ -96,8 +101,8 @@ type Store struct {
 
 // Open recovers state from the snapshot and WAL in cfg.Storage into
 // cfg.FS / cfg.DBs — which must be freshly constructed and empty —
-// truncates any torn WAL tail, and attaches journals so subsequent
-// mutations are logged. Fault injection is suspended for the whole
+// truncates the WAL file to its live log, and attaches journals so
+// subsequent mutations are logged. Fault injection is suspended for the whole
 // recovery: replay re-executes statements whose faults already
 // happened (or didn't) in the previous life.
 func Open(cfg Config) (*Store, error) {
@@ -120,8 +125,8 @@ func Open(cfg Config) (*Store, error) {
 		return nil, err
 	}
 
-	// Truncate the torn tail, open the log for appending, and pin the
-	// recovered prefix: records replayed from unsynced-but-surviving
+	// Truncate what follows the live log, open the log for appending, and
+	// pin the recovered prefix: records replayed from unsynced-but-surviving
 	// bytes are now part of the recovered state, so a second crash must
 	// not be able to lose them (recovered LSNs never regress).
 	f, err := cfg.Storage.Append(walFile, int64(validLen))
@@ -208,22 +213,23 @@ func recoverSnapshot(cfg *Config) (uint64, error) {
 	return scanSnapshot(data, func(rec Record) error { return applyRecord(cfg, rec) })
 }
 
-// recoverWAL replays every record past cut from the valid WAL prefix,
-// returning the highest LSN seen (or cut) and the prefix length in
-// bytes — everything beyond it is a torn tail to truncate.
+// recoverWAL replays every record past cut from the live log
+// (scanChain), returning the highest LSN seen (or cut) and the byte
+// length to keep: the live log's, or 0 when it ends at or below the
+// cut. That restart at offset 0 matters after a crash between a
+// checkpoint's rename and its rewind that lost the last carried frames
+// from the log (unsynced there, synced inside the snapshot): a frame
+// appended after the shorter chain would not follow its last LSN, and
+// the next recovery would stop in front of it.
 func recoverWAL(cfg *Config, cut uint64) (last uint64, validLen int, err error) {
-	last = cut
 	data, err := cfg.Storage.ReadFile(walFile)
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
-			return last, 0, nil
+			return cut, 0, nil
 		}
 		return 0, 0, err
 	}
-	validLen, err = scanFrames(data, func(rec Record) error {
-		if rec.LSN > last {
-			last = rec.LSN
-		}
+	validLen, last, err = scanChain(data, cut, func(rec Record) error {
 		if rec.LSN <= cut {
 			// Already folded into the snapshot (replay idempotence is
 			// LSN filtering, not operation semantics).
@@ -234,7 +240,40 @@ func recoverWAL(cfg *Config, cut uint64) (last uint64, validLen int, err error) 
 	if err != nil {
 		return 0, 0, err
 	}
+	if last <= cut {
+		return cut, 0, nil
+	}
 	return last, validLen, nil
+}
+
+// LiveTail returns the byte range [from, to) of the WAL in st that
+// holds the live records past the snapshot's cut: the records the next
+// recovery would replay. from == to when there are none.
+func LiveTail(st Storage) (from, to int, err error) {
+	var cut uint64
+	snap, err := st.ReadFile(snapFile)
+	switch {
+	case err == nil:
+		if cut, err = verifySnapshot(snap); err != nil {
+			return 0, 0, err
+		}
+	case !errors.Is(err, fs.ErrNotExist):
+		return 0, 0, err
+	}
+	data, err := st.ReadFile(walFile)
+	if err != nil {
+		if errors.Is(err, fs.ErrNotExist) {
+			return 0, 0, nil
+		}
+		return 0, 0, err
+	}
+	to, _, err = scanChain(data, cut, func(rec Record) error {
+		if rec.LSN <= cut {
+			from += frameHeaderSize + recHeaderSize + len(rec.Stream) + len(rec.Payload)
+		}
+		return nil
+	})
+	return from, to, err
 }
 
 // applyRecord routes one logical record to its target state.
@@ -303,8 +342,8 @@ func (s *Store) Close() error {
 }
 
 // Snapshot checkpoints the store: it publishes a snapshot of the full
-// state and truncates the WAL, without stopping writers for longer
-// than a copy. One cut serves every stream:
+// state and rewinds the WAL, without stopping writers for longer than
+// a copy. One cut serves every stream:
 //
 //   - Every database is frozen (writers wait, readers run) while the
 //     cut LSN is read from the log and the rows are copied; no
@@ -315,8 +354,8 @@ func (s *Store) Close() error {
 //     appended before it finished; otherwise the cut is retaken.
 //   - The image is encoded with writers running and written to
 //     snapshot.tmp, then published with the WAL frames appended since
-//     the cut carried inside it (Log.carry), so the WAL is truncated
-//     on every successful checkpoint.
+//     the cut carried inside it (Log.carry), so the WAL is rewound on
+//     every successful checkpoint.
 //
 // Snapshot returns ErrBusy while a transaction is open, or when
 // file-system writes raced snapshotRetries walks in a row; the WAL
@@ -455,7 +494,7 @@ func dumpFS(buf []byte, fsys *vfs.FS, cut uint64) ([]byte, error) {
 // publish writes the snapshot image, cut at byte offset from of the
 // WAL, to snapshot.tmp and syncs it while writers run, then hands it
 // to Log.carry, which appends the WAL tail, renames it over the
-// previous snapshot and truncates the WAL. A failure before the rename
+// previous snapshot and rewinds the WAL. A failure before the rename
 // (the wal.snapshot fault point fires before the bytes are written)
 // leaves the old snapshot intact; the orphan tmp file is removed at
 // next Open.
