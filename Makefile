@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt staticcheck check fuzz chaos bench bench-index bench-load advisor tables audit demo examples clean
+.PHONY: all build test race vet fmt staticcheck check fuzz chaos bench bench-index advisor tables audit demo examples clean
 
 all: build test
 
@@ -74,14 +74,6 @@ bench:
 bench-index:
 	$(GO) test -run '^$$' -bench 'Probe1M|Range1M|Indexed1M' -benchtime 100000x ./internal/sqldb | tee probe-micro.txt
 	$(GO) run ./cmd/maxoid-indexbench -rows 1000000 -micro probe-micro.txt -out BENCH_PR6.json
-
-# Fleet-scale load benchmark: batched vs unbatched binder throughput at
-# 10k simulated instances plus a bounded overload run under admission
-# control. Gated against the committed baseline: exits nonzero when
-# aggregate throughput regresses more than 10%, and refreshes
-# BENCH_PR7.json in place for the CI artifact.
-bench-load:
-	$(GO) run ./cmd/maxoid-loadbench -instances 10000 -baseline BENCH_PR7.json -out BENCH_PR7.json
 
 # Workload-driven index advisor on the Media/Downloads providers.
 advisor:

@@ -12,10 +12,10 @@ import (
 	"maxoid/internal/shard"
 )
 
-// Admission control at the AMS boundary (ROADMAP item 3): per-app
-// token-bucket rate limits plus a global in-flight ceiling, installed
-// as the Binder router's AdmissionGate so every transaction into system
-// services passes it before doing work. Overload degrades with typed,
+// Admission control at the AMS boundary: per-app token-bucket rate
+// limits plus a global in-flight ceiling, installed as the Binder
+// router's AdmissionGate so every transaction into system services
+// passes it before doing work. Overload degrades with typed,
 // retryable rejections — binder.ErrOverloaded, which CallIdempotent
 // backs off on — instead of unbounded queueing: p99 latency under
 // overload is bounded by the retry policy, not by queue depth.
@@ -120,13 +120,12 @@ func (a *Admission) SetWriteGate(gate func() error) {
 }
 
 // writeCode reports codes that can mutate durable state: the provider
-// mutation verbs, plus "*" (a mixed batch that may contain writes).
-// Unknown codes are treated as reads — the deeper vfs/sqldb gates
-// still protect the store; admission shedding is an optimization, not
-// the enforcement point.
+// mutation verbs. Unknown codes are treated as reads — the deeper
+// vfs/sqldb gates still protect the store; admission shedding is an
+// optimization, not the enforcement point.
 func writeCode(code string) bool {
 	switch code {
-	case "insert", "update", "delete", "*":
+	case "insert", "update", "delete":
 		return true
 	}
 	return false
@@ -216,8 +215,8 @@ func (b *bucket) take(now int64, cfg AdmissionConfig, n float64) bool {
 	return true
 }
 
-// Admitted and Rejected report cumulative admission outcomes (counted
-// in transactions, so a batch of 16 counts 16).
+// Admitted and Rejected report cumulative admission outcomes, counted
+// in transactions: an Admit of n counts n.
 func (a *Admission) Admitted() int64 { return a.admitted.Load() }
 func (a *Admission) Rejected() int64 { return a.rejected.Load() }
 

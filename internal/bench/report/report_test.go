@@ -1,15 +1,17 @@
 package report
 
 import (
+	"encoding/json"
+	"os"
 	"path/filepath"
 	"testing"
 )
 
 func TestRoundTripAndLookup(t *testing.T) {
-	r := New("maxoid-loadbench")
-	r.Command = "maxoid-loadbench -instances 10000"
-	sec := r.Section("batched")
-	sec.Params = map[string]float64{"instances": 10000, "batch": 32}
+	r := New("maxoid-bench")
+	r.Command = "maxoid-bench -json r.json"
+	sec := r.Section("table3")
+	sec.Params = map[string]float64{"rows": 1000}
 	sec.Add("throughput", "ops/s", 123456)
 	m := sec.Add("latency", "ns/op", 8100)
 	m.P50, m.P99, m.P999 = 7000, 21000, 40000
@@ -18,67 +20,31 @@ func TestRoundTripAndLookup(t *testing.T) {
 	if err := r.WriteFile(path); err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	got, err := Load(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("load: %v", err)
+		t.Fatalf("read: %v", err)
 	}
-	if got.Benchmark != "maxoid-loadbench" || got.Schema != Schema {
+	var got Report
+	if err := json.Unmarshal(data, &got); err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if got.Benchmark != "maxoid-bench" || got.Schema != Schema || got.Command != r.Command {
 		t.Fatalf("header mismatch: %+v", got)
 	}
-	if got.Machine.GoVersion == "" || got.Machine.NumCPU < 1 {
+	if got.Machine.GoVersion == "" || got.Machine.NumCPU < 1 || got.Machine.GOMAXPROCS < 1 {
 		t.Fatalf("machine not stamped: %+v", got.Machine)
 	}
-	thr, ok := got.Lookup("batched/throughput")
-	if !ok || thr.Value != 123456 || thr.Unit != "ops/s" {
-		t.Fatalf("lookup batched/throughput = %+v, %v", thr, ok)
+	if len(got.Sections) != 1 || got.Sections[0].Name != "table3" || got.Sections[0].Params["rows"] != 1000 {
+		t.Fatalf("sections = %+v", got.Sections)
 	}
-	lat, ok := got.Lookup("batched/latency")
-	if !ok || lat.P99 != 21000 {
+	ms := got.Sections[0].Metrics
+	if len(ms) != 2 {
+		t.Fatalf("metrics = %+v", ms)
+	}
+	if thr := ms[0]; thr.Name != "throughput" || thr.Unit != "ops/s" || thr.Value != 123456 {
+		t.Fatalf("throughput = %+v", thr)
+	}
+	if lat := ms[1]; lat.Name != "latency" || lat.P50 != 7000 || lat.P99 != 21000 || lat.P999 != 40000 {
 		t.Fatalf("quantiles lost: %+v", lat)
-	}
-	if _, ok := got.Lookup("batched/nope"); ok {
-		t.Fatal("lookup of missing metric succeeded")
-	}
-	if _, ok := got.Lookup("malformed-path"); ok {
-		t.Fatal("lookup of section-less path succeeded")
-	}
-}
-
-func TestCompareHigherBetter(t *testing.T) {
-	base := New("b")
-	base.Section("s").Add("thr", "ops/s", 1000)
-
-	cur := New("b")
-	cur.Section("s").Add("thr", "ops/s", 920)
-
-	reg, ok := CompareHigherBetter(base, cur, "s/thr", 0.10)
-	if !ok || reg.Failed {
-		t.Fatalf("8%% drop within 10%% tolerance should pass: %+v ok=%v", reg, ok)
-	}
-
-	cur.Sections[0].Metrics[0].Value = 850
-	reg, ok = CompareHigherBetter(base, cur, "s/thr", 0.10)
-	if !ok || !reg.Failed {
-		t.Fatalf("15%% drop should fail the gate: %+v ok=%v", reg, ok)
-	}
-	if reg.Delta > -0.14 || reg.Delta < -0.16 {
-		t.Fatalf("delta = %v, want ~-0.15", reg.Delta)
-	}
-
-	// A metric absent from the baseline gates nothing.
-	if _, ok := CompareHigherBetter(base, cur, "s/new", 0.10); ok {
-		t.Fatal("missing baseline metric should not gate")
-	}
-}
-
-func TestLoadRejectsNewerSchema(t *testing.T) {
-	r := New("b")
-	r.Schema = Schema + 1
-	path := filepath.Join(t.TempDir(), "r.json")
-	if err := r.WriteFile(path); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	if _, err := Load(path); err == nil {
-		t.Fatal("newer schema accepted")
 	}
 }

@@ -163,27 +163,21 @@ type Router struct {
 // routerMetrics caches the histogram/counter pointers so the per-call
 // path never does a registry lookup.
 type routerMetrics struct {
-	call       *metrics.Histogram
-	batch      *metrics.Histogram
-	batchItems *metrics.Counter
-	rejected   *metrics.Counter
+	call     *metrics.Histogram
+	rejected *metrics.Counter
 }
 
-// SetMetrics wires the router's latency histograms and throughput
-// counters into a metrics registry (nil unwires). Recorded series:
-// "binder.call" (per-transaction latency), "binder.batch" (per-batch
-// dispatch latency), counters "binder.batch.items" and
-// "binder.rejected" (admission rejections).
+// SetMetrics wires the router's instruments into a metrics registry
+// (nil unwires): the "binder.call" per-transaction latency histogram
+// and the "binder.rejected" admission-rejection counter.
 func (r *Router) SetMetrics(reg *metrics.Registry) {
 	if reg == nil {
 		r.met.Store(nil)
 		return
 	}
 	r.met.Store(&routerMetrics{
-		call:       reg.Histogram("binder.call"),
-		batch:      reg.Histogram("binder.batch"),
-		batchItems: reg.Counter("binder.batch.items"),
-		rejected:   reg.Counter("binder.rejected"),
+		call:     reg.Histogram("binder.call"),
+		rejected: reg.Counter("binder.rejected"),
 	})
 }
 
@@ -230,6 +224,40 @@ func (r *Router) ANRs() int64 { return r.anrs.Load() }
 
 // SetRetryPolicy replaces the idempotent-call retry policy.
 func (r *Router) SetRetryPolicy(p RetryPolicy) { r.retry.Store(&p) }
+
+// AdmissionGate is consulted (when installed) before a transaction is
+// dispatched. code is the transaction code being admitted, so gates
+// can shed by operation class — a degraded store rejects writes while
+// reads keep flowing. n is the number of transactions admitted as one
+// unit: the router always passes 1, and the parameter stays because
+// gates outside this package implement the interface. A nil error
+// admits; release must then be called exactly once when the work
+// completes. A non-nil error rejects the transaction — gates reject
+// with errors wrapping ErrOverloaded (overload) or health.ErrReadOnly
+// (degraded store) so CallIdempotent knows the condition is retryable.
+type AdmissionGate interface {
+	Admit(from Caller, endpoint, code string, n int) (release func(), err error)
+}
+
+// SetAdmission installs the admission gate (nil uninstalls). The AMS
+// installs its token-bucket controller here so every transaction into
+// system services passes admission before doing work.
+func (r *Router) SetAdmission(g AdmissionGate) {
+	if g == nil {
+		r.gate.Store(nil)
+		return
+	}
+	r.gate.Store(&g)
+}
+
+// admit runs the installed admission gate, if any.
+func (r *Router) admit(from Caller, endpoint, code string, n int) (func(), error) {
+	gp := r.gate.Load()
+	if gp == nil {
+		return nil, nil
+	}
+	return (*gp).Admit(from, endpoint, code, n)
+}
 
 // RegisterSystem registers a trusted system service endpoint (Activity
 // Manager, content providers, Clipboard, ...). System endpoints are

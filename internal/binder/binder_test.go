@@ -2,9 +2,13 @@ package binder
 
 import (
 	"errors"
+	"fmt"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"maxoid/internal/kernel"
+	"maxoid/internal/metrics"
 )
 
 func echoHandler(tag string) Handler {
@@ -96,5 +100,83 @@ func TestParcelAccessors(t *testing.T) {
 	}
 	if !p.Bool("t") || p.Bool("missing") {
 		t.Error("Bool accessor")
+	}
+}
+
+// valueEcho replies with the request parcel's "v" field.
+var valueEcho = HandlerFunc(func(from Caller, code string, data Parcel) (Parcel, error) {
+	return Parcel{"v": data.Int("v")}, nil
+})
+
+// flakyGate rejects the first n admission attempts with ErrOverloaded.
+type flakyGate struct {
+	rejectFirst atomic.Int64
+	admitted    atomic.Int64
+	released    atomic.Int64
+}
+
+func (g *flakyGate) Admit(from Caller, endpoint, code string, n int) (func(), error) {
+	if g.rejectFirst.Add(-1) >= 0 {
+		return nil, fmt.Errorf("ams: app %s: %w", from.Task.App, ErrOverloaded)
+	}
+	g.admitted.Add(int64(n))
+	return func() { g.released.Add(int64(n)) }, nil
+}
+
+func TestCallIdempotentRetriesOverload(t *testing.T) {
+	// CallIdempotent must treat admission rejections as
+	// retryable: two injected ErrOverloaded rejections, then success.
+	r := NewRouter()
+	r.RegisterSystem("svc", valueEcho)
+	g := &flakyGate{}
+	g.rejectFirst.Store(2)
+	r.SetAdmission(g)
+	r.SetRetryPolicy(RetryPolicy{Attempts: 4, Base: time.Microsecond, Max: time.Millisecond})
+
+	reply, err := r.CallIdempotent(Caller{Task: kernel.Task{App: "a"}}, "svc", "echo", Parcel{"v": int64(7)})
+	if err != nil {
+		t.Fatalf("CallIdempotent should have succeeded across overload: %v", err)
+	}
+	if reply.Int("v") != 7 {
+		t.Fatalf("reply = %v", reply)
+	}
+	if g.admitted.Load() != 1 || g.released.Load() != 1 {
+		t.Fatalf("admitted/released = %d/%d, want 1/1", g.admitted.Load(), g.released.Load())
+	}
+}
+
+func TestCallIdempotentExhaustsOverload(t *testing.T) {
+	r := NewRouter()
+	r.RegisterSystem("svc", valueEcho)
+	g := &flakyGate{}
+	g.rejectFirst.Store(1 << 30)
+	r.SetAdmission(g)
+	r.SetRetryPolicy(RetryPolicy{Attempts: 3, Base: time.Microsecond, Max: time.Millisecond})
+	_, err := r.CallIdempotent(Caller{Task: kernel.Task{App: "a"}}, "svc", "echo", Parcel{})
+	if !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("exhausted retries should surface typed ErrOverloaded, got %v", err)
+	}
+}
+
+func TestRouterMetrics(t *testing.T) {
+	r := NewRouter()
+	r.RegisterSystem("svc", valueEcho)
+	reg := metrics.NewRegistry()
+	r.SetMetrics(reg)
+	from := Caller{Task: kernel.Task{App: "a"}}
+	if _, err := r.Call(from, "svc", "echo", Parcel{"v": int64(1)}); err != nil {
+		t.Fatal(err)
+	}
+	g := &flakyGate{}
+	g.rejectFirst.Store(1)
+	r.SetAdmission(g)
+	if _, err := r.Call(from, "svc", "echo", Parcel{}); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("gate rejection = %v, want ErrOverloaded", err)
+	}
+	if n := reg.Histogram("binder.call").Snapshot().Count; n != 2 {
+		t.Fatalf("binder.call count = %d, want 2", n)
+	}
+	if n := reg.Counter("binder.rejected").Total(); n != 1 {
+		t.Fatalf("binder.rejected = %d, want 1", n)
 	}
 }

@@ -7,8 +7,9 @@ import (
 )
 
 // TestOverloadCheckerSeeds: the overload engine upholds its invariants
-// across seeds — typed rejections only, exact accounting, drained
-// admission — with ams.admit faults injected throughout.
+// across seeds — typed rejections only, exact accounting, a words table
+// holding exactly the completed inserts, drained admission, and a
+// registry that agrees — with ams.admit faults injected throughout.
 func TestOverloadCheckerSeeds(t *testing.T) {
 	defer testutil.LeakCheck(t)()
 	for _, seed := range []int64{1, 7, 42} {

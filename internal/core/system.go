@@ -56,8 +56,10 @@ type Options struct {
 	// recovers whatever state the storage already holds (see
 	// internal/wal). nil boots a volatile device, the previous behavior.
 	Storage wal.Storage
-	// Metrics, when non-nil, receives the durable store's instruments
-	// (wal.* histograms, the wal.health gauge, retry/reject counters).
+	// Metrics, when non-nil, receives the Binder router's instruments
+	// (binder.call, binder.rejected), the durable store's (wal.*
+	// histograms, the wal.health gauge, retry/reject counters) and, once
+	// started, the gateway's.
 	Metrics *metrics.Registry
 	// ScrubInterval, when positive on a durable boot, starts the store's
 	// background maintenance loop: periodic integrity scrubs while
@@ -116,6 +118,7 @@ func Boot(opts Options) (*System, error) {
 	net := netstack.New(opts.NetworkBaseRTT, opts.NetworkPerKB)
 	kern := kernel.New(net)
 	router := binder.NewRouter()
+	router.SetMetrics(opts.Metrics)
 	zyg := zygote.New(disk, kern)
 
 	// Durable boot: open the databases empty, then let WAL recovery

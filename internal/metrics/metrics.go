@@ -1,12 +1,12 @@
-// Package metrics provides the fleet-scale observability primitives the
-// load engine and the substrate's hot paths record into: lock-free
-// sharded latency histograms with p50/p99/p999 extraction, and sharded
-// throughput counters. Recording never takes a lock and never
-// allocates; shards are cache-line padded so concurrent recorders on
-// different shards do not false-share. Reading (quantiles, totals)
-// merges the shards with atomic loads and may run concurrently with
-// recorders — readers see a slightly stale but internally consistent
-// view, which is what a monitoring plane wants.
+// Package metrics provides the observability primitives the
+// substrate's hot paths (binder, AMS admission, WAL, gateway) record
+// into: lock-free sharded latency histograms with p50/p99/p999
+// extraction, and sharded throughput counters. Recording never takes a
+// lock and never allocates; shards are cache-line padded so concurrent
+// recorders on different shards do not false-share. Reading
+// (quantiles, totals) merges the shards with atomic loads and may run
+// concurrently with recorders — readers see a slightly stale but
+// internally consistent view, which is what a monitoring plane wants.
 package metrics
 
 import (

@@ -2,8 +2,7 @@ package sqldb
 
 import "sync"
 
-// Executor pooling and scratch arenas: the allocation layer of the
-// fleet-scale load work (ROADMAP item 3). A statement execution makes
+// Executor pooling and scratch arenas. A statement execution makes
 // dozens of small, strictly statement-scoped allocations — access
 // plans, evaluation scopes, constraint records, index buffers. The
 // executor owns fixed-capacity arenas for exactly the objects the
