@@ -162,8 +162,9 @@ func (a *Admission) Admit(from binder.Caller, endpoint, code string, n int) (fun
 		}
 	}
 	app := from.Task.App
+	var b *bucket // the app's bucket, when the transaction took tokens from it
 	if a.cfg.PerAppRate > 0 && app != "" {
-		if !a.bucketFor(app).take(a.now(), a.cfg, float64(n)) {
+		if b = a.bucketFor(app); !b.take(a.now(), a.cfg, float64(n)) {
 			a.countReject(n)
 			return nil, fmt.Errorf("ams: app %s rate limit: %w", app, binder.ErrOverloaded)
 		}
@@ -171,6 +172,11 @@ func (a *Admission) Admit(from binder.Caller, endpoint, code string, n int) (fun
 	if a.cfg.MaxInFlight > 0 {
 		if cur := a.inflight.Add(int64(n)); cur > a.cfg.MaxInFlight {
 			a.inflight.Add(int64(-n))
+			// The transaction was not admitted, so it spends none of the
+			// app's rate budget.
+			if b != nil {
+				b.refund(a.cfg, float64(n))
+			}
 			a.countReject(n)
 			return nil, fmt.Errorf("ams: %d in flight exceeds ceiling %d: %w",
 				cur, a.cfg.MaxInFlight, binder.ErrOverloaded)
@@ -213,6 +219,13 @@ func (b *bucket) take(now int64, cfg AdmissionConfig, n float64) bool {
 	}
 	b.tokens -= n
 	return true
+}
+
+// refund returns n tokens that take claimed, up to the bucket's burst.
+func (b *bucket) refund(cfg AdmissionConfig, n float64) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.tokens = min(b.tokens+n, cfg.PerAppBurst)
 }
 
 // Admitted and Rejected report cumulative admission outcomes, counted

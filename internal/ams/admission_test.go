@@ -106,6 +106,27 @@ func TestAdmissionGlobalCeiling(t *testing.T) {
 	}
 }
 
+// TestAdmissionCeilingKeepsRateBudget: a transaction the in-flight
+// ceiling rejects was never admitted, so it leaves the app's tokens in
+// its bucket; once the ceiling clears, the app still admits a burst.
+func TestAdmissionCeilingKeepsRateBudget(t *testing.T) {
+	// A rate slow enough that no token refills during the test.
+	a := NewAdmission(AdmissionConfig{PerAppRate: 0.001, PerAppBurst: 4, MaxInFlight: 1})
+	hold, err := a.Admit(binder.Caller{}, "p", "query", 1) // fills the ceiling
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if _, err := a.Admit(caller("app.a"), "p", "query", 1); !errors.Is(err, binder.ErrOverloaded) {
+			t.Fatalf("admit %d over the ceiling: %v", i, err)
+		}
+	}
+	hold()
+	if got := drain(a, "app.a", 10); got != 4 {
+		t.Fatalf("after the ceiling cleared the app admitted %d, want its burst of 4", got)
+	}
+}
+
 func TestAdmissionBatchUnits(t *testing.T) {
 	a := NewAdmission(AdmissionConfig{MaxInFlight: 10})
 	release, err := a.Admit(caller("app.a"), "p", "query", 8)

@@ -33,7 +33,6 @@ func (s *System) StartGateway(opts GatewayOptions) (*gateway.Gateway, error) {
 		return nil, fmt.Errorf("core: gateway already started")
 	}
 	gw := gateway.New(gateway.Options{
-		Router:        s.Router,
 		AMS:           s.AM,
 		Providers:     s.Providers,
 		Metrics:       s.metrics,

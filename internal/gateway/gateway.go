@@ -39,7 +39,6 @@ import (
 	"time"
 
 	"maxoid/internal/ams"
-	"maxoid/internal/binder"
 	"maxoid/internal/cowproxy"
 	"maxoid/internal/fault"
 	"maxoid/internal/metrics"
@@ -64,7 +63,6 @@ var (
 
 // Options configures a Gateway over an already-booted system.
 type Options struct {
-	Router    *binder.Router
 	AMS       *ams.Manager
 	Providers *provider.Registry
 	Metrics   *metrics.Registry // nil: metrics are skipped
@@ -309,7 +307,7 @@ func (g *Gateway) dispatch(req netstack.Request, info *RequestInfo) netstack.Res
 	}
 
 	uri := rt.contentURI()
-	res := provider.NewResolver(g.opts.Router, id.caller)
+	res := g.opts.Providers.Resolver(id.caller)
 	switch methodOf(req) {
 	case "GET":
 		if rt.kind == routeExplain {

@@ -17,7 +17,9 @@ import (
 // user view — reach every base table through the primary key or the
 // (media_type, date_added) index, never a scan or a materialized view,
 // for an initiator (primary tables) and for its delegate (COW views,
-// merged down to the primary and delta arms).
+// merged down to the primary and delta arms). Neither read sorts: the
+// initiator's probe yields its ORDER BY, and the delegate's two arms
+// each yield it and are merged.
 func TestRangeReadsUseProbes(t *testing.T) {
 	defer testutil.LeakCheck(t)()
 	s := bootGateway(t)
@@ -93,6 +95,13 @@ func TestRangeReadsUseProbes(t *testing.T) {
 				t.Fatal(err)
 			}
 			searched := map[string]bool{}
+			order := "ORDER BY: PLAN ORDER"
+			if strings.Contains(who, "^") {
+				order = "ORDER BY: MERGE 2 ARMS"
+			}
+			if last := plan.Rows[len(plan.Rows)-1]; last[1] != order {
+				t.Errorf("%s as %s: ORDER BY served by %q, want %q", r.path, who, last[1], order)
+			}
 			for _, row := range plan.Rows {
 				table, detail := row[0], row[1]
 				if strings.HasPrefix(detail, "SCAN") || strings.HasPrefix(detail, "MATERIALIZE") {

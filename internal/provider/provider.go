@@ -191,20 +191,33 @@ type Provider interface {
 type Registry struct {
 	router    *binder.Router
 	providers map[string]Provider
+	names     map[string]string // authority -> its binder endpoint name
 }
 
 // NewRegistry creates a registry on the router.
 func NewRegistry(router *binder.Router) *Registry {
-	return &Registry{router: router, providers: make(map[string]Provider)}
+	return &Registry{router: router, providers: make(map[string]Provider), names: make(map[string]string)}
 }
 
 // endpointName is the binder endpoint for a provider authority.
 func endpointName(authority string) string { return "provider:" + authority }
 
-// Register installs a provider.
+// Register installs a provider. Like the provider table, the endpoint
+// names are written only while the system is being set up, before any
+// resolver reads them.
 func (r *Registry) Register(p Provider) {
-	r.providers[p.Authority()] = p
-	r.router.RegisterSystem(endpointName(p.Authority()), &providerEndpoint{p: p})
+	authority := p.Authority()
+	name := endpointName(authority)
+	r.providers[authority] = p
+	r.names[authority] = name
+	r.router.RegisterSystem(name, &providerEndpoint{p: p})
+}
+
+// Resolver creates a resolver for a caller on the registry's router. It
+// names the endpoints of registered authorities with the registry's
+// names instead of building one per call.
+func (r *Registry) Resolver(caller binder.Caller) *Resolver {
+	return &Resolver{router: r.router, caller: caller, names: r.names}
 }
 
 // Provider returns a registered provider by authority.
@@ -286,11 +299,20 @@ type Callable interface {
 type Resolver struct {
 	router *binder.Router
 	caller binder.Caller
+	names  map[string]string // a Registry's endpoint names; nil from NewResolver
 }
 
 // NewResolver creates a resolver for a caller.
 func NewResolver(router *binder.Router, caller binder.Caller) *Resolver {
 	return &Resolver{router: router, caller: caller}
+}
+
+// endpoint is the binder endpoint for authority.
+func (r *Resolver) endpoint(authority string) string {
+	if name, ok := r.names[authority]; ok {
+		return name
+	}
+	return endpointName(authority)
 }
 
 // Insert inserts values at the URI, returning the new record's URI.
@@ -299,7 +321,7 @@ func (r *Resolver) Insert(uri string, values Values) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	reply, err := r.router.Call(r.caller, endpointName(authority), "insert",
+	reply, err := r.router.Call(r.caller, r.endpoint(authority), "insert",
 		binder.Parcel{"uri": uri, "values": values})
 	if err != nil {
 		return "", err
@@ -313,7 +335,7 @@ func (r *Resolver) Update(uri string, values Values, where string, args ...sqldb
 	if err != nil {
 		return 0, err
 	}
-	reply, err := r.router.Call(r.caller, endpointName(authority), "update",
+	reply, err := r.router.Call(r.caller, r.endpoint(authority), "update",
 		binder.Parcel{"uri": uri, "values": values, "where": where, "args": args})
 	if err != nil {
 		return 0, err
@@ -327,7 +349,7 @@ func (r *Resolver) Delete(uri string, where string, args ...sqldb.Value) (int64,
 	if err != nil {
 		return 0, err
 	}
-	reply, err := r.router.Call(r.caller, endpointName(authority), "delete",
+	reply, err := r.router.Call(r.caller, r.endpoint(authority), "delete",
 		binder.Parcel{"uri": uri, "where": where, "args": args})
 	if err != nil {
 		return 0, err
@@ -341,7 +363,7 @@ func (r *Resolver) Query(uri string, columns []string, where string, orderBy str
 	if err != nil {
 		return nil, err
 	}
-	reply, err := r.router.Call(r.caller, endpointName(authority), "query",
+	reply, err := r.router.Call(r.caller, r.endpoint(authority), "query",
 		binder.Parcel{"uri": uri, "columns": columns, "where": where, "orderBy": orderBy, "args": args})
 	if err != nil {
 		return nil, err
@@ -356,5 +378,5 @@ func (r *Resolver) Query(uri string, columns []string, where string, orderBy str
 // Call performs a provider-specific transaction beyond the standard
 // four operations.
 func (r *Resolver) Call(authority, code string, data binder.Parcel) (binder.Parcel, error) {
-	return r.router.Call(r.caller, endpointName(authority), code, data)
+	return r.router.Call(r.caller, r.endpoint(authority), code, data)
 }

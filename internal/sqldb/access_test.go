@@ -2,7 +2,9 @@ package sqldb
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -130,11 +132,33 @@ func TestPKRangeProbeEdgeCases(t *testing.T) {
 // TestPKRangeProbeExplain pins the EXPLAIN wording of a range probe.
 func TestPKRangeProbeExplain(t *testing.T) {
 	db := pkRangeTable(t, "")
-	// Keys 21..41 are candidates: the probe spans [floor(lo), ceil(hi)]
-	// and leaves the exclusive bound to the WHERE.
+	// Keys 21..40 are candidates: over integer keys the probe walks
+	// exactly the keys the bounds admit, so _id < 41 stops at 40.
 	got := explainDetail(t, db, "SELECT v FROM t WHERE _id >= ? AND _id < ?", int64(21), int64(41))
-	if want := "SEARCH t USING PRIMARY KEY (_id>=? AND _id<?) (~21 rows)"; got != want {
+	if want := "SEARCH t USING PRIMARY KEY (_id>=? AND _id<?) (~20 rows)"; got != want {
 		t.Errorf("EXPLAIN = %q, want %q", got, want)
+	}
+}
+
+// TestResidualFailsWhereWhereFails: the conjuncts a probe leaves over
+// are evaluated where the full WHERE would evaluate them. A NULL
+// conjunct does not stop the AND, so a failing conjunct after it still
+// fails the statement; a FALSE one stops it. The range is answered, so
+// only the residual is evaluated.
+func TestResidualFailsWhereWhereFails(t *testing.T) {
+	db := pkRangeTable(t, "")
+	for _, tc := range []struct {
+		where string
+		fails bool
+	}{
+		{"_id >= 1 AND _id < 5 AND v = NULL AND -v = 1", true},
+		{"_id >= 1 AND _id < 5 AND v = 'none' AND -v = 1", false},
+	} {
+		for _, where := range []string{tc.where, "NOT NOT (" + tc.where + ")"} {
+			if _, err := db.Query("SELECT _id FROM t WHERE " + where); (err != nil) != tc.fails {
+				t.Errorf("WHERE %s: err = %v, want failure %v", where, err, tc.fails)
+			}
+		}
 	}
 }
 
@@ -228,7 +252,8 @@ func planMerges(t *testing.T, db *DB, sql string) bool {
 }
 
 // TestViewMergeExplain: a single-core view over a UNION ALL view merges
-// level by level down to base tables, and EXPLAIN names each step.
+// level by level down to base tables, and EXPLAIN names each step; both
+// arms walk their keys in order, so the ORDER BY merges them.
 func TestViewMergeExplain(t *testing.T) {
 	db := Open()
 	mustExec(t, db, "CREATE TABLE a (_id INTEGER PRIMARY KEY, v INTEGER)")
@@ -248,8 +273,9 @@ func TestViewMergeExplain(t *testing.T) {
 	want := []string{
 		"MERGE VIEW su",
 		"FLATTEN UNION ALL VIEW u INTO 2 ARMS",
-		"SEARCH a USING PRIMARY KEY (_id>=? AND _id<?) (~11 rows)",
-		"SEARCH b USING PRIMARY KEY (_id>=? AND _id<?) (~11 rows)",
+		"SEARCH a USING PRIMARY KEY (_id>=? AND _id<?) (~10 rows)",
+		"SEARCH b USING PRIMARY KEY (_id>=? AND _id<?) (~10 rows)",
+		"ORDER BY: MERGE 2 ARMS",
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("EXPLAIN =\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
@@ -280,4 +306,210 @@ func TestPKInListProbeExplain(t *testing.T) {
 	if want := "SEARCH t USING PRIMARY KEY (_id IN (?,…))"; got != want {
 		t.Errorf("EXPLAIN = %q, want %q", got, want)
 	}
+}
+
+// TestPropAccessPathMatchesScan: on random tables, every access path
+// returns what a scan returns, in the same order. Each table has gaps
+// from deletes, so storage order is not key order; some have a text or
+// float key, so not every key is an integer; and each has an ordered
+// index on b (alone, or after a) holding NULL, integer, float and text
+// values. Each query mixes range, = and BETWEEN conjuncts on _id, a
+// and b, with NULL, integer, float and text constants, and residual
+// terms no probe uses. It orders by _id, a or b, either way, by an
+// expression or not at all, and runs over a base table, over a two-arm
+// UNION ALL view of two such tables, and over the same UNION ALL
+// written out. The reference is the same query with its WHERE inside
+// NOT NOT (…), which the access shape does not see through, so every
+// arm scans, filters in full and sorts stably. Results must match row
+// for row, except where rows a secondary index finds are left unordered
+// or tied (b + 0 is 0 for every text b, and rows of equal a come by b
+// from an (a, b) index): those come in index order, so only the rows
+// are compared, or each run of equal a as a set.
+// UPDATE and DELETE under each WHERE must touch the rows the reference
+// touches.
+func TestPropAccessPathMatchesScan(t *testing.T) {
+	served := map[string]int{} // how the ORDER BYs were served, by EXPLAIN
+	for seed := int64(1); seed <= 12; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		db := Open()
+		for _, name := range []string{"t1", "t2"} {
+			propTable(t, db, r, name)
+		}
+		mustExec(t, db, "CREATE VIEW u AS SELECT _id, a, b, c FROM t1 UNION ALL SELECT _id, a, b, c FROM t2")
+		for q := 0; q < 150; q++ {
+			where, args := propWhere(r)
+			order := []string{"", " ORDER BY _id", " ORDER BY _id DESC", " ORDER BY a", " ORDER BY a DESC", " ORDER BY b", " ORDER BY b DESC", " ORDER BY b + 0"}[r.Intn(8)]
+			ref := "NOT NOT (" + where + ")"
+			for _, from := range []string{
+				"SELECT _id, a, b, c FROM t1 WHERE %[1]s",
+				"SELECT _id, a, b, c FROM u WHERE %[1]s",
+				"SELECT _id, a, b, c FROM t1 WHERE %[1]s UNION ALL SELECT _id, a, b, c FROM t2 WHERE %[1]s",
+			} {
+				sql, args := from+order, args
+				if strings.Contains(from, "UNION") {
+					args = append(args[:len(args):len(args)], args...)
+				}
+				got := mustQuery(t, db, fmt.Sprintf(sql, where), args...)
+				want := mustQuery(t, db, fmt.Sprintf(sql, ref), args...)
+				var plan []string
+				for _, row := range mustQuery(t, db, "EXPLAIN "+fmt.Sprintf(sql, where), args...).Data {
+					plan = append(plan, AsString(row[1]))
+				}
+				if order != "" {
+					served[plan[len(plan)-1]]++
+				}
+				// Without an ORDER BY, or with one that ties distinct
+				// values (b + 0 is 0 for text), rows a secondary index
+				// finds come in index order, not storage order.
+				if (order == "" || strings.Contains(order, "+")) && strings.Contains(strings.Join(plan, "\n"), " INDEX ") {
+					sortRows(got.Data)
+					sortRows(want.Data)
+				}
+				if strings.HasPrefix(order, " ORDER BY a") {
+					sortTies(got.Data, 1)
+					sortTies(want.Data, 1)
+				}
+				if !reflect.DeepEqual(got.Data, want.Data) {
+					t.Fatalf("seed %d: %s %v\nplan %q\ngot  %v\nwant %v", seed, fmt.Sprintf(sql, where), args, plan, got.Data, want.Data)
+				}
+			}
+			upd := mustExec(t, db, "UPDATE t1 SET c = c WHERE "+where, args...)
+			if ref := mustExec(t, db, "UPDATE t1 SET c = c WHERE "+ref, args...); upd.RowsAffected != ref.RowsAffected {
+				t.Fatalf("seed %d: UPDATE WHERE %s %v: %d rows, want %d", seed, where, args, upd.RowsAffected, ref.RowsAffected)
+			}
+			got := propDelete(t, db, where, args)
+			if want := propDelete(t, db, ref, args); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d: DELETE WHERE %s %v left %v, want %v", seed, where, args, got, want)
+			}
+		}
+	}
+	for _, how := range []string{"ORDER BY: PLAN ORDER", "ORDER BY: MERGE 2 ARMS", "ORDER BY: SORT"} {
+		if served[how] == 0 {
+			t.Errorf("no query was served by %q: %v", how, served)
+		}
+	}
+}
+
+// propTable creates and fills one table of TestPropAccessPathMatchesScan.
+func propTable(t *testing.T, db *DB, r *rand.Rand, name string) {
+	t.Helper()
+	mustExec(t, db, "CREATE TABLE "+name+" (_id INTEGER PRIMARY KEY, a INTEGER, b INTEGER, c TEXT)")
+	if r.Intn(2) == 0 {
+		mustExec(t, db, "CREATE INDEX "+name+"_b ON "+name+" (b)")
+	} else {
+		mustExec(t, db, "CREATE INDEX "+name+"_ab ON "+name+" (a, b)")
+	}
+	const n = 40
+	for id := 1; id <= n; id++ {
+		mustExec(t, db, "INSERT INTO "+name+" (_id, a, b, c) VALUES (?, ?, ?, ?)",
+			int64(id), propA(r), propB(r), []Value{nil, "x", "y"}[r.Intn(3)])
+	}
+	for i := 0; i < n/4; i++ {
+		mustExec(t, db, "DELETE FROM "+name+" WHERE _id = ?", int64(1+r.Intn(n)))
+	}
+	// A key byPK still maps to its row, at AsInt(key), though it is not
+	// an integer: numeric text, which compare() sorts after every
+	// number, or a float between two integer keys.
+	switch m := int64(1 + r.Intn(n)); r.Intn(4) {
+	case 0:
+		mustExec(t, db, "UPDATE "+name+" SET _id = ? WHERE _id = ?", fmt.Sprint(m), m)
+	case 1:
+		mustExec(t, db, "UPDATE "+name+" SET _id = ? WHERE _id = ?", float64(m)+0.5, m)
+	}
+}
+
+func propA(r *rand.Rand) Value { return []Value{nil, int64(0), int64(1), int64(2)}[r.Intn(4)] }
+
+// propB draws an index key: NULL, an integer, a float or text.
+func propB(r *rand.Rand) Value {
+	switch r.Intn(6) {
+	case 0:
+		return nil
+	case 1:
+		return float64(r.Intn(10)) + 0.5
+	case 2:
+		return fmt.Sprintf("k%d", r.Intn(4))
+	}
+	return int64(r.Intn(10))
+}
+
+// propWhere draws one to three conjuncts, each a range, = or BETWEEN
+// on _id, a or b, or a residual term, with the constants as arguments.
+func propWhere(r *rand.Rand) (string, []Value) {
+	var terms []string
+	var args []Value
+	idVal := func() Value {
+		switch r.Intn(6) {
+		case 0:
+			return nil
+		case 1:
+			return float64(r.Intn(44)) - 1.5
+		case 2:
+			return []Value{"7", "k1", 7.5}[r.Intn(3)]
+		}
+		return int64(r.Intn(44) - 2)
+	}
+	ops := []string{"=", "<", "<=", ">", ">="}
+	for range 1 + r.Intn(3) {
+		switch r.Intn(8) {
+		case 0, 1: // a window on _id, as the range reads send
+			lo := int64(r.Intn(40))
+			terms = append(terms, "_id "+ops[3+r.Intn(2)]+" ? AND _id "+ops[1+r.Intn(2)]+" ?")
+			args = append(args, lo, lo+int64(r.Intn(15)))
+		case 2:
+			terms = append(terms, "_id "+ops[max(0, r.Intn(9)-4)]+" ?")
+			args = append(args, idVal())
+		case 3:
+			terms = append(terms, []string{"b BETWEEN ? AND ?", "b >= ? AND b < ?", "? < b"}[r.Intn(3)])
+			args = append(args, propB(r))
+			if !strings.HasPrefix(terms[len(terms)-1], "?") {
+				args = append(args, propB(r))
+			}
+		case 4:
+			terms = append(terms, "b "+ops[r.Intn(5)]+" ?")
+			args = append(args, propB(r))
+		case 5:
+			terms = append(terms, "a = ?")
+			args = append(args, propA(r))
+		case 6: // a range an (a, b) index walks in a order
+			term := []string{"a > ?", "a >= ? AND a <= ?", "a BETWEEN ? AND ?"}[r.Intn(3)]
+			terms = append(terms, term)
+			for range strings.Count(term, "?") {
+				args = append(args, []Value{propA(r), propB(r)}[r.Intn(2)])
+			}
+		default:
+			terms = append(terms, []string{"c <> 'x'", "a IS NOT NULL", "(b > 3 OR c = 'y')", "_id BETWEEN 5 AND 30"}[r.Intn(4)])
+		}
+	}
+	return strings.Join(terms, " AND "), args
+}
+
+// propDelete deletes the rows of t1 under where inside a transaction it
+// rolls back, and returns the count and the rows that were left, sorted.
+func propDelete(t *testing.T, db *DB, where string, args []Value) []any {
+	t.Helper()
+	mustExec(t, db, "BEGIN")
+	res := mustExec(t, db, "DELETE FROM t1 WHERE "+where, args...)
+	left := mustQuery(t, db, "SELECT _id, a, b, c FROM t1").Data
+	mustExec(t, db, "ROLLBACK")
+	sortRows(left)
+	return []any{res.RowsAffected, left}
+}
+
+// sortTies puts each run of rows equal in column col in a canonical
+// order.
+func sortTies(rows [][]Value, col int) {
+	for i := 0; i < len(rows); {
+		j := i + 1
+		for j < len(rows) && compare(rows[j][col], rows[i][col]) == 0 {
+			j++
+		}
+		sortRows(rows[i:j])
+		i = j
+	}
+}
+
+// sortRows puts rows in a canonical order.
+func sortRows(rows [][]Value) {
+	slices.SortStableFunc(rows, compareKeys)
 }

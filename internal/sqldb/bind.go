@@ -105,6 +105,37 @@ type boundOrder struct {
 	desc bool
 }
 
+// outCol returns the output column the term reads, by position or by
+// name, or -1 when it is any other expression.
+func (o boundOrder) outCol() int {
+	if ref, ok := o.expr.(*slotRef); ok && ref.depth == 0 {
+		return ref.slot
+	}
+	return o.ord
+}
+
+// orderColumn returns the column of core bc's table that bs's ORDER BY
+// reads, for the core's access path to yield (accessShape.order): a
+// single term naming an output column that is a column of the table,
+// or with srcOrder a table column the select list leaves out. It is -1
+// for any other ORDER BY, and for a core whose rows an aggregate
+// regroups.
+func (bs *boundSelect) orderColumn(bc *boundCore) int {
+	if len(bs.order) != 1 || bc.tbl == nil || bc.agg != nil {
+		return -1
+	}
+	term := bs.order[0]
+	if ref, ok := term.expr.(*slotRef); ok && ref.depth == 1 && bs.srcOrder {
+		return ref.slot
+	}
+	if col := term.outCol(); col >= 0 && col < len(bc.exprs) {
+		if ref, ok := bc.exprs[col].(*slotRef); ok && ref.depth == 0 {
+			return ref.slot
+		}
+	}
+	return -1
+}
+
 // boundCore is one arm of a select. A core over exactly one base table
 // reads it through the access-path layer (tbl and shape); any other
 // FROM clause is a list of sources joined left to right.
@@ -336,6 +367,9 @@ func (b *binder) planned(sel *SelectStmt, merged bool) *boundSelect {
 			bs.order[i].expr = b.expr(term.Expr)
 		}
 		b.frames = b.frames[:base]
+		for _, bc := range bs.cores {
+			bc.shape.order, bc.shape.desc = bs.orderColumn(bc), bs.order[0].desc
+		}
 	}
 	bs.limit, bs.offset = b.expr(sel.Limit), b.expr(sel.Offset)
 	bs.correlated = b.low < base

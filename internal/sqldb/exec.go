@@ -574,7 +574,7 @@ func (ex *executor) updateTable(bu *boundUpdate, sc *scope) (Result, error) {
 	pkChanged := false
 	maintain := len(t.indexes) > 0
 	// Access-path layer: probe for candidate positions when an index
-	// covers the WHERE; the full WHERE still runs on every candidate.
+	// covers the WHERE; the filter evaluates what the probe left over.
 	ap := ex.chooseAccess(t, &bu.shape)
 	ex.db.countAccess(ap.kind)
 	// The plan kind, not the slice, decides probe vs scan: a probe that
@@ -598,14 +598,12 @@ func (ex *executor) updateTable(bu *boundUpdate, sc *scope) (Result, error) {
 		}
 		row := t.rows[pos]
 		rowScope.row = row
-		if bu.where != nil {
-			match, err := ex.eval(bu.where, rowScope, nil)
-			if err != nil {
-				return Result{}, err
-			}
-			if !truthy(match) {
-				continue
-			}
+		match, err := ex.filter(bu.where, ap, rowScope)
+		if err != nil {
+			return Result{}, err
+		}
+		if !match {
+			continue
 		}
 		// Evaluate all assignments against the pre-update row.
 		for i, e := range bu.exprs {
@@ -681,29 +679,26 @@ func (ex *executor) updateView(bu *boundUpdate, sc *scope) (Result, error) {
 func (ex *executor) deleteTable(bd *boundDelete, sc *scope) (Result, error) {
 	t := bd.tbl
 	// Access-path fast path: when a pk or secondary-index probe covers
-	// part of the WHERE, evaluate the full WHERE only on the candidates
-	// and swap-delete the matches. The last row swaps into each hole
-	// (row order without ORDER BY is unspecified, as in SQLite), so
-	// only one index entry moves per deletion. Deleting from the
-	// highest position down keeps pending positions valid: every slot
-	// filled by a swap came from beyond the remaining matches.
+	// part of the WHERE, filter only the candidates and swap-delete the
+	// matches. The last row swaps into each hole (row order without
+	// ORDER BY is unspecified, as in SQLite), so only one index entry
+	// moves per deletion. Deleting from the highest position down keeps
+	// pending positions valid: every slot filled by a swap came from
+	// beyond the remaining matches.
 	ap := ex.chooseAccess(t, &bd.shape)
 	ex.db.countAccess(ap.kind)
 	rowScope := ex.newScope(sc, nil)
 	if ap.kind != accessSeqScan {
 		var matched []int
 		for _, pos := range ap.sortedPositions() {
-			if bd.where != nil {
-				rowScope.row = t.rows[pos]
-				match, err := ex.eval(bd.where, rowScope, nil)
-				if err != nil {
-					return Result{}, err
-				}
-				if !truthy(match) {
-					continue
-				}
+			rowScope.row = t.rows[pos]
+			match, err := ex.filter(bd.where, ap, rowScope)
+			if err != nil {
+				return Result{}, err
 			}
-			matched = append(matched, pos)
+			if match {
+				matched = append(matched, pos)
+			}
 		}
 		if len(matched) == 0 {
 			return Result{}, nil
@@ -739,16 +734,14 @@ func (ex *executor) deleteTable(bd *boundDelete, sc *scope) (Result, error) {
 	kept := t.rows[:0:0]
 	var affected int64
 	for _, row := range t.rows {
-		if bd.where != nil {
-			rowScope.row = row
-			match, err := ex.eval(bd.where, rowScope, nil)
-			if err != nil {
-				return Result{}, err
-			}
-			if !truthy(match) {
-				kept = append(kept, row)
-				continue
-			}
+		rowScope.row = row
+		match, err := ex.filter(bd.where, ap, rowScope)
+		if err != nil {
+			return Result{}, err
+		}
+		if !match {
+			kept = append(kept, row)
+			continue
 		}
 		affected++
 	}
@@ -786,35 +779,126 @@ func (ex *executor) deleteView(bd *boundDelete, sc *scope) (Result, error) {
 
 // --- SELECT ---
 
-// execSelect executes a bound (possibly compound) select.
+// filter reports whether the row in sc passes where under plan ap: it
+// evaluates the residual, where without the conjuncts ap answered, and
+// an exact plan's candidates pass outright. Every consumer of a WHERE —
+// a select arm's source rows, UPDATE and DELETE candidates — filters
+// through it.
+func (ex *executor) filter(where Expr, ap *accessPlan, sc *scope) (bool, error) {
+	if where == nil || ap.exact {
+		return true, nil
+	}
+	conj := 0
+	v, err := ex.residual(where, ap.answered, &conj, sc)
+	// A comparison or AND yields an int64 0 or 1, decided here without
+	// a call: filter runs once per candidate row.
+	if b, ok := v.(int64); ok {
+		return b != 0, err
+	}
+	return truthy(v), err
+}
+
+// residual evaluates where, whose first top-level conjunct is number
+// *conj, with the conjuncts in answered taken as TRUE. AND keeps its
+// three-valued logic and left-to-right order: it stops at the first
+// FALSE conjunct, and a NULL one does not stop it, so a residual
+// conjunct is evaluated, and can fail, exactly where the full WHERE
+// would evaluate it; TRUE AND x is x.
+func (ex *executor) residual(where Expr, answered uint64, conj *int, sc *scope) (Value, error) {
+	and, ok := where.(*Binary)
+	if !ok || and.Op != "AND" {
+		i := *conj
+		*conj++
+		if i < maxAnswered && answered&(1<<i) != 0 {
+			return boolVal(true), nil
+		}
+		return ex.eval(where, sc, nil)
+	}
+	l, err := ex.residual(and.L, answered, conj, sc)
+	if err != nil || l != nil && !truthy(l) {
+		return boolVal(false), err
+	}
+	r, err := ex.residual(and.R, answered, conj, sc)
+	if err != nil || r != nil && !truthy(r) {
+		return boolVal(false), err
+	}
+	if l == nil || r == nil {
+		return nil, nil
+	}
+	return boolVal(true), nil
+}
+
+// execSelect executes a bound (possibly compound) select. While every
+// arm's plan yields the ORDER BY, nothing is sorted: a single arm is
+// already in order, and each further arm is merged into those before it.
 func (ex *executor) execSelect(bs *boundSelect, sc *scope) (*Rows, error) {
 	if bs.merged {
 		ex.db.statFlattened.Add(1)
 	}
 	var data, srcRows [][]Value
+	ordered := len(bs.order) > 0
 	for i, core := range bs.cores {
-		out, src, err := ex.execCore(core, sc)
+		out, src, inOrder, err := ex.execCore(core, sc)
 		if err != nil {
 			return nil, err
 		}
-		if i == 0 {
+		ordered = ordered && inOrder
+		switch {
+		case i == 0:
 			data, srcRows = out, src
-			continue
+		case ordered:
+			data = mergeArm(data, out, bs.order[0])
+		default:
+			data = append(data, out...)
 		}
-		data = append(data, out...)
 	}
 	out := &Rows{Columns: slices.Clone(bs.cols), Data: data}
-	if err := ex.orderAndLimit(bs, out, sc, srcRows); err != nil {
+	if err := ex.orderAndLimit(bs, out, sc, srcRows, ordered); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// orderAndLimit applies ORDER BY / LIMIT / OFFSET to a result set. For a
-// single-core select, srcRows (aligned with out.Data) let ORDER BY terms
-// read source columns that were not projected (SQLite permits this).
-func (ex *executor) orderAndLimit(bs *boundSelect, out *Rows, sc *scope, srcRows [][]Value) error {
-	if len(bs.order) > 0 {
+// mergeArm stably merges arm, whose rows are in the order of the
+// single ORDER BY term (which reads an output column), into rows, the
+// arms before it, merged already; on a tie the earlier arm's row comes
+// first. Merging arm by arm thus gives the stable sort of the
+// concatenation, and a sort after an arm that is not in order still
+// sees equal keys in their concatenation order.
+func mergeArm(rows, arm [][]Value, term boundOrder) [][]Value {
+	if len(arm) == 0 {
+		return rows
+	}
+	if len(rows) == 0 {
+		return arm
+	}
+	col := term.outCol()
+	out := make([][]Value, 0, len(rows)+len(arm))
+	i, j := 0, 0
+	for i < len(rows) && j < len(arm) {
+		c := compare(arm[j][col], rows[i][col])
+		if term.desc {
+			c = -c
+		}
+		if c < 0 {
+			out = append(out, arm[j])
+			j++
+		} else {
+			out = append(out, rows[i])
+			i++
+		}
+	}
+	out = append(out, rows[i:]...)
+	return append(out, arm[j:]...)
+}
+
+// orderAndLimit applies ORDER BY / LIMIT / OFFSET to a result set,
+// sorting unless the rows are already in order (sorted). For a
+// single-core select, srcRows (aligned with out.Data) let ORDER BY
+// terms read source columns that were not projected (SQLite permits
+// this).
+func (ex *executor) orderAndLimit(bs *boundSelect, out *Rows, sc *scope, srcRows [][]Value, sorted bool) error {
+	if len(bs.order) > 0 && !sorted {
 		// Both scopes are rebound per row rather than reallocated.
 		parent := sc
 		var srcScope *scope
@@ -834,12 +918,8 @@ func (ex *executor) orderAndLimit(bs *boundSelect, out *Rows, sc *scope, srcRows
 			rowScope.row = row
 			key := keys[ri*nt : (ri+1)*nt]
 			for ti, term := range bs.order {
-				if term.ord >= 0 {
-					key[ti] = row[term.ord]
-					continue
-				}
-				if ref, ok := term.expr.(*slotRef); ok && ref.depth == 0 {
-					key[ti] = row[ref.slot]
+				if col := term.outCol(); col >= 0 {
+					key[ti] = row[col]
 					continue
 				}
 				v, err := ex.eval(term.expr, rowScope, nil)
@@ -912,23 +992,24 @@ func sortRowsByKeys(rows [][]Value, keys []Value, terms []boundOrder) {
 
 // execCore executes one arm of a select, returning its output rows
 // and, when the arm keeps them aligned (no aggregate, no DISTINCT), the
-// source row of each output row for ORDER BY.
-func (ex *executor) execCore(core *boundCore, sc *scope) (out, src [][]Value, err error) {
-	src, err = ex.buildFrom(core, sc)
+// source row of each output row for ORDER BY. ordered reports that the
+// rows come in the order of the select's ORDER BY.
+func (ex *executor) execCore(core *boundCore, sc *scope) (out, src [][]Value, ordered bool, err error) {
+	src, ap, err := ex.buildFrom(core, sc)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, false, err
 	}
-	if core.where != nil {
+	if core.where != nil && !ap.exact {
 		// Filter in place: every source slice is the statement's own.
 		filtered := src[:0]
 		rowScope := ex.newScope(sc, nil)
 		for _, row := range src {
 			rowScope.row = row
-			match, err := ex.eval(core.where, rowScope, nil)
+			match, err := ex.filter(core.where, ap, rowScope)
 			if err != nil {
-				return nil, nil, err
+				return nil, nil, false, err
 			}
-			if truthy(match) {
+			if match {
 				filtered = append(filtered, row)
 			}
 		}
@@ -936,16 +1017,17 @@ func (ex *executor) execCore(core *boundCore, sc *scope) (out, src [][]Value, er
 	}
 	if core.agg != nil {
 		out, err := ex.execAggregate(core, src, sc)
-		return out, nil, err
+		return out, nil, false, err
 	}
+	ordered = ap.ordered
 	out, err = ex.project(core, src, sc)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, false, err
 	}
 	if core.distinct {
-		return dedupeRows(out), nil, nil
+		return dedupeRows(out), nil, ordered, nil
 	}
-	return out, src, nil
+	return out, src, ordered, nil
 }
 
 func dedupeRows(rows [][]Value) [][]Value {
@@ -961,32 +1043,37 @@ func dedupeRows(rows [][]Value) [][]Value {
 	return out
 }
 
-// buildFrom materializes the FROM clause (including joins). A single
-// base table goes through the access-path layer (access.go), which
-// probes the primary key or an index instead of scanning when the
-// WHERE allows.
-func (ex *executor) buildFrom(core *boundCore, sc *scope) ([][]Value, error) {
+// wholeFrom is the plan of a FROM clause read whole, which answers
+// nothing and yields no order. It is shared and never written.
+var wholeFrom accessPlan
+
+// buildFrom materializes the FROM clause (including joins), and
+// returns the access plan that chose the rows. A single base table goes
+// through the access-path layer (access.go), which probes the primary
+// key or an index instead of scanning when the WHERE allows; any other
+// FROM clause is read whole, under wholeFrom.
+func (ex *executor) buildFrom(core *boundCore, sc *scope) ([][]Value, *accessPlan, error) {
 	if t := core.tbl; t != nil {
-		// Candidates still pass through the full WHERE in execCore.
-		if ap := ex.chooseAccess(t, &core.shape); ap.kind != accessSeqScan {
-			ex.db.countAccess(ap.kind)
-			return ap.fetchRows(), nil
+		ap := ex.chooseAccess(t, &core.shape)
+		if ap.kind == accessSeqScan {
+			return ex.scanTable(t), ap, nil
 		}
-		return ex.scanTable(t), nil
+		ex.db.countAccess(ap.kind)
+		return ap.fetchRows(), ap, nil
 	}
 	if len(core.srcs) == 0 {
-		return [][]Value{{}}, nil
+		return [][]Value{{}}, &wholeFrom, nil
 	}
 	left, err := ex.scanSource(&core.srcs[0])
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	rowScope := ex.newScope(sc, nil)
 	for i := 1; i < len(core.srcs); i++ {
 		j := &core.srcs[i]
 		right, err := ex.scanSource(j)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		var joined [][]Value
 		nullRight := make([]Value, j.width)
@@ -998,7 +1085,7 @@ func (ex *executor) buildFrom(core *boundCore, sc *scope) ([][]Value, error) {
 					rowScope.row = combined
 					ok, err := ex.eval(j.on, rowScope, nil)
 					if err != nil {
-						return nil, err
+						return nil, nil, err
 					}
 					if !truthy(ok) {
 						continue
@@ -1013,7 +1100,7 @@ func (ex *executor) buildFrom(core *boundCore, sc *scope) ([][]Value, error) {
 		}
 		left = joined
 	}
-	return left, nil
+	return left, &wholeFrom, nil
 }
 
 // scanSource materializes a table, view or subquery source. A

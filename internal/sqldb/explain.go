@@ -6,7 +6,10 @@ import "fmt"
 // merging included), each table reference's access path is chosen,
 // and the choices are reported without executing the statement. Output
 // mirrors SQLite's EXPLAIN QUERY PLAN: one row per table touched, with
-// a human-readable detail string.
+// a human-readable detail string, and for a select with an ORDER BY a
+// last row saying how the order is served: "ORDER BY: PLAN ORDER" (the
+// one arm's access path yields it), "ORDER BY: MERGE n ARMS" (every
+// arm's does, and the arms are merged) or "ORDER BY: SORT".
 
 // explainColumns is the fixed output shape of EXPLAIN.
 var explainColumns = []string{"table", "detail"}
@@ -84,25 +87,40 @@ func (ex *executor) explainSelect(sel *SelectStmt, out *Rows) error {
 	if bind.err != nil {
 		return bind.err
 	}
+	ordered := true
 	for i, core := range planned.Cores {
-		if err := ex.explainCore(core, bound.cores[i], out); err != nil {
+		inOrder, err := ex.explainCore(core, bound.cores[i], out)
+		if err != nil {
 			return err
 		}
+		ordered = ordered && inOrder
+	}
+	if len(bound.order) > 0 {
+		detail := "ORDER BY: SORT"
+		switch n := len(bound.cores); {
+		case ordered && n == 1:
+			detail = "ORDER BY: PLAN ORDER"
+		case ordered:
+			detail = fmt.Sprintf("ORDER BY: MERGE %d ARMS", n)
+		}
+		out.Data = append(out.Data, []Value{"", detail})
 	}
 	return nil
 }
 
-// explainCore reports one core's sources. Only a single-table FROM
-// consults the access-path layer (matching buildFrom); join sources
-// and subqueries scan.
-func (ex *executor) explainCore(core *SelectCore, bc *boundCore, out *Rows) error {
+// explainCore reports one core's sources, and whether its rows come in
+// the order of the select's ORDER BY (as execCore decides). Only a
+// single-table FROM consults the access-path layer (matching
+// buildFrom); join sources and subqueries scan.
+func (ex *executor) explainCore(core *SelectCore, bc *boundCore, out *Rows) (bool, error) {
 	if core.From == nil {
 		out.Data = append(out.Data, []Value{"", "NO TABLE (constant select)"})
-		return nil
+		return false, nil
 	}
 	if t := bc.tbl; t != nil {
-		out.Data = append(out.Data, []Value{t.name, ex.chooseAccess(t, &bc.shape).describe()})
-		return nil
+		ap := ex.chooseAccess(t, &bc.shape)
+		out.Data = append(out.Data, []Value{t.name, ap.describe()})
+		return ap.ordered && bc.agg == nil, nil
 	}
 	refs := []TableRef{*core.From}
 	for _, j := range core.Joins {
@@ -113,16 +131,16 @@ func (ex *executor) explainCore(core *SelectCore, bc *boundCore, out *Rows) erro
 		case src.sub != nil:
 			out.Data = append(out.Data, []Value{ref.Alias, "SCAN SUBQUERY"})
 			if err := ex.explainSelect(ref.Sub, out); err != nil {
-				return err
+				return false, err
 			}
 		case src.tbl != nil:
 			out.Data = append(out.Data, []Value{src.tbl.name, fmt.Sprintf("SCAN %s (~%d rows)", src.tbl.name, len(src.tbl.rows))})
 		default:
 			out.Data = append(out.Data, []Value{src.view.name, "MATERIALIZE VIEW " + src.view.name})
 			if err := ex.explainSelect(src.view.def, out); err != nil {
-				return err
+				return false, err
 			}
 		}
 	}
-	return nil
+	return false, nil
 }

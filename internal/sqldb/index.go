@@ -13,17 +13,22 @@ import (
 //
 //   - ordered: entries sorted by composite key (compare() order, then
 //     row position), serving point probes and range scans;
-//   - hash: valueKey-keyed buckets of row positions, serving point
+//   - hash: rowKey-keyed buckets of row positions, serving point
 //     probes only.
 //
-// Every row is indexed, NULL key components included (NULL sorts
-// first in compare() order). Probes therefore only ever
-// over-approximate — a constraint against NULL selects entries no
-// WHERE can match — and every consumer re-applies the full WHERE to
-// the candidates, so over-approximation is harmless. The converse
-// (excluding NULL-keyed rows, as real B-trees famously don't) is NOT
-// safe here: a probe that constrains only a prefix of the key must
-// still find rows whose unconstrained suffix columns are NULL.
+// An ordered index holds every row, NULL key components included
+// (NULL sorts first in compare() order). Its probes therefore only
+// ever over-approximate — a constraint against NULL selects entries no
+// WHERE can match — and the filter re-applies every conjunct a probe
+// does not answer exactly (access.go), so over-approximation is
+// harmless. Leaving NULL-keyed rows out is NOT safe there: a probe
+// that constrains only a prefix of the key must still find rows whose
+// unconstrained suffix columns are NULL. A hash index, whose probes pin
+// every key column with `=`, leaves out the rows whose key holds a
+// NULL: `= NULL` is never true, so no probe can match them, and a key
+// column that is mostly NULL would otherwise keep one bucket that
+// every maintenance step of those rows scans.
+//
 // Maintenance is wired through every mutation path — insert, update,
 // delete, OR REPLACE, transaction snapshot/rollback — including the
 // COW trigger bodies, which bottom out in the same three mutators.
@@ -75,14 +80,28 @@ type index struct {
 }
 
 // keyFor extracts the index key from a row. NULL components are legal
-// key values: they sort first and hash under valueKey(nil), and probes
-// against them merely over-select (see the package comment).
+// ordered key values: they sort first, and probes against them merely
+// over-select (see the file comment).
 func (ix *index) keyFor(row []Value) []Value {
 	key := make([]Value, len(ix.cols))
 	for i, c := range ix.cols {
 		key[i] = row[c]
 	}
 	return key
+}
+
+// unhashed reports whether a hash index leaves row out: its key holds a
+// NULL, which no probe can match.
+func (ix *index) unhashed(row []Value) bool {
+	if ix.kind != indexHash {
+		return false
+	}
+	for _, c := range ix.cols {
+		if row[c] == nil {
+			return true
+		}
+	}
+	return false
 }
 
 // compareKeys orders composite keys lexicographically in compare() order.
@@ -108,6 +127,9 @@ func (ix *index) search(key []Value, row int) int {
 
 // insertRow adds row (at position pos) to the index.
 func (ix *index) insertRow(pos int, row []Value) {
+	if ix.unhashed(row) {
+		return
+	}
 	key := ix.keyFor(row)
 	if ix.kind == indexHash {
 		hk := rowKey(key)
@@ -136,6 +158,9 @@ func (ix *index) insertRow(pos int, row []Value) {
 // removeRow drops row (previously at position pos, with the given
 // pre-mutation contents) from the index.
 func (ix *index) removeRow(pos int, row []Value) {
+	if ix.unhashed(row) {
+		return
+	}
 	key := ix.keyFor(row)
 	if ix.kind == indexHash {
 		hk := rowKey(key)
@@ -176,6 +201,9 @@ func (ix *index) removeRow(pos int, row []Value) {
 // moveRow updates the index when a row moves from position from to
 // position to without changing contents (swap-delete compaction).
 func (ix *index) moveRow(from, to int, row []Value) {
+	if ix.unhashed(row) {
+		return
+	}
 	key := ix.keyFor(row)
 	if ix.kind == indexHash {
 		bucket := ix.buckets[rowKey(key)]
@@ -206,6 +234,9 @@ func (ix *index) rebuild(rows [][]Value) {
 	if ix.kind == indexHash {
 		ix.buckets = make(map[string][]int)
 		for pos, row := range rows {
+			if ix.unhashed(row) {
+				continue
+			}
 			hk := rowKey(ix.keyFor(row))
 			ix.buckets[hk] = append(ix.buckets[hk], pos)
 		}
@@ -320,6 +351,30 @@ func (ix *index) rangeBounds(eqPrefix []Value, lo Value, loIncl bool, hi Value, 
 		end = start
 	}
 	return start, end
+}
+
+// walk appends to out the row positions of entries[start:end], whose
+// first k key columns are equal, in index order; with desc, the runs of
+// entries equal in key column k come last run first, each run still in
+// index order, as a stable descending sort on that column leaves them.
+func (ix *index) walk(start, end, k int, desc bool, out []int) []int {
+	if !desc {
+		for _, e := range ix.entries[start:end] {
+			out = append(out, e.row)
+		}
+		return out
+	}
+	for hi := end; hi > start; {
+		lo := hi - 1
+		for lo > start && compare(ix.entries[lo-1].key[k], ix.entries[hi-1].key[k]) == 0 {
+			lo--
+		}
+		for _, e := range ix.entries[lo:hi] {
+			out = append(out, e.row)
+		}
+		hi = lo
+	}
+	return out
 }
 
 // lookupRange returns the positions of rows matching an equality
@@ -504,7 +559,7 @@ type IndexInfo struct {
 	Table   string
 	Columns []string
 	Kind    string // "ORDERED" or "HASH"
-	Rows    int    // indexed rows (excludes NULL keys)
+	Rows    int    // indexed rows (a hash index leaves out keys holding a NULL)
 }
 
 // TableIndexes returns the secondary indexes on a base table, sorted

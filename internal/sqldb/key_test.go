@@ -124,3 +124,58 @@ func TestKeyIntegralFloat(t *testing.T) {
 		t.Errorf("GROUP BY over 1 and 1.0 = %v, want one group of 2", got)
 	}
 }
+
+// TestHashIndexLeavesOutNullKeys: a hash index holds no row whose key
+// holds a NULL, since no `=` probe can match one. An index over NULL
+// keys is empty, an = NULL probe finds no row, and rows moving into and
+// out of NULL keys, or swapped into a deleted row's place, keep the
+// index consistent with the table.
+func TestHashIndexLeavesOutNullKeys(t *testing.T) {
+	db := Open()
+	mustExec(t, db, "CREATE TABLE t (_id INTEGER PRIMARY KEY, a INTEGER, b INTEGER)")
+	mustExec(t, db, "CREATE INDEX t_a ON t (a) USING HASH")
+	mustExec(t, db, "CREATE INDEX t_ab ON t (a, b) USING HASH")
+	for i := 1; i <= 20; i++ {
+		mustExec(t, db, "INSERT INTO t (b) VALUES (?)", int64(i%3))
+	}
+	rows := func() map[string]int {
+		infos, _ := db.TableIndexes("t")
+		out := map[string]int{}
+		for _, ix := range infos {
+			out[ix.Name] = ix.Rows
+		}
+		return out
+	}
+	if got := rows(); got["t_a"] != 0 || got["t_ab"] != 0 {
+		t.Errorf("indexed rows over NULL keys = %v, want none", got)
+	}
+	for _, tc := range []struct {
+		where string
+		args  []Value
+	}{
+		{"a = NULL", nil},
+		{"a = ?", []Value{nil}},
+		{"a = ? AND b = ?", []Value{nil, int64(1)}},
+	} {
+		before := db.Stats().IndexProbes
+		if got := mustQuery(t, db, "SELECT _id FROM t WHERE "+tc.where, tc.args...).Data; len(got) != 0 {
+			t.Errorf("WHERE %s %v: %v, want no rows", tc.where, tc.args, got)
+		}
+		if db.Stats().IndexProbes == before {
+			t.Errorf("WHERE %s did not probe the hash index", tc.where)
+		}
+	}
+	mustExec(t, db, "UPDATE t SET a = 1 WHERE _id <= 5")
+	mustExec(t, db, "DELETE FROM t WHERE _id = 2") // the last row moves into its place
+	mustExec(t, db, "UPDATE t SET a = NULL WHERE _id = 3")
+	mustExec(t, db, "UPDATE t SET a = 2 WHERE _id = 20")
+	if err := db.CheckIndexes(); err != nil {
+		t.Fatal(err)
+	}
+	if got := rows(); got["t_a"] != 4 || got["t_ab"] != 4 {
+		t.Errorf("indexed rows = %v, want 4 in each (ids 1, 4, 5 and 20)", got)
+	}
+	if got := mustQuery(t, db, "SELECT _id FROM t WHERE a = 1 ORDER BY _id").Data; !reflect.DeepEqual(got, [][]Value{{int64(1)}, {int64(4)}, {int64(5)}}) {
+		t.Errorf("WHERE a = 1: %v, want ids 1, 4, 5", got)
+	}
+}

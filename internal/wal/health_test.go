@@ -2,6 +2,7 @@ package wal_test
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -181,6 +182,99 @@ func TestScrubDetectsLostDurableRecords(t *testing.T) {
 	// Poisoned is terminal: heal must refuse.
 	if err := env.Store.Heal(); !errors.Is(err, wal.ErrBroken) {
 		t.Fatalf("heal of poisoned store = %v, want ErrBroken", err)
+	}
+}
+
+// TestScrubDetectsRemovedLog: the scrub reads the WAL through its
+// name, as recovery does, so a WAL removed or replaced behind the
+// store's back — one the log's open handle would still read — poisons
+// the store.
+func TestScrubDetectsRemovedLog(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		lose func(t *testing.T, st *wal.MemStorage)
+	}{
+		{"removed", func(t *testing.T, st *wal.MemStorage) { st.Remove("wal") }},
+		{"replaced", func(t *testing.T, st *wal.MemStorage) {
+			data := readFile(t, st, "wal")
+			rewrite(t, st, "wal.new", data[:len(data)/2])
+			if err := st.Rename("wal.new", "wal"); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			env, st, _ := openHealthEnv(t)
+			defer env.Close()
+			seedKV(t, env, 3)
+			tc.lose(t, st)
+			if err := env.Store.ScrubOnce(); !errors.Is(err, wal.ErrBroken) {
+				t.Fatalf("scrub of a %s wal = %v, want ErrBroken", tc.name, err)
+			}
+			if got := env.Store.Health(); got != health.Poisoned {
+				t.Fatalf("health = %v, want poisoned", got)
+			}
+		})
+	}
+}
+
+// walReads wraps a storage and counts the bytes read from the WAL file
+// by name.
+type walReads struct {
+	wal.Storage
+	n int
+}
+
+func (s *walReads) ReadFile(name string) ([]byte, error) {
+	b, err := s.Storage.ReadFile(name)
+	if name == "wal" {
+		s.n += len(b)
+	}
+	return b, err
+}
+
+func (s *walReads) ReadPrefix(name string, n int64) ([]byte, error) {
+	b, err := s.Storage.ReadPrefix(name, n)
+	if name == "wal" {
+		s.n += len(b)
+	}
+	return b, err
+}
+
+// TestScrubReadsOnlyLiveLog: a checkpoint rewinds the WAL in place, so
+// the file keeps its high-water size; a scrub reads only the live log
+// before it, not the stale frames past it.
+func TestScrubReadsOnlyLiveLog(t *testing.T) {
+	st := &walReads{Storage: wal.NewMemStorage()}
+	env, err := testutil.OpenDurable(st, "main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer env.Close()
+	mustExec(t, env.DB, "CREATE TABLE kv (k INTEGER PRIMARY KEY, v TEXT)")
+	for i := 0; i < 200; i++ {
+		mustExec(t, env.DB, "INSERT INTO kv (v) VALUES (?)", strings.Repeat("x", 200))
+	}
+	if err := env.Store.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		mustExec(t, env.DB, "INSERT INTO kv (v) VALUES (?)", "live")
+	}
+	file := len(readFile(t, st, "wal"))
+	_, live, err := wal.LiveTail(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if live*10 > file {
+		t.Fatalf("live log %d bytes of a %d-byte file: no large stale tail", live, file)
+	}
+	st.n = 0
+	if err := env.Store.ScrubOnce(); err != nil {
+		t.Fatalf("scrub: %v", err)
+	}
+	if st.n != live {
+		t.Errorf("scrub read %d bytes of the WAL, want the %d live ones (file: %d bytes)", st.n, live, file)
 	}
 }
 

@@ -1,7 +1,10 @@
 package wal_test
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -288,6 +291,8 @@ func TestRecoverStaleFrameEndsChain(t *testing.T) {
 // never shrinks, the next frame starts at offset 0, and a reopen
 // replays exactly the records past the last cut although the passes
 // shrink, so stale frames of the longer ones lie past the live log.
+// The scrub, which reads only the live log's bytes by name, finds it
+// whole.
 func TestRewindOverDirStorage(t *testing.T) {
 	dir := t.TempDir()
 	st, err := wal.NewDirStorage(dir)
@@ -338,6 +343,16 @@ func TestRewindOverDirStorage(t *testing.T) {
 	}
 	if got := frameLSNs(t, st, "snapshot"); maxLSN(got) != cut {
 		t.Fatalf("snapshot ends at LSN %d, want %d", maxLSN(got), cut)
+	}
+	if err := env.Store.ScrubOnce(); err != nil {
+		t.Fatalf("scrub: %v", err)
+	}
+	whole := readFile(t, st, "wal")
+	if got, err := st.ReadPrefix("wal", int64(len(whole))+64); err != nil || !bytes.Equal(got, whole) {
+		t.Fatalf("prefix past the end: %d bytes (%v), want the file's %d", len(got), err, len(whole))
+	}
+	if _, err := st.ReadPrefix("missing", 8); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("prefix of a missing file: %v, want fs.ErrNotExist", err)
 	}
 	want := kvRows(t, env.DB)
 	if err := env.Close(); err != nil {

@@ -113,8 +113,15 @@ func (s *Store) ScrubOnce() error {
 	// already durable before the read started. A torn or stale tail is
 	// legitimate (in-flight append, crash leftovers, frames of an earlier
 	// pass); a synced record that the chain cannot reach is corruption.
+	// Only the live log is read, the file's first size bytes: the file
+	// keeps its high-water size across rewinds, and what lies past the
+	// live log is stale. The read goes through the file's name, as
+	// recovery's does, not the log's handle: a removed file, or one
+	// replaced by a file without the acknowledged records, fails the
+	// check, though the handle would still read the old file.
 	syncedBefore := s.log.LastSynced()
-	wal, err := s.cfg.Storage.ReadFile(walFile)
+	_, size := s.log.end()
+	wal, err := s.cfg.Storage.ReadPrefix(walFile, size)
 	if err != nil && !errors.Is(err, fs.ErrNotExist) {
 		if health.Classify(err) == health.ClassTransient {
 			s.tr.Degrade()

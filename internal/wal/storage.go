@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"io/fs"
@@ -19,6 +20,9 @@ type Storage interface {
 	// ReadFile returns the full durable content of a file, or an error
 	// satisfying fs.ErrNotExist.
 	ReadFile(name string) ([]byte, error)
+	// ReadPrefix returns the first n bytes of a file's content, fewer
+	// when the file is shorter, or an error satisfying fs.ErrNotExist.
+	ReadPrefix(name string, n int64) ([]byte, error)
 	// Create truncates-or-creates a file and opens it for writing at
 	// offset 0.
 	Create(name string) (File, error)
@@ -65,6 +69,20 @@ func (s *DirStorage) path(name string) string { return filepath.Join(s.dir, name
 
 func (s *DirStorage) ReadFile(name string) ([]byte, error) {
 	return os.ReadFile(s.path(name))
+}
+
+func (s *DirStorage) ReadPrefix(name string, n int64) ([]byte, error) {
+	f, err := os.Open(s.path(name))
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	buf := make([]byte, n)
+	m, err := io.ReadFull(f, buf)
+	if errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, io.EOF) {
+		err = nil
+	}
+	return buf[:m], err
 }
 
 func (s *DirStorage) Create(name string) (File, error) {
@@ -188,6 +206,16 @@ func (s *MemStorage) ReadFile(name string) ([]byte, error) {
 	out := make([]byte, len(f.written))
 	copy(out, f.written)
 	return out, nil
+}
+
+func (s *MemStorage) ReadPrefix(name string, n int64) ([]byte, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	f, ok := s.files[name]
+	if !ok {
+		return nil, &fs.PathError{Op: "open", Path: name, Err: fs.ErrNotExist}
+	}
+	return bytes.Clone(f.written[:min(n, int64(len(f.written)))]), nil
 }
 
 func (s *MemStorage) Create(name string) (File, error) {
