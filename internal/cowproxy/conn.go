@@ -17,158 +17,44 @@ import (
 type Conn struct {
 	p *Proxy
 	// initiator is empty for callers that are initiators (operate on
-	// primary tables) and the initiator's package for delegates
-	// (operate on COW views).
+	// primary tables) and the initiator's package for its delegates and
+	// its own volatile requests (operate on its COW views).
 	initiator string
 
-	// Resolved-target caches, so steady-state operations skip the
-	// proxy-wide mutex and the name re-derivation. gen records the
-	// proxy generation the caches were built at; DiscardVolatile bumps
-	// the generation, which empties them on next use.
-	mu      sync.RWMutex
-	gen     int64
-	targets map[string]string       // lowercase table -> query/update target
-	inserts map[string]insertTarget // lowercase table -> insert routing
-	sqls    map[string]string       // rendered INSERT statements
-	queries map[string]queryPlan    // rendered SELECT statements, at most maxStmtMemo
-	updates map[string]updatePlan   // rendered UPDATE statements, at most maxStmtMemo
+	// memo maps a call shape (operation, table, where, ORDER BY and
+	// columns) to its rendered statement, so a repeated call resolves
+	// no name and renders nothing. Entries are stored under p.mu, which
+	// DiscardVolatile and AdoptRecovered hold while they empty memos, so
+	// no entry resolved before a discard is served after it.
+	mu   sync.RWMutex
+	memo map[string]stmt
 }
 
-// maxStmtMemo bounds the queries and updates memos, which are keyed by
-// the caller's where text: callers that inline literals would otherwise
-// grow them without limit. A full memo is reset rather than evicted
-// from; steady traffic refills it.
+// maxStmtMemo bounds a Conn's memo, which is keyed by the caller's
+// where text: callers that inline literals would otherwise grow it
+// without limit. A full memo is reset rather than evicted from; steady
+// traffic refills it.
 const maxStmtMemo = 256
 
-// insertTarget is the memoized routing decision for Conn.Insert.
-type insertTarget struct {
-	table string // table to insert into (primary or delta)
-	delta bool   // delta insert: add _whiteout and use OR REPLACE
-}
-
-// queryPlan is a memoized rendered SELECT plus the count of ORDER BY
-// columns appended to the projection that must be trimmed from results.
-type queryPlan struct {
+// stmt is a rendered statement plus the count of ORDER BY columns
+// Query appended to the projection, which it trims from results.
+type stmt struct {
 	sql   string
 	extra int
 }
 
-// updatePlan is a memoized rendered UPDATE plus the column order its
-// SET-clause placeholders expect values in.
-type updatePlan struct {
-	sql  string
-	cols []string
-}
-
-// cachedTarget returns the memoized query/update target for key.
-func (c *Conn) cachedTarget(key string) (string, bool) {
-	gen := c.p.gen.Load()
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if c.gen != gen {
-		return "", false
-	}
-	v, ok := c.targets[key]
-	return v, ok
-}
-
-// cachedInsert returns the memoized insert routing for key.
-func (c *Conn) cachedInsert(key string) (insertTarget, bool) {
-	gen := c.p.gen.Load()
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if c.gen != gen {
-		return insertTarget{}, false
-	}
-	v, ok := c.inserts[key]
-	return v, ok
-}
-
-// resetIfStale empties the caches when the proxy generation moved.
-// Caller holds c.mu.
-func (c *Conn) resetIfStale() {
-	gen := c.p.gen.Load()
-	if c.gen != gen {
-		c.targets = nil
-		c.inserts = nil
-		c.sqls = nil
-		c.queries = nil
-		c.updates = nil
-		c.gen = gen
-	}
-}
-
-// cachedQuery returns the memoized rendered SELECT for key. The key is
-// raw bytes so the hot path indexes the map without materializing a
-// string; string(key) in a map index compiles to an allocation-free
-// lookup.
-func (c *Conn) cachedQuery(key []byte) (queryPlan, bool) {
-	gen := c.p.gen.Load()
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if c.gen != gen {
-		return queryPlan{}, false
-	}
-	v, ok := c.queries[string(key)]
-	return v, ok
-}
-
-func (c *Conn) storeQuery(key string, qp queryPlan) {
-	c.mu.Lock()
-	c.resetIfStale()
-	if c.queries == nil || len(c.queries) >= maxStmtMemo {
-		c.queries = make(map[string]queryPlan)
-	}
-	c.queries[key] = qp
-	c.mu.Unlock()
-}
-
-// cachedUpdate returns the memoized rendered UPDATE for key (raw
-// bytes, like cachedQuery, for an allocation-free lookup).
-func (c *Conn) cachedUpdate(key []byte) (updatePlan, bool) {
-	gen := c.p.gen.Load()
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if c.gen != gen {
-		return updatePlan{}, false
-	}
-	v, ok := c.updates[string(key)]
-	return v, ok
-}
-
-func (c *Conn) storeUpdate(key string, up updatePlan) {
-	c.mu.Lock()
-	c.resetIfStale()
-	if c.updates == nil || len(c.updates) >= maxStmtMemo {
-		c.updates = make(map[string]updatePlan)
-	}
-	c.updates[key] = up
-	c.mu.Unlock()
-}
-
-func (c *Conn) storeTarget(key, val string) {
-	c.mu.Lock()
-	c.resetIfStale()
-	if c.targets == nil {
-		c.targets = make(map[string]string)
-	}
-	c.targets[key] = val
-	c.mu.Unlock()
-}
-
-func (c *Conn) storeInsert(key string, val insertTarget) {
-	c.mu.Lock()
-	c.resetIfStale()
-	if c.inserts == nil {
-		c.inserts = make(map[string]insertTarget)
-	}
-	c.inserts[key] = val
-	c.mu.Unlock()
-}
+// Operations, the first byte of a memo key.
+const (
+	opInsert = 'i'
+	opUpdate = 'u'
+	opDelete = 'd'
+	opQuery  = 'q'
+)
 
 // For returns a connection for a caller. Pass "" for initiators (and
 // for providers' own administrative work on public state); pass the
-// initiator package for a delegate of that initiator.
+// initiator package for a delegate of that initiator, or for an
+// initiator writing its own volatile state.
 func (p *Proxy) For(initiator string) *Conn {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -183,61 +69,77 @@ func (p *Proxy) For(initiator string) *Conn {
 	return c
 }
 
-// target resolves the table/view name this connection must operate on,
-// creating delta tables and COW views on demand for delegates.
-func (c *Conn) target(table string) (string, error) {
-	key := strings.ToLower(table)
-	if t, ok := c.cachedTarget(key); ok {
-		return t, nil
-	}
-	t, err := c.targetSlow(key, table)
-	if err == nil {
-		c.storeTarget(key, t)
-	}
-	return t, err
+// forget empties c's memo. The caller holds p.mu.
+func (c *Conn) forget() {
+	c.mu.Lock()
+	c.memo = nil
+	c.mu.Unlock()
 }
 
-func (c *Conn) targetSlow(key, table string) (string, error) {
+// statement returns the statement memoized under key, or resolves table
+// for this connection, renders the statement for the target with render
+// and memoizes it. Resolving, rendering and storing all happen under
+// p.mu.
+func (c *Conn) statement(key []byte, table string, insert bool, render func(target string) stmt) (stmt, error) {
+	c.mu.RLock()
+	st, ok := c.memo[string(key)]
+	c.mu.RUnlock()
+	if ok {
+		return st, nil
+	}
 	c.p.mu.Lock()
 	defer c.p.mu.Unlock()
-	if info, ok := c.p.primaries[key]; ok {
-		if c.initiator == "" {
+	target, err := c.p.target(table, c.initiator, insert)
+	if err != nil {
+		return stmt{}, err
+	}
+	st = render(target)
+	c.mu.Lock()
+	if c.memo == nil || len(c.memo) >= maxStmtMemo {
+		c.memo = make(map[string]stmt)
+	}
+	c.memo[string(key)] = st
+	c.mu.Unlock()
+	return st, nil
+}
+
+// target resolves the table or view a statement on table addresses for
+// initiator, creating its delta tables and COW views on demand. Inserts
+// go to the primary table, or the initiator's delta table; every other
+// statement goes to the primary table or user view, or the initiator's
+// COW view of it. The caller holds p.mu.
+func (p *Proxy) target(table, initiator string, insert bool) (string, error) {
+	key := strings.ToLower(table)
+	if info, ok := p.primaries[key]; ok {
+		if initiator == "" {
 			return info.name, nil
 		}
-		if err := c.p.ensureDelta(info, c.initiator); err != nil {
+		if err := p.ensureDelta(info, initiator); err != nil {
 			return "", err
 		}
-		return COWViewName(info.name, c.initiator), nil
+		if insert {
+			return DeltaTableName(info.name, initiator), nil
+		}
+		return COWViewName(info.name, initiator), nil
 	}
-	if v, ok := c.p.userViews[key]; ok {
-		if c.initiator == "" {
+	if v, ok := p.userViews[key]; ok && !insert {
+		if initiator == "" {
 			return v.name, nil
 		}
-		if err := c.p.ensureUserViewCOW(v, c.initiator); err != nil {
+		if err := p.ensureUserViewCOW(v, initiator); err != nil {
 			return "", err
 		}
-		return COWViewName(v.name, c.initiator), nil
+		return COWViewName(v.name, initiator), nil
 	}
 	return "", fmt.Errorf("%w: %s", ErrUnknownTable, table)
 }
 
-// sortedCols returns values' column names sorted for deterministic SQL
-// (miss-path only: hot paths sort into pooled scratch instead).
-func sortedCols(values map[string]sqldb.Value) []string {
-	cols := make([]string, 0, len(values))
-	for k := range values {
-		cols = append(cols, k)
-	}
-	sort.Strings(cols)
-	return cols
-}
-
-// connScratch is the per-call scratch of the hot render paths
-// (Insert/Update/Query): column lists, argument vectors, and memo-key
-// bytes. Conns are shared across goroutines (Proxy.For memoizes them),
-// so scratch is pooled per call rather than hung off the Conn. Nothing
-// handed to sqldb retains these slices: argument values are copied into
-// the executor's own buffer before execution.
+// connScratch is the per-call scratch of the render paths: column
+// lists, argument vectors, and memo-key bytes. Conns are shared across
+// goroutines (Proxy.For memoizes them), so scratch is pooled per call
+// rather than hung off the Conn. Nothing handed to sqldb retains these
+// slices: argument values are copied into the executor's own buffer
+// before execution.
 type connScratch struct {
 	cols []string
 	args []sqldb.Value
@@ -256,60 +158,9 @@ func putScratch(sc *connScratch) {
 	connScratchPool.Put(sc)
 }
 
-// Insert inserts a row and returns its primary key. For initiators the
-// row goes to the primary table; for delegates it goes to the delta
-// table with a key allocated from DeltaKeyBase up.
-func (c *Conn) Insert(table string, values map[string]sqldb.Value) (int64, error) {
-	key := strings.ToLower(table)
-	tgt, ok := c.cachedInsert(key)
-	if !ok {
-		c.p.mu.Lock()
-		info, isPrimary := c.p.primaries[key]
-		if !isPrimary {
-			c.p.mu.Unlock()
-			return 0, fmt.Errorf("%w: %s", ErrUnknownTable, table)
-		}
-		if c.initiator == "" {
-			tgt = insertTarget{table: info.name}
-		} else {
-			if err := c.p.ensureDelta(info, c.initiator); err != nil {
-				c.p.mu.Unlock()
-				return 0, err
-			}
-			tgt = insertTarget{table: DeltaTableName(info.name, c.initiator), delta: true}
-		}
-		c.p.mu.Unlock()
-		c.storeInsert(key, tgt)
-	}
-	if !tgt.delta {
-		return c.insertInto(tgt.table, values, "", nil, "")
-	}
-	// Keys for new volatile rows auto-increment from DeltaKeyBase: the
-	// delta table's allocator was seeded at creation, so no MAX() scan
-	// is needed here. _whiteout rides along as a trailing column rather
-	// than through a copied map.
-	return c.insertInto(tgt.table, values, "_whiteout", int64(0), "OR REPLACE")
-}
-
-// InsertVolatile inserts a row directly into the initiator's own
-// volatile state — the isVolatile API initiators use for incognito
-// downloads (§6.1 API 4). The connection's initiator field is empty for
-// initiators, so the target initiator is explicit.
-func (c *Conn) InsertVolatile(table, initiator string, values map[string]sqldb.Value) (int64, error) {
-	if initiator == "" {
-		return 0, fmt.Errorf("cowproxy: InsertVolatile requires an initiator")
-	}
-	return c.p.For(initiator).Insert(table, values)
-}
-
-// insertInto renders and executes an INSERT. The rendered SQL is
-// memoized per (table, column set, conflict clause) so steady-state
-// inserts reuse one string (and, downstream, one cached AST and plan).
-// extraCol, when non-empty, is appended after the sorted columns with
-// extraVal as its argument — the delta path's _whiteout marker.
-func (c *Conn) insertInto(table string, values map[string]sqldb.Value, extraCol string, extraVal sqldb.Value, conflict string) (int64, error) {
-	sc := getScratch()
-	defer putScratch(sc)
+// setValues loads values into sc as sorted columns and their arguments
+// in the same order, the deterministic column order of rendered SQL.
+func (sc *connScratch) setValues(values map[string]sqldb.Value) {
 	cols := sc.cols[:0]
 	for k := range values {
 		cols = append(cols, k)
@@ -319,53 +170,65 @@ func (c *Conn) insertInto(table string, values map[string]sqldb.Value, extraCol 
 	for _, col := range cols {
 		args = append(args, values[col])
 	}
-	if extraCol != "" {
-		cols = append(cols, extraCol)
-		args = append(args, extraVal)
+	sc.cols, sc.args = cols, args
+}
+
+// shapeKey appends the memo key of a call to buf.
+func shapeKey(buf []byte, op byte, table, where, orderBy string, cols []string) []byte {
+	buf = append(buf, op)
+	buf = append(buf, table...)
+	buf = append(buf, 0)
+	buf = append(buf, where...)
+	buf = append(buf, 0)
+	buf = append(buf, orderBy...)
+	for _, col := range cols {
+		buf = append(buf, 0)
+		buf = append(buf, col...)
 	}
-	key := append(sc.key[:0], table...)
-	key = append(key, 0)
-	key = append(key, conflict...)
-	key = append(key, 0)
-	for i, col := range cols {
-		if i > 0 {
-			key = append(key, ',')
-		}
-		key = append(key, col...)
+	return buf
+}
+
+// Insert inserts a row and returns its primary key. For initiators the
+// row goes to the primary table; for delegates it goes to the delta
+// table with a key allocated from DeltaKeyBase up.
+func (c *Conn) Insert(table string, values map[string]sqldb.Value) (int64, error) {
+	sc := getScratch()
+	defer putScratch(sc)
+	sc.setValues(values)
+	cols := sc.cols
+	sc.key = shapeKey(sc.key[:0], opInsert, table, "", "", cols)
+	delta := c.initiator != ""
+	st, err := c.statement(sc.key, table, true, func(target string) stmt {
+		return stmt{sql: renderInsert(target, cols, delta)}
+	})
+	if err != nil {
+		return 0, err
 	}
-	sc.cols, sc.args, sc.key = cols, args, key
-	gen := c.p.gen.Load()
-	c.mu.RLock()
-	sql, ok := "", false
-	if c.gen == gen {
-		sql, ok = c.sqls[string(key)]
+	if delta {
+		// Keys for new volatile rows auto-increment from DeltaKeyBase:
+		// the delta table's allocator was seeded at creation, so no
+		// MAX() scan is needed here. _whiteout rides along as a trailing
+		// argument rather than through a copied map.
+		sc.args = append(sc.args, int64(0))
 	}
-	c.mu.RUnlock()
-	if !ok {
-		sql = renderInsert(table, cols, conflict)
-		c.mu.Lock()
-		c.resetIfStale()
-		if c.sqls == nil {
-			c.sqls = make(map[string]string)
-		}
-		c.sqls[string(key)] = sql
-		c.mu.Unlock()
-	}
-	res, err := c.p.db.Exec(sql, args...)
+	res, err := c.p.db.Exec(st.sql, sc.args...)
 	if err != nil {
 		return 0, err
 	}
 	return res.LastInsertID, nil
 }
 
-func renderInsert(table string, cols []string, conflict string) string {
+// renderInsert renders an INSERT of cols into table; a delta insert
+// also sets _whiteout and replaces the row a whiteout left.
+func renderInsert(table string, cols []string, delta bool) string {
+	verb := "INSERT"
+	if delta {
+		verb = "INSERT OR REPLACE"
+		cols = append(cols[:len(cols):len(cols)], "_whiteout")
+	}
 	placeholders := make([]string, len(cols))
 	for i := range placeholders {
 		placeholders[i] = "?"
-	}
-	verb := "INSERT"
-	if conflict != "" {
-		verb = "INSERT " + conflict
 	}
 	return fmt.Sprintf("%s INTO %s (%s) VALUES (%s)",
 		verb, table, strings.Join(cols, ", "), strings.Join(placeholders, ", "))
@@ -377,17 +240,10 @@ func renderInsert(table string, cols []string, conflict string) string {
 func (c *Conn) Update(table string, values map[string]sqldb.Value, where string, args ...sqldb.Value) (int64, error) {
 	sc := getScratch()
 	defer putScratch(sc)
-	key := append(sc.key[:0], table...)
-	key = append(key, 0)
-	key = append(key, where...)
-	sc.key = key
-	up, ok := c.cachedUpdate(key)
-	if !ok || !colsMatch(up.cols, values) {
-		target, err := c.target(table)
-		if err != nil {
-			return 0, err
-		}
-		cols := sortedCols(values)
+	sc.setValues(values)
+	cols := sc.cols
+	sc.key = shapeKey(sc.key[:0], opUpdate, table, where, "", cols)
+	st, err := c.statement(sc.key, table, false, func(target string) stmt {
 		var b strings.Builder
 		b.WriteString("UPDATE ")
 		b.WriteString(target)
@@ -403,49 +259,36 @@ func (c *Conn) Update(table string, values map[string]sqldb.Value, where string,
 			b.WriteString(" WHERE ")
 			b.WriteString(where)
 		}
-		up = updatePlan{sql: b.String(), cols: cols}
-		c.storeUpdate(string(key), up)
+		return stmt{sql: b.String()}
+	})
+	if err != nil {
+		return 0, err
 	}
-	setArgs := sc.args[:0]
-	for _, col := range up.cols {
-		setArgs = append(setArgs, values[col])
-	}
-	setArgs = append(setArgs, args...)
-	sc.args = setArgs
-	res, err := c.p.db.Exec(up.sql, setArgs...)
+	sc.args = append(sc.args, args...)
+	res, err := c.p.db.Exec(st.sql, sc.args...)
 	if err != nil {
 		return 0, err
 	}
 	return res.RowsAffected, nil
 }
 
-// colsMatch reports whether values assigns exactly the columns a cached
-// update plan was rendered for (the common steady-state case); a
-// mismatch re-renders and overwrites the cache entry.
-func colsMatch(cols []string, values map[string]sqldb.Value) bool {
-	if len(cols) != len(values) {
-		return false
-	}
-	for _, col := range cols {
-		if _, ok := values[col]; !ok {
-			return false
-		}
-	}
-	return true
-}
-
 // Delete deletes rows matching the where clause. For delegates the COW
 // view's trigger emulates deletion with whiteout records.
 func (c *Conn) Delete(table string, where string, args ...sqldb.Value) (int64, error) {
-	target, err := c.target(table)
+	sc := getScratch()
+	defer putScratch(sc)
+	sc.key = shapeKey(sc.key[:0], opDelete, table, where, "", nil)
+	st, err := c.statement(sc.key, table, false, func(target string) stmt {
+		sql := "DELETE FROM " + target
+		if where != "" {
+			sql += " WHERE " + where
+		}
+		return stmt{sql: sql}
+	})
 	if err != nil {
 		return 0, err
 	}
-	sql := "DELETE FROM " + target
-	if where != "" {
-		sql += " WHERE " + where
-	}
-	res, err := c.p.db.Exec(sql, args...)
+	res, err := c.p.db.Exec(st.sql, args...)
 	if err != nil {
 		return 0, err
 	}
@@ -460,52 +303,28 @@ func (c *Conn) Delete(table string, where string, args ...sqldb.Value) (int64, e
 func (c *Conn) Query(table string, columns []string, where string, orderBy string, args ...sqldb.Value) (*sqldb.Rows, error) {
 	sc := getScratch()
 	defer putScratch(sc)
-	key := queryKeyInto(sc.key[:0], table, columns, where, orderBy)
-	sc.key = key
-	qp, ok := c.cachedQuery(key)
-	if !ok {
-		var err error
-		qp, err = c.renderQuery(table, columns, where, orderBy)
-		if err != nil {
-			return nil, err
-		}
-		c.storeQuery(string(key), qp)
-	}
-	rows, err := c.p.db.Query(qp.sql, args...)
+	sc.key = shapeKey(sc.key[:0], opQuery, table, where, orderBy, columns)
+	st, err := c.statement(sc.key, table, false, func(target string) stmt {
+		return renderQuery(target, columns, where, orderBy)
+	})
 	if err != nil {
 		return nil, err
 	}
-	if qp.extra > 0 {
-		rows.Columns = rows.Columns[:len(rows.Columns)-qp.extra]
+	rows, err := c.p.db.Query(st.sql, args...)
+	if err != nil {
+		return nil, err
+	}
+	if st.extra > 0 {
+		rows.Columns = rows.Columns[:len(rows.Columns)-st.extra]
 		for i := range rows.Data {
-			rows.Data[i] = rows.Data[i][:len(rows.Data[i])-qp.extra]
+			rows.Data[i] = rows.Data[i][:len(rows.Data[i])-st.extra]
 		}
 	}
 	return rows, nil
 }
 
-// queryKeyInto appends the memo key for a Query call to buf; the hot
-// path looks it up without ever materializing a string.
-func queryKeyInto(buf []byte, table string, columns []string, where, orderBy string) []byte {
-	buf = append(buf, table...)
-	buf = append(buf, 0)
-	buf = append(buf, where...)
-	buf = append(buf, 0)
-	buf = append(buf, orderBy...)
-	for _, col := range columns {
-		buf = append(buf, 0)
-		buf = append(buf, col...)
-	}
-	return buf
-}
-
-// renderQuery resolves the caller's view of table and renders the
-// SELECT once; Query memoizes the result per connection.
-func (c *Conn) renderQuery(table string, columns []string, where, orderBy string) (queryPlan, error) {
-	target, err := c.target(table)
-	if err != nil {
-		return queryPlan{}, err
-	}
+// renderQuery renders the SELECT Query runs against target.
+func renderQuery(target string, columns []string, where, orderBy string) stmt {
 	extra := 0
 	colSQL := "*"
 	if len(columns) > 0 {
@@ -527,7 +346,7 @@ func (c *Conn) renderQuery(table string, columns []string, where, orderBy string
 	if orderBy != "" {
 		sql += " ORDER BY " + orderBy
 	}
-	return queryPlan{sql: sql, extra: extra}, nil
+	return stmt{sql: sql, extra: extra}
 }
 
 // Explain renders the caller's view of the query exactly as Query
@@ -535,22 +354,24 @@ func (c *Conn) renderQuery(table string, columns []string, where, orderBy string
 // and runs the planner only. Remote clients use it to inspect the
 // access path chosen for *their* view without touching data.
 func (c *Conn) Explain(table string, columns []string, where, orderBy string, args ...sqldb.Value) (*sqldb.Rows, error) {
-	qp, err := c.renderQuery(table, columns, where, orderBy)
+	c.p.mu.Lock()
+	target, err := c.p.target(table, c.initiator, false)
+	c.p.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
-	return c.p.db.Query("EXPLAIN "+qp.sql, args...)
+	return c.p.db.Query("EXPLAIN "+renderQuery(target, columns, where, orderBy).sql, args...)
 }
 
 // QueryVolatile returns rows from the initiator's volatile state of a
 // table — what the tmp URIs expose (§5.1). Whiteout records are
 // included with their _whiteout flag so initiators can audit deletions.
-func (c *Conn) QueryVolatile(table, initiator string, where string, args ...sqldb.Value) (*sqldb.Rows, error) {
+func (p *Proxy) QueryVolatile(table, initiator string, where string, args ...sqldb.Value) (*sqldb.Rows, error) {
 	key := strings.ToLower(table)
-	c.p.mu.Lock()
-	info, ok := c.p.primaries[key]
-	hasDelta := ok && c.p.deltas[key][initiator]
-	c.p.mu.Unlock()
+	p.mu.Lock()
+	info, ok := p.primaries[key]
+	hasDelta := ok && p.deltas[key][initiator]
+	p.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownTable, table)
 	}
@@ -561,25 +382,25 @@ func (c *Conn) QueryVolatile(table, initiator string, where string, args ...sqld
 	if where != "" {
 		sql += " WHERE " + where
 	}
-	return c.p.db.Query(sql, args...)
+	return p.db.Query(sql, args...)
 }
 
 // QueryAdmin runs a select over the administrative view of a table,
 // which includes an _origin column (” for public rows, the initiator
 // package for volatile rows) and the _whiteout flag.
-func (c *Conn) QueryAdmin(table string, where string, args ...sqldb.Value) (*sqldb.Rows, error) {
+func (p *Proxy) QueryAdmin(table string, where string, args ...sqldb.Value) (*sqldb.Rows, error) {
 	key := strings.ToLower(table)
-	c.p.mu.Lock()
-	info, ok := c.p.primaries[key]
-	if ok && c.p.deltas[key] == nil {
+	p.mu.Lock()
+	info, ok := p.primaries[key]
+	if ok && p.deltas[key] == nil {
 		// No deltas yet: make sure the admin view exists.
-		if err := c.p.rebuildAdminView(info); err != nil {
-			c.p.mu.Unlock()
+		if err := p.rebuildAdminView(info); err != nil {
+			p.mu.Unlock()
 			return nil, err
 		}
-		c.p.deltas[key] = make(map[string]bool)
+		p.deltas[key] = make(map[string]bool)
 	}
-	c.p.mu.Unlock()
+	p.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownTable, table)
 	}
@@ -587,7 +408,7 @@ func (c *Conn) QueryAdmin(table string, where string, args ...sqldb.Value) (*sql
 	if where != "" {
 		sql += " WHERE " + where
 	}
-	return c.p.db.Query(sql, args...)
+	return p.db.Query(sql, args...)
 }
 
 // orderByColumns extracts plain column names from an ORDER BY clause.

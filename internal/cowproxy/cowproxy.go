@@ -14,8 +14,9 @@
 //     view defined identically but with base tables (and nested views)
 //     replaced by their COW counterparts, maintained as a hierarchy;
 //   - an administrative view t_admin containing primary and all delta
-//     rows with an _origin column, used by active providers (Downloads,
-//     Media) that must track which state a record belongs to.
+//     rows with an _origin column, which tells which state each record
+//     belongs to (Proxy.QueryAdmin). No provider reads it: Downloads and
+//     Media carry a record's state with the request that made it.
 //
 // Delegate inserts go straight into the delta table with primary keys
 // allocated from DeltaKeyBase upward to avoid collisions with primary
@@ -28,7 +29,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"maxoid/internal/fault"
 	"maxoid/internal/sqldb"
@@ -62,11 +62,9 @@ type Proxy struct {
 	// primary tables and user-defined views).
 	cowViews map[string]map[string]bool
 
-	// conns memoizes one Conn per initiator so its resolved-target
-	// caches persist across calls; gen invalidates those caches when
-	// volatile state is discarded (COW views/deltas dropped).
+	// conns memoizes one Conn per initiator so its statement memo
+	// persists across calls.
 	conns map[string]*Conn
-	gen   atomic.Int64
 
 	// haveRegistry memoizes that the durable _cow_registry table exists
 	// (see registry.go).
@@ -474,8 +472,10 @@ func (p *Proxy) Initiators() []string {
 func (p *Proxy) DiscardVolatile(initiator string) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	// Cached Conn targets may name the views/tables dropped below.
-	p.gen.Add(1)
+	// The initiator's memo may name the views and tables dropped below.
+	if c := p.conns[initiator]; c != nil {
+		c.forget()
+	}
 	// Drop user-view COW views first (they depend on table COW views),
 	// in reverse registration order.
 	for i := len(p.viewOrder) - 1; i >= 0; i-- {

@@ -88,7 +88,7 @@ func TestDelegateDeleteIsWhiteout(t *testing.T) {
 		t.Errorf("primary count = %v, want 3", n)
 	}
 	// Volatile state records the whiteout.
-	vol, err := p.For("").QueryVolatile("words", "email", "_whiteout = 1")
+	vol, err := p.QueryVolatile("words", "email", "_whiteout = 1")
 	if err != nil || len(vol.Data) != 1 {
 		t.Errorf("whiteout records: %v, %v", vol, err)
 	}
@@ -173,14 +173,14 @@ func TestVolatileURIsAndDiscard(t *testing.T) {
 	if _, err := del.Insert("words", map[string]sqldb.Value{"word": "y", "frequency": int64(0)}); err != nil {
 		t.Fatal(err)
 	}
-	vol, err := p.For("").QueryVolatile("words", "appA", "")
+	vol, err := p.QueryVolatile("words", "appA", "")
 	if err != nil || len(vol.Data) != 2 {
 		t.Fatalf("volatile rows = %v, %v", vol, err)
 	}
 	if err := p.DiscardVolatile("appA"); err != nil {
 		t.Fatal(err)
 	}
-	vol, err = p.For("").QueryVolatile("words", "appA", "")
+	vol, err = p.QueryVolatile("words", "appA", "")
 	if err != nil || len(vol.Data) != 0 {
 		t.Errorf("after discard: %v, %v", vol, err)
 	}
@@ -195,10 +195,11 @@ func TestVolatileURIsAndDiscard(t *testing.T) {
 	}
 }
 
+// TestInsertVolatileByInitiator: an initiator writes its own volatile
+// state through its delegates' connection, For(initiator).
 func TestInsertVolatileByInitiator(t *testing.T) {
 	p := newWordsProxy(t, 1)
-	pub := p.For("")
-	id, err := pub.InsertVolatile("words", "browser", map[string]sqldb.Value{"word": "incognito", "frequency": int64(0)})
+	id, err := p.For("browser").Insert("words", map[string]sqldb.Value{"word": "incognito", "frequency": int64(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +207,7 @@ func TestInsertVolatileByInitiator(t *testing.T) {
 		t.Errorf("volatile insert id = %d", id)
 	}
 	// Public view does not include it.
-	rows, _ := pub.Query("words", []string{"word"}, "", "")
+	rows, _ := p.For("").Query("words", []string{"word"}, "", "")
 	if len(rows.Data) != 1 {
 		t.Errorf("public rows = %d, want 1", len(rows.Data))
 	}
@@ -214,9 +215,6 @@ func TestInsertVolatileByInitiator(t *testing.T) {
 	rows, _ = p.For("browser").Query("words", []string{"word"}, "word = 'incognito'", "")
 	if len(rows.Data) != 1 {
 		t.Error("delegate cannot see initiator's volatile record")
-	}
-	if _, err := pub.InsertVolatile("words", "", nil); err == nil {
-		t.Error("InsertVolatile with empty initiator should fail")
 	}
 }
 
@@ -226,7 +224,7 @@ func TestAdminView(t *testing.T) {
 	if _, err := del.Update("words", map[string]sqldb.Value{"word": "volatile-row"}, "_id = 1"); err != nil {
 		t.Fatal(err)
 	}
-	rows, err := p.For("").QueryAdmin("words", "")
+	rows, err := p.QueryAdmin("words", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +245,7 @@ func TestAdminView(t *testing.T) {
 	}
 	// Admin view works with no deltas at all.
 	p2 := newWordsProxy(t, 1)
-	rows, err = p2.For("").QueryAdmin("words", "")
+	rows, err = p2.QueryAdmin("words", "")
 	if err != nil || len(rows.Data) != 1 {
 		t.Errorf("admin without deltas: %v, %v", rows, err)
 	}

@@ -87,7 +87,10 @@ func (p *Proxy) registryDiscard(initiator string) {
 func (p *Proxy) AdoptRecovered() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.gen.Add(1)
+	// Any memo may name machinery the repair below drops.
+	for _, c := range p.conns {
+		c.forget()
+	}
 	if !p.db.HasTable(registryTable) {
 		return nil
 	}

@@ -415,7 +415,7 @@ func (g *Gateway) handleExplain(id identity, authority, table string, rt *route)
 		return errResponse(fmt.Errorf("%w: _explain on %s", provider.ErrNotSupported, authority))
 	}
 	where, columns, orderBy, args := queryParams(rt)
-	conn := proxy.For(provider.InitiatorOf(id.caller))
+	conn := proxy.For(provider.ViewOf(id.caller, false).Initiator)
 	rows, err := conn.Explain(table, columns, where, orderBy, args...)
 	if err != nil {
 		return errResponse(err)

@@ -13,9 +13,9 @@
 //     enough, because a delegate could otherwise exfiltrate data in the
 //     requested URL. Delegates may still add or update entries for
 //     existing files, since that does not touch the network.
-//   - The provider tracks which state each record belongs to using the
-//     COW proxy's administrative view, and locates backing files for
-//     volatile records (the paper's File-class wrapper).
+//   - Each fetch carries the state its record belongs to, which also
+//     locates the backing file of a volatile record (the paper's
+//     File-class wrapper, LocateFile).
 //
 // URIs:
 //
@@ -261,27 +261,14 @@ func (p *Provider) Insert(c provider.Caller, uri provider.URI, values provider.V
 		return provider.URI{}, err
 	}
 	if tbl == "request_headers" {
-		id, err := p.proxy.For(provider.InitiatorOf(c)).Insert(tbl, values.Clone(provider.IsVolatileKey))
-		if err != nil {
-			return provider.URI{}, err
-		}
-		return uri.WithID(id), nil
+		return provider.Insert(p.proxy, c, uri, tbl, values)
 	}
-
 	// Metadata-only insert: the caller registers an already-existing
 	// file (e.g. Email's SAVE button) — no fetch is performed.
-	if existing := sqldb.AsString(values["_data"]); existing != "" {
-		row := map[string]sqldb.Value(values.Clone(provider.IsVolatileKey))
+	if sqldb.AsString(values["_data"]) != "" {
+		row := values.Clone()
 		row["status"] = int64(StatusSuccess)
-		origin := provider.InitiatorOf(c)
-		if v, _ := values[provider.IsVolatileKey].(bool); v && !c.Task.IsDelegate() {
-			origin = c.Task.App
-		}
-		id, err := p.proxy.For(origin).Insert("downloads", row)
-		if err != nil {
-			return provider.URI{}, err
-		}
-		return uri.WithID(id), nil
+		return provider.Insert(p.proxy, c, uri, tbl, row)
 	}
 
 	srcURL := sqldb.AsString(values["uri"])
@@ -293,49 +280,31 @@ func (p *Provider) Insert(c provider.Caller, uri provider.URI, values provider.V
 		hint = path.Base(srcURL)
 	}
 	clientPath := path.Join(DownloadDir, hint)
-
-	volatileFlag, _ := values[provider.IsVolatileKey].(bool)
-	isDelegate := c.Task.IsDelegate()
-
+	volatile, _ := values[provider.IsVolatileKey].(bool)
+	origin := provider.ViewOf(c, volatile).Initiator
 	row := map[string]sqldb.Value{
 		"uri":    srcURL,
 		"title":  values["title"],
 		"_data":  clientPath,
 		"status": int64(StatusPending),
 	}
-
-	switch {
-	case isDelegate:
-		// Emulated network error: record lands in the delegate's view
-		// (the initiator's volatile state) already failed, and no
+	delegate := c.Task.IsDelegate()
+	if delegate {
+		// Emulated network error: the record lands in the delegate's
+		// view (the initiator's volatile state) already failed, and no
 		// network request is ever issued.
 		row["status"] = int64(StatusErrorNetwork)
-		id, err := p.proxy.For(c.Task.Initiator).Insert("downloads", row)
-		if err != nil {
-			return provider.URI{}, err
-		}
-		ev := Event{ID: id, Initiator: c.Task.Initiator, Status: StatusErrorNetwork, ClientPath: clientPath}
-		p.complete(ev)
-		return uri.WithID(id), nil
-
-	case volatileFlag:
-		// Volatile download for the requesting initiator.
-		initiator := c.Task.App
-		id, err := p.proxy.For(initiator).Insert("downloads", row)
-		if err != nil {
-			return provider.URI{}, err
-		}
-		p.fetchAsync(id, initiator, srcURL, clientPath)
-		return uri.WithID(id), nil
-
-	default:
-		id, err := p.proxy.For("").Insert("downloads", row)
-		if err != nil {
-			return provider.URI{}, err
-		}
-		p.fetchAsync(id, "", srcURL, clientPath)
-		return uri.WithID(id), nil
 	}
+	id, err := p.proxy.For(origin).Insert(tbl, row)
+	if err != nil {
+		return provider.URI{}, err
+	}
+	if delegate {
+		p.complete(Event{ID: id, Initiator: origin, Status: StatusErrorNetwork, ClientPath: clientPath})
+	} else {
+		p.fetchAsync(id, origin, srcURL, clientPath)
+	}
+	return uri.WithID(id), nil
 }
 
 // fetchAsync queues the download of one record. Queued fetches wait
@@ -425,11 +394,7 @@ func (p *Provider) Update(c provider.Caller, uri provider.URI, values provider.V
 	if err != nil {
 		return 0, err
 	}
-	where, args = whereFor(uri, where, args)
-	if uri.IsVolatile() && !c.Task.IsDelegate() {
-		return p.proxy.For(c.Task.App).Update(tbl, values.Clone(provider.IsVolatileKey), where, args...)
-	}
-	return p.proxy.For(provider.InitiatorOf(c)).Update(tbl, values.Clone(provider.IsVolatileKey), where, args...)
+	return provider.Update(p.proxy, c, uri, tbl, values, where, args...)
 }
 
 // Delete deletes records in the caller's view.
@@ -438,11 +403,7 @@ func (p *Provider) Delete(c provider.Caller, uri provider.URI, where string, arg
 	if err != nil {
 		return 0, err
 	}
-	where, args = whereFor(uri, where, args)
-	if uri.IsVolatile() && !c.Task.IsDelegate() {
-		return p.proxy.For(c.Task.App).Delete(tbl, where, args...)
-	}
-	return p.proxy.For(provider.InitiatorOf(c)).Delete(tbl, where, args...)
+	return provider.Delete(p.proxy, c, uri, tbl, where, args...)
 }
 
 // Query returns records from the caller's view; tmp URIs expose an
@@ -452,23 +413,7 @@ func (p *Provider) Query(c provider.Caller, uri provider.URI, columns []string, 
 	if err != nil {
 		return nil, err
 	}
-	where, args = whereFor(uri, where, args)
-	if uri.IsVolatile() && !c.Task.IsDelegate() {
-		return p.proxy.For("").QueryVolatile(tbl, c.Task.App, where, args...)
-	}
-	return p.proxy.For(provider.InitiatorOf(c)).Query(tbl, columns, where, orderBy, args...)
-}
-
-func whereFor(uri provider.URI, where string, args []sqldb.Value) (string, []sqldb.Value) {
-	if id, ok := uri.ID(); ok {
-		idClause := "_id = ?"
-		args = append(args, id)
-		if where == "" {
-			return idClause, args
-		}
-		return "(" + where + ") AND " + idClause, args
-	}
-	return where, args
+	return provider.Query(p.proxy, c, uri, tbl, columns, where, orderBy, args...)
 }
 
 // OnCall handles DownloadManager's extra Binder transactions:

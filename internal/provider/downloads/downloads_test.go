@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"maxoid/internal/cowproxy"
 	"maxoid/internal/kernel"
 	"maxoid/internal/layout"
 	"maxoid/internal/netstack"
@@ -461,4 +462,36 @@ func TestCloseRacesInFlightFetches(t *testing.T) {
 		t.Errorf("post-Close insert: status %d, want network error", ev.Status)
 	}
 	leak()
+}
+
+// TestVolatileHeadersStayVolatile: request headers an initiator inserts
+// with isVolatile land in its volatile state, as its volatile download
+// records do. Other apps and its own public view do not read them; its
+// delegates and its tmp URI do.
+func TestVolatileHeadersStayVolatile(t *testing.T) {
+	p, _, _ := newTestProvider(t)
+	headers := mustURI(t, "content://downloads/headers")
+	uri, err := p.Insert(browser, headers, provider.Values{
+		"download_id": int64(1), "header": "Cookie", "value": "secret", provider.IsVolatileKey: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id, _ := uri.ID(); id < cowproxy.DeltaKeyBase {
+		t.Errorf("volatile header id = %v", uri)
+	}
+	for _, c := range []provider.Caller{otherApp, browser} {
+		rows, err := p.Query(c, headers, []string{"value"}, "", "")
+		if err != nil || len(rows.Data) != 0 {
+			t.Errorf("%v reads a volatile header as public: %v, %v", c.Task, rows, err)
+		}
+	}
+	rows, err := p.Query(delegateXB, headers, []string{"value"}, "", "")
+	if err != nil || len(rows.Data) != 1 || rows.Data[0][0] != "secret" {
+		t.Errorf("delegate's view of the header: %v, %v", rows, err)
+	}
+	rows, err = p.Query(browser, mustURI(t, "content://downloads/tmp/headers"), nil, "", "")
+	if err != nil || len(rows.Data) != 1 {
+		t.Errorf("initiator's tmp URI: %v, %v", rows, err)
+	}
 }

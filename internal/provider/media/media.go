@@ -175,20 +175,7 @@ func (p *Provider) Insert(c provider.Caller, uri provider.URI, values provider.V
 	if err != nil {
 		return provider.URI{}, err
 	}
-	tbl = mutationTable(tbl)
-	vals := map[string]sqldb.Value(values.Clone(provider.IsVolatileKey))
-	volatile, _ := values[provider.IsVolatileKey].(bool)
-	conn := p.proxy.For(provider.InitiatorOf(c))
-	var id int64
-	if volatile && !c.Task.IsDelegate() {
-		id, err = conn.InsertVolatile(tbl, c.Task.App, vals)
-	} else {
-		id, err = conn.Insert(tbl, vals)
-	}
-	if err != nil {
-		return provider.URI{}, err
-	}
-	return uri.WithID(id), nil
+	return provider.Insert(p.proxy, c, uri, mutationTable(tbl), values)
 }
 
 // Update updates rows in the caller's view.
@@ -197,12 +184,7 @@ func (p *Provider) Update(c provider.Caller, uri provider.URI, values provider.V
 	if err != nil {
 		return 0, err
 	}
-	tbl = mutationTable(tbl)
-	where, args = whereFor(uri, where, args)
-	if uri.IsVolatile() && !c.Task.IsDelegate() {
-		return p.proxy.For(c.Task.App).Update(tbl, values.Clone(provider.IsVolatileKey), where, args...)
-	}
-	return p.proxy.For(provider.InitiatorOf(c)).Update(tbl, values.Clone(provider.IsVolatileKey), where, args...)
+	return provider.Update(p.proxy, c, uri, mutationTable(tbl), values, where, args...)
 }
 
 // Delete deletes rows in the caller's view.
@@ -211,12 +193,7 @@ func (p *Provider) Delete(c provider.Caller, uri provider.URI, where string, arg
 	if err != nil {
 		return 0, err
 	}
-	tbl = mutationTable(tbl)
-	where, args = whereFor(uri, where, args)
-	if uri.IsVolatile() && !c.Task.IsDelegate() {
-		return p.proxy.For(c.Task.App).Delete(tbl, where, args...)
-	}
-	return p.proxy.For(provider.InitiatorOf(c)).Delete(tbl, where, args...)
+	return provider.Delete(p.proxy, c, uri, mutationTable(tbl), where, args...)
 }
 
 // Query returns rows from the caller's view.
@@ -225,23 +202,7 @@ func (p *Provider) Query(c provider.Caller, uri provider.URI, columns []string, 
 	if err != nil {
 		return nil, err
 	}
-	where, args = whereFor(uri, where, args)
-	if uri.IsVolatile() && !c.Task.IsDelegate() {
-		return p.proxy.For("").QueryVolatile(tbl, c.Task.App, where, args...)
-	}
-	return p.proxy.For(provider.InitiatorOf(c)).Query(tbl, columns, where, orderBy, args...)
-}
-
-func whereFor(uri provider.URI, where string, args []sqldb.Value) (string, []sqldb.Value) {
-	if id, ok := uri.ID(); ok {
-		idClause := "_id = ?"
-		args = append(args, id)
-		if where == "" {
-			return idClause, args
-		}
-		return "(" + where + ") AND " + idClause, args
-	}
-	return where, args
+	return provider.Query(p.proxy, c, uri, tbl, columns, where, orderBy, args...)
 }
 
 // mediaTypeForExt derives the media type from a file extension.
@@ -264,10 +225,7 @@ func mediaTypeForExt(name string) (int64, string) {
 // requested), scans for delegates go to the initiator's volatile state
 // with the thumbnail in the volatile tmp branch.
 func (p *Provider) ScanFile(c provider.Caller, clientPath string, dateAdded int64, volatile bool) (int64, error) {
-	origin := provider.InitiatorOf(c)
-	if volatile && !c.Task.IsDelegate() {
-		origin = c.Task.App
-	}
+	origin := provider.ViewOf(c, volatile).Initiator
 
 	backing := locate(origin, clientPath)
 	data, err := vfs.ReadFile(p.disk, vfs.Root, backing)
@@ -292,8 +250,7 @@ func (p *Provider) ScanFile(c provider.Caller, clientPath string, dateAdded int6
 		"date_added": dateAdded,
 		"mime_type":  mime,
 	}
-	conn := p.proxy.For(origin)
-	id, err := conn.Insert("files", row)
+	id, err := p.proxy.For(origin).Insert("files", row)
 	if err != nil {
 		return 0, err
 	}

@@ -3,10 +3,11 @@
 // the client-side ContentResolver apps use.
 //
 // System content providers (subpackages userdict, downloads, media) are
-// the paper's three ported providers (§5.3). Each uses the COW proxy to
-// switch views per caller: an initiator's operations hit primary
-// tables, a delegate's hit its initiator's COW views, and initiators
-// can address volatile records via "tmp" URIs (§5.1).
+// the paper's three ported providers (§5.3). Each keeps its tables
+// behind the COW proxy and serves a request in the view ViewOf chooses
+// for it: an initiator's operations hit primary tables, a delegate's
+// hit its initiator's COW views, and initiators can address volatile
+// records via "tmp" URIs (§5.1).
 package provider
 
 import (
@@ -18,6 +19,7 @@ import (
 	"strings"
 
 	"maxoid/internal/binder"
+	"maxoid/internal/cowproxy"
 	"maxoid/internal/sqldb"
 )
 
@@ -166,14 +168,80 @@ type Reflector interface {
 // Caller aliases the binder caller identity.
 type Caller = binder.Caller
 
-// InitiatorOf returns the initiator context for view selection: the
-// caller's initiator if it is a delegate, else "" (operate on public
-// state).
-func InitiatorOf(c Caller) string {
-	if c.Task.IsDelegate() {
-		return c.Task.Initiator
+// View is the state one provider request addresses.
+type View struct {
+	// Initiator names the initiator whose COW view the request goes
+	// through (cowproxy.Proxy.For); "" for the primary tables.
+	Initiator string
+	// Own marks an initiator addressing its own volatile state: its
+	// reads see that state alone, whiteouts included.
+	Own bool
+}
+
+// ViewOf is Maxoid's view choice for one request: the COW proxy "uses a
+// Maxoid API to get information about the calling process ... then
+// selects the correct Maxoid view" (§5.2). A delegate of A gets A's COW
+// view. An initiator gets the primary tables, unless the request is
+// volatile (a tmp URI, or isVolatile on an insert): then it gets its
+// own volatile state.
+func ViewOf(c Caller, volatile bool) View {
+	switch {
+	case c.Task.IsDelegate():
+		return View{Initiator: c.Task.Initiator}
+	case volatile:
+		return View{Initiator: c.Task.App, Own: true}
 	}
-	return ""
+	return View{}
+}
+
+// Insert inserts values into table in the view the request gets, with
+// isVolatile stripped, and returns the new record's URI.
+func Insert(px *cowproxy.Proxy, c Caller, uri URI, table string, values Values) (URI, error) {
+	volatile, _ := values[IsVolatileKey].(bool)
+	id, err := px.For(ViewOf(c, volatile).Initiator).Insert(table, values.Clone(IsVolatileKey))
+	if err != nil {
+		return URI{}, err
+	}
+	return uri.WithID(id), nil
+}
+
+// Update updates the rows of table the URI and where select in the view
+// the request gets, with isVolatile stripped from values.
+func Update(px *cowproxy.Proxy, c Caller, uri URI, table string, values Values, where string, args ...sqldb.Value) (int64, error) {
+	where, args = whereFor(uri, where, args)
+	return px.For(ViewOf(c, uri.IsVolatile()).Initiator).Update(table, values.Clone(IsVolatileKey), where, args...)
+}
+
+// Delete deletes the rows of table the URI and where select in the view
+// the request gets.
+func Delete(px *cowproxy.Proxy, c Caller, uri URI, table string, where string, args ...sqldb.Value) (int64, error) {
+	where, args = whereFor(uri, where, args)
+	return px.For(ViewOf(c, uri.IsVolatile()).Initiator).Delete(table, where, args...)
+}
+
+// Query returns the rows of table the URI and where select in the view
+// the request gets. An initiator's tmp URI reads its volatile state
+// alone (§5.1).
+func Query(px *cowproxy.Proxy, c Caller, uri URI, table string, columns []string, where string, orderBy string, args ...sqldb.Value) (*sqldb.Rows, error) {
+	where, args = whereFor(uri, where, args)
+	v := ViewOf(c, uri.IsVolatile())
+	if v.Own {
+		return px.QueryVolatile(table, v.Initiator, where, args...)
+	}
+	return px.For(v.Initiator).Query(table, columns, where, orderBy, args...)
+}
+
+// whereFor augments a where clause with the URI's ID constraint.
+func whereFor(uri URI, where string, args []sqldb.Value) (string, []sqldb.Value) {
+	if id, ok := uri.ID(); ok {
+		idClause := "_id = ?"
+		args = append(args, id)
+		if where == "" {
+			return idClause, args
+		}
+		return "(" + where + ") AND " + idClause, args
+	}
+	return where, args
 }
 
 // Provider is a content provider: the four Android operations.

@@ -93,12 +93,22 @@ func TestURIID(t *testing.T) {
 	}
 }
 
-func TestInitiatorOf(t *testing.T) {
-	if InitiatorOf(Caller{Task: kernel.Task{App: "a"}}) != "" {
-		t.Error("initiator caller should map to public view")
-	}
-	if InitiatorOf(Caller{Task: kernel.Task{App: "b", Initiator: "a"}}) != "a" {
-		t.Error("delegate caller should map to initiator view")
+func TestViewOf(t *testing.T) {
+	initiator := Caller{Task: kernel.Task{App: "a"}}
+	delegate := Caller{Task: kernel.Task{App: "b", Initiator: "a"}}
+	for _, tc := range []struct {
+		c        Caller
+		volatile bool
+		want     View
+	}{
+		{initiator, false, View{}},
+		{initiator, true, View{Initiator: "a", Own: true}},
+		{delegate, false, View{Initiator: "a"}},
+		{delegate, true, View{Initiator: "a"}},
+	} {
+		if got := ViewOf(tc.c, tc.volatile); got != tc.want {
+			t.Errorf("ViewOf(%v, %v) = %+v, want %+v", tc.c.Task, tc.volatile, got, tc.want)
+		}
 	}
 }
 

@@ -71,11 +71,6 @@ func (p *Provider) TableRoutes() []provider.TableRoute {
 	return []provider.TableRoute{{Path: "words", Table: "words"}}
 }
 
-// conn selects the Maxoid view for the caller.
-func (p *Provider) conn(c provider.Caller) *cowproxy.Conn {
-	return p.proxy.For(provider.InitiatorOf(c))
-}
-
 // validate checks the URI addresses the words table.
 func (p *Provider) validate(uri provider.URI) error {
 	path := uri.Path()
@@ -85,39 +80,13 @@ func (p *Provider) validate(uri provider.URI) error {
 	return nil
 }
 
-// whereFor augments a where clause with the URI's ID constraint.
-func whereFor(uri provider.URI, where string, args []sqldb.Value) (string, []sqldb.Value) {
-	if id, ok := uri.ID(); ok {
-		idClause := "_id = ?"
-		args = append(args, id)
-		if where == "" {
-			return idClause, args
-		}
-		return "(" + where + ") AND " + idClause, args
-	}
-	return where, args
-}
-
 // Insert adds a word. Initiators may assert isVolatile in the values to
 // create the record in their own volatile state.
 func (p *Provider) Insert(c provider.Caller, uri provider.URI, values provider.Values) (provider.URI, error) {
 	if err := p.validate(uri); err != nil {
 		return provider.URI{}, err
 	}
-	vals := map[string]sqldb.Value(values.Clone(provider.IsVolatileKey))
-	volatile, _ := values[provider.IsVolatileKey].(bool)
-	var id int64
-	var err error
-	switch {
-	case volatile && !c.Task.IsDelegate():
-		id, err = p.conn(c).InsertVolatile("words", c.Task.App, vals)
-	default:
-		id, err = p.conn(c).Insert("words", vals)
-	}
-	if err != nil {
-		return provider.URI{}, err
-	}
-	return uri.WithID(id), nil
+	return provider.Insert(p.proxy, c, uri, "words", values)
 }
 
 // Update updates matching words in the caller's view.
@@ -125,13 +94,7 @@ func (p *Provider) Update(c provider.Caller, uri provider.URI, values provider.V
 	if err := p.validate(uri); err != nil {
 		return 0, err
 	}
-	where, args = whereFor(uri, where, args)
-	if uri.IsVolatile() && !c.Task.IsDelegate() {
-		// Operate on the initiator's own volatile records through a
-		// delegate-view connection.
-		return p.proxy.For(c.Task.App).Update("words", values.Clone(), where, args...)
-	}
-	return p.conn(c).Update("words", values.Clone(), where, args...)
+	return provider.Update(p.proxy, c, uri, "words", values, where, args...)
 }
 
 // Delete deletes matching words in the caller's view.
@@ -139,11 +102,7 @@ func (p *Provider) Delete(c provider.Caller, uri provider.URI, where string, arg
 	if err := p.validate(uri); err != nil {
 		return 0, err
 	}
-	where, args = whereFor(uri, where, args)
-	if uri.IsVolatile() && !c.Task.IsDelegate() {
-		return p.proxy.For(c.Task.App).Delete("words", where, args...)
-	}
-	return p.conn(c).Delete("words", where, args...)
+	return provider.Delete(p.proxy, c, uri, "words", where, args...)
 }
 
 // Query returns matching words from the caller's view. Volatile URIs
@@ -152,9 +111,5 @@ func (p *Provider) Query(c provider.Caller, uri provider.URI, columns []string, 
 	if err := p.validate(uri); err != nil {
 		return nil, err
 	}
-	where, args = whereFor(uri, where, args)
-	if uri.IsVolatile() && !c.Task.IsDelegate() {
-		return p.conn(c).QueryVolatile("words", c.Task.App, where, args...)
-	}
-	return p.conn(c).Query("words", columns, where, orderBy, args...)
+	return provider.Query(p.proxy, c, uri, "words", columns, where, orderBy, args...)
 }

@@ -189,3 +189,28 @@ func TestBadURIs(t *testing.T) {
 		t.Error("bogus insert should fail")
 	}
 }
+
+// TestUpdateStripsIsVolatile: isVolatile in an update's values is the
+// insert flag, not a column. The update succeeds in the view the URI
+// selects, as it does in Media and Downloads.
+func TestUpdateStripsIsVolatile(t *testing.T) {
+	p := newProvider(t)
+	words := mustURI(t, WordsURI)
+	if _, err := p.Insert(initiatorA, words, provider.Values{"word": "w"}); err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range []provider.Caller{initiatorA, delegateBA} {
+		n, err := p.Update(c, words, provider.Values{"frequency": int64(i + 5), provider.IsVolatileKey: true}, "word = ?", "w")
+		if err != nil || n != 1 {
+			t.Fatalf("update as %v: %d, %v", c.Task, n, err)
+		}
+		rows, err := p.Query(c, words, []string{"frequency"}, "", "")
+		if err != nil || len(rows.Data) != 1 || rows.Data[0][0] != int64(i+5) {
+			t.Errorf("%v reads %v, %v after its update", c.Task, rows, err)
+		}
+	}
+	rows, _ := p.Query(otherAppX, words, []string{"frequency"}, "", "")
+	if len(rows.Data) != 1 || rows.Data[0][0] != int64(5) {
+		t.Errorf("public row after the initiator's update: %v", rows)
+	}
+}

@@ -369,8 +369,9 @@ func writeLit(b *strings.Builder, v Value) {
 	case string:
 		b.WriteString("'" + strings.ReplaceAll(x, "'", "''") + "'")
 	case float64:
-		// Plain decimal notation: the lexer has no exponent syntax, and
-		// a trailing ".0" keeps an integral float re-parsing as a float.
+		// Plain decimal notation, which re-lexes exactly (the lexer also
+		// reads exponents); a trailing ".0" keeps an integral float
+		// re-parsing as a float.
 		s := strconv.FormatFloat(x, 'f', -1, 64)
 		if !strings.Contains(s, ".") {
 			s += ".0"

@@ -179,3 +179,52 @@ func TestHashIndexLeavesOutNullKeys(t *testing.T) {
 		t.Errorf("WHERE a = 1: %v, want ids 1, 4, 5", got)
 	}
 }
+
+// TestBindNaNAsNull: a NaN argument binds as NULL, as SQLite stores it,
+// so a primary-key probe and a scan of the same WHERE agree (neither
+// matches), and NaN compares to nothing.
+func TestBindNaNAsNull(t *testing.T) {
+	db := Open()
+	mustExec(t, db, "CREATE TABLE t (_id INTEGER PRIMARY KEY, a INTEGER)")
+	for i := 1; i <= 5; i++ {
+		mustExec(t, db, "INSERT INTO t (a) VALUES (?)", int64(i))
+	}
+	probe := len(mustQuery(t, db, "SELECT _id FROM t WHERE _id = ?", math.NaN()).Data)
+	scan := len(mustQuery(t, db, "SELECT _id FROM t WHERE NOT NOT (_id = ?)", math.NaN()).Data)
+	if probe != 0 || scan != 0 {
+		t.Errorf("WHERE _id = NaN: probe %d rows, scan %d, want 0 and 0", probe, scan)
+	}
+	for _, nan := range []Value{math.NaN(), float32(math.NaN())} {
+		if got := mustQuery(t, db, "SELECT ? = 3", nan).Data[0][0]; got != nil {
+			t.Errorf("%T NaN = 3 is %v, want NULL", nan, got)
+		}
+	}
+	mustExec(t, db, "INSERT INTO t (_id, a) VALUES (6, ?)", math.NaN())
+	if got := mustQuery(t, db, "SELECT a IS NULL FROM t WHERE _id = 6").Data[0][0]; got != int64(1) {
+		t.Errorf("a stored NaN IS NULL = %v, want 1", got)
+	}
+}
+
+// TestExponentLiteral: a numeric literal may carry an exponent, as in
+// SQLite; it reads as a float, and the 'e' is not an alias.
+func TestExponentLiteral(t *testing.T) {
+	db := Open()
+	for _, tc := range []struct {
+		q    string
+		want Value
+	}{
+		{"SELECT 1e308", 1e308},
+		{"SELECT 1e3 * 2", 2000.0},
+		{"SELECT 2.5E-1", 0.25},
+		{"SELECT .5e+1", 5.0},
+		{"SELECT 1e0 = 1", int64(1)},
+	} {
+		rows := mustQuery(t, db, tc.q)
+		if len(rows.Columns) != 1 || rows.Data[0][0] != tc.want {
+			t.Errorf("%s = %v %v, want one column %v", tc.q, rows.Columns, rows.Data, tc.want)
+		}
+	}
+	if _, err := db.Query("SELECT 1e309"); err == nil {
+		t.Error("SELECT 1e309: no error for a literal out of range")
+	}
+}

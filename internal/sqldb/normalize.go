@@ -140,10 +140,11 @@ func normalizeTokens(src []token) (*normalized, bool) {
 	return &normalized{text: text, toks: toks, lits: lits}, true
 }
 
-// numberValue converts a number token exactly the way the parser does
-// (see parsePrimary): int64 unless a decimal point is present.
+// numberValue converts a number token, for the parser and the
+// normalizer alike: int64 unless a decimal point or an exponent is
+// present. A value out of range is refused.
 func numberValue(text string) (Value, bool) {
-	if strings.Contains(text, ".") {
+	if strings.ContainsAny(text, ".eE") {
 		f, err := strconv.ParseFloat(text, 64)
 		if err != nil {
 			return nil, false

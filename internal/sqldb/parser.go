@@ -2,7 +2,6 @@ package sqldb
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 )
 
@@ -970,18 +969,11 @@ func (p *parser) parsePrimary() (Expr, error) {
 	switch t.kind {
 	case tokNumber:
 		p.pos++
-		if strings.Contains(t.text, ".") {
-			f, err := strconv.ParseFloat(t.text, 64)
-			if err != nil {
-				return nil, p.errf("bad number")
-			}
-			return &Lit{Val: f}, nil
-		}
-		n, err := strconv.ParseInt(t.text, 10, 64)
-		if err != nil {
+		v, ok := numberValue(t.text)
+		if !ok {
 			return nil, p.errf("bad number")
 		}
-		return &Lit{Val: n}, nil
+		return &Lit{Val: v}, nil
 	case tokString:
 		p.pos++
 		return &Lit{Val: t.text}, nil

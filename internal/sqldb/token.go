@@ -157,21 +157,33 @@ func (l *lexer) lexQuotedIdent(open byte) (string, error) {
 	return "", fmt.Errorf("sqldb: unterminated quoted identifier at %d", start)
 }
 
+// lexNumber reads SQLite's numeric literal: digits, an optional
+// fraction, and an optional exponent ('e' or 'E', an optional sign,
+// digits). An 'e' without exponent digits is left to the next token.
 func (l *lexer) lexNumber() string {
 	start := l.pos
-	seenDot := false
-	for l.pos < len(l.src) {
-		c := l.src[l.pos]
-		if isDigit(c) {
-			l.pos++
-		} else if c == '.' && !seenDot {
-			seenDot = true
-			l.pos++
-		} else {
-			break
+	l.skipDigits()
+	if l.pos < len(l.src) && l.src[l.pos] == '.' {
+		l.pos++
+		l.skipDigits()
+	}
+	if l.pos < len(l.src) && (l.src[l.pos] == 'e' || l.src[l.pos] == 'E') {
+		exp := l.pos + 1
+		if exp < len(l.src) && (l.src[exp] == '+' || l.src[exp] == '-') {
+			exp++
+		}
+		if exp < len(l.src) && isDigit(l.src[exp]) {
+			l.pos = exp
+			l.skipDigits()
 		}
 	}
 	return l.src[start:l.pos]
+}
+
+func (l *lexer) skipDigits() {
+	for l.pos < len(l.src) && isDigit(l.src[l.pos]) {
+		l.pos++
+	}
 }
 
 func isDigit(c byte) bool {

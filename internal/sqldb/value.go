@@ -14,6 +14,7 @@ package sqldb
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -23,6 +24,8 @@ import (
 type Value interface{}
 
 // normalize converts convenience Go types to the engine's canonical set.
+// A NaN becomes NULL, as SQLite stores it (sqlite3VdbeMemSetDouble):
+// compare orders NaN equal to every number, which a key probe cannot.
 func normalize(v Value) Value {
 	switch x := v.(type) {
 	case nil:
@@ -33,7 +36,12 @@ func normalize(v Value) Value {
 		return int64(x)
 	case uint:
 		return int64(x)
-	case int64, float64, string, []byte:
+	case float64:
+		if math.IsNaN(x) {
+			return nil
+		}
+		return x
+	case int64, string, []byte:
 		return x
 	case bool:
 		if x {
@@ -41,7 +49,7 @@ func normalize(v Value) Value {
 		}
 		return int64(0)
 	case float32:
-		return float64(x)
+		return normalize(float64(x))
 	default:
 		return fmt.Sprint(x)
 	}

@@ -218,13 +218,9 @@ func (s *MemStorage) ReadPrefix(name string, n int64) ([]byte, error) {
 	return bytes.Clone(f.written[:min(n, int64(len(f.written)))]), nil
 }
 
-func (s *MemStorage) Create(name string) (File, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	f := &memFile{}
-	s.files[name] = f
-	return &memHandle{s: s, f: f}, nil
-}
+// Create truncates an existing file in place, as DirStorage's O_TRUNC
+// does: handles already open on it see the truncated file.
+func (s *MemStorage) Create(name string) (File, error) { return s.Append(name, 0) }
 
 func (s *MemStorage) Append(name string, validLen int64) (File, error) {
 	s.mu.Lock()

@@ -259,3 +259,43 @@ func TestMemStorageCrashIsIdempotent(t *testing.T) {
 		t.Fatalf("crash not idempotent: %q then %q", first, second)
 	}
 }
+
+// TestCreateTruncatesOpenHandles: Create truncates an existing file in
+// place on both storages, so a handle opened before it reads the
+// truncated file and what is written after, not an orphaned copy.
+func TestCreateTruncatesOpenHandles(t *testing.T) {
+	dir, err := NewDirStorage(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, s := range map[string]Storage{"mem": NewMemStorage(), "dir": dir} {
+		t.Run(name, func(t *testing.T) {
+			old, err := s.Create("wal")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer old.Close()
+			if _, err := old.Write([]byte("abcdef")); err != nil {
+				t.Fatal(err)
+			}
+			if err := old.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			f, err := s.Create("wal")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			p := make([]byte, 6)
+			if n, err := old.ReadAt(p, 0); n != 0 || !errors.Is(err, io.EOF) {
+				t.Errorf("old handle after Create: %d bytes %q, %v; want none and io.EOF", n, p[:n], err)
+			}
+			if _, err := f.Write([]byte("xy")); err != nil {
+				t.Fatal(err)
+			}
+			if n, _ := old.ReadAt(p, 0); string(p[:n]) != "xy" {
+				t.Errorf("old handle reads %q, want the new file's \"xy\"", p[:n])
+			}
+		})
+	}
+}
